@@ -43,6 +43,7 @@ from .spectral import (
     SpectralResult,
     adjacency_matrix,
     caterpillar_symmetry_check,
+    class_indices,
     caterpillar_trunk_residual,
     is_unimodal,
     pendant_minima_check,
@@ -79,8 +80,10 @@ from .enumeration import (
     MinimizerObservations,
     SearchReport,
     TIED_MINIMIZER_CLASS,
+    class_spectra,
     enumerate_semiregular,
     enumerate_trees,
+    extremal_report,
     find_maximizers,
     find_minimizers,
     free_trees,

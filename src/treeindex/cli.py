@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .enumeration import enumerate_trees, find_minimizers
+from .enumeration import class_spectra, extremal_report, find_minimizers
 from .spectral import ConvergenceError, spectral_radius
 from .transforms import (
     ReductionError,
@@ -42,6 +42,9 @@ from .trees import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+
+# existing command lines pass --jobs, so it must keep parsing
+JOBS_HELP = "accepted and ignored (the class scan is one batched solve)"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,11 +100,11 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 def cmd_verify_min(args: argparse.Namespace) -> int:
     pi = DegreeSequence.semiregular(args.d, args.n)
-    report = find_minimizers(pi, tie_tol=args.tie_tol, max_n=args.max_n, jobs=args.jobs)
+    trees, mus = class_spectra(pi, max_n=args.max_n)
+    report = extremal_report(pi, trees, mus, tie_tol=args.tie_tol)
     cat_code = canonical_form(make_caterpillar(args.d, args.n))
     rows = sorted(
-        (spectral_radius(t).mu, canonical_form(t).code, is_caterpillar(t))
-        for t in enumerate_trees(pi)
+        (float(mu), canonical_form(t).code, is_caterpillar(t)) for t, mu in zip(trees, mus)
     )
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
@@ -117,7 +120,7 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     pi = DegreeSequence.parse(args.pi)
-    report = find_minimizers(pi, tie_tol=args.tie_tol, max_n=args.max_n, jobs=args.jobs)
+    report = find_minimizers(pi, tie_tol=args.tie_tol, max_n=args.max_n)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     elif args.format == "table":
@@ -207,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treeindex",
         description="Spectral-radius toolkit for trees with prescribed degrees.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed reserved for randomized workflows")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("caterpillar", help="emit the semiregular caterpillar of a class")
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tie-tol", type=float, default=1e-9)
     p.add_argument("--max-n", type=int, default=22)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_min)
 
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", required=True, help='e.g. "4^4,3^2,2,1^12" or "3,3,1,1,1,1"')
     p.add_argument("--tie-tol", type=float, default=1e-9)
     p.add_argument("--max-n", type=int, default=22)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=["json", "csv", "table", "dot"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)

@@ -17,7 +17,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from .spectral import spectral_radius
+import numpy as np
+
+from .spectral import class_indices, spectral_radius
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -35,6 +37,8 @@ __all__ = [
     "enumerate_semiregular",
     "MinimizerObservations",
     "SearchReport",
+    "class_spectra",
+    "extremal_report",
     "find_minimizers",
     "find_maximizers",
     "tied_minimizer_examples",
@@ -274,15 +278,13 @@ class SearchReport:
         return "\n".join(lines) + "\n"
 
 
-def _stage1_mu(t: Tree) -> float:
-    return spectral_radius(t).mu
-
-
 def _stage2_mu(t: Tree) -> float:
     return spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).mu
 
 
-def _class_spectra(pi: DegreeSequence, max_n: int, jobs: int) -> tuple[list[Tree], list[float]]:
+def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray]:
+    """Every tree of the class in enumeration order, with the screened index
+    of each from one batched `class_indices` scan."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     if pi.n > max_n:
@@ -290,29 +292,37 @@ def _class_spectra(pi: DegreeSequence, max_n: int, jobs: int) -> tuple[list[Tree
             f"class has n={pi.n} > {max_n}; raise max_n explicitly for larger runs"
         )
     trees = list(enumerate_trees(pi))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            mus = list(pool.map(_stage1_mu, trees, chunksize=8))
-    else:
-        mus = [_stage1_mu(t) for t in trees]
-    return trees, mus
+    return trees, class_indices(trees)
 
 
-def _extremal_report(
+def extremal_report(
     pi: DegreeSequence,
     trees: list[Tree],
-    mus: list[float],
-    tie_tol: float,
-    sign: int,
+    mus: np.ndarray,
+    tie_tol: float = DEFAULT_TIE_TOL,
+    sign: int = +1,
 ) -> SearchReport:
-    """Two-stage extremal selection; sign=+1 minimizes, sign=-1 maximizes."""
-    keyed = [sign * m for m in mus]
-    best = min(keyed)
-    candidates = [i for i, m in enumerate(keyed) if m <= best + tie_tol]
-    if len(candidates) < len(trees):
-        runner = min(m for i, m in enumerate(keyed) if i not in set(candidates))
+    """Extremal selection over a `class_spectra` scan; sign=+1 minimizes,
+    sign=-1 maximizes.
+
+    The screened values `mus` only pick the candidates within tie_tol of
+    the extreme and the band within tie_tol of the runner-up.  The values
+    the report carries are `spectral_radius` indices of those trees, and
+    tied candidates are re-resolved in extended precision.
+    """
+    keyed = [sign * float(m) for m in mus]
+    best_screen = min(keyed)
+    candidates = [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]
+    best = min(sign * spectral_radius(trees[i]).mu for i in candidates)
+    taken = set(candidates)
+    rest = [i for i in range(len(trees)) if i not in taken]
+    if rest:
+        runner_screen = min(keyed[i] for i in rest)
+        runner = min(
+            sign * spectral_radius(trees[i]).mu
+            for i in rest
+            if keyed[i] <= runner_screen + tie_tol
+        )
         gap = runner - best
     else:
         gap = None
@@ -323,7 +333,7 @@ def _extremal_report(
         extremal_value = sign * best2
     else:
         chosen = candidates
-        extremal_value = sign * keyed[candidates[0]]
+        extremal_value = sign * best
     chosen_trees = tuple(trees[i] for i in chosen)
     codes = tuple(canonical_form(t) for t in chosen_trees)
     obs = tuple(_observe(t) for t in chosen_trees)
@@ -349,11 +359,12 @@ def find_minimizers(
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    Trees within tie_tol of the stage-one minimum are re-resolved in
+    Trees within tie_tol of the screened minimum are re-resolved in
     extended precision; survivors are reported as tied minimizers.
+    `jobs` is accepted so existing callers keep working, and ignored: the
+    class is scanned by one batched solve in this process.
     """
-    trees, mus = _class_spectra(pi, max_n, jobs)
-    return _extremal_report(pi, trees, mus, tie_tol, sign=+1)
+    return extremal_report(pi, *class_spectra(pi, max_n), tie_tol, sign=+1)
 
 
 def find_maximizers(
@@ -363,10 +374,9 @@ def find_maximizers(
     jobs: int = 1,
 ) -> tuple[Tree, ...]:
     """Index-maximizing trees of the class, for cross-checking the search
-    machinery from the opposite extreme."""
-    trees, mus = _class_spectra(pi, max_n, jobs)
-    report = _extremal_report(pi, trees, mus, tie_tol, sign=-1)
-    return report.minimizers
+    machinery from the opposite extreme.  `jobs` is ignored, as in
+    `find_minimizers`."""
+    return extremal_report(pi, *class_spectra(pi, max_n), tie_tol, sign=-1).minimizers
 
 
 # ---------------------------------------------------------------------------

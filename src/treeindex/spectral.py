@@ -2,7 +2,13 @@
 checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
-The index is computed matrix-free by shifted power iteration.  Trees are
+Whole classes of same-order trees are screened by `class_indices`, which
+stacks the dense adjacency matrices and calls `np.linalg.eigvalsh` once per
+chunk; its values rank trees, while reported indices come from
+`spectral_radius`.
+
+The index of a single tree is computed matrix-free by shifted power
+iteration.  Trees are
 bipartite, so -mu is also an eigenvalue; iterating on A + cI with
 c = max degree separates |mu + c| from |-mu + c| and makes the iteration
 converge to the Perron direction from the all-ones start.  Convergence is
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ __all__ = [
     "SpectralResult",
     "PerronBound",
     "adjacency_matrix",
+    "class_indices",
     "rayleigh_quotient",
     "spectral_radius",
     "perron_bound_check",
@@ -43,6 +51,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+# trees per stacked eigvalsh call in class_indices; bounds the stack to
+# CLASS_CHUNK * n * n floats however large the class is
+CLASS_CHUNK = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -90,6 +101,27 @@ def _edge_arrays(t: Tree) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     eu, ev = zip(*edges)
     return np.asarray(eu, dtype=np.intp), np.asarray(ev, dtype=np.intp)
+
+
+def class_indices(trees: Sequence[Tree]) -> np.ndarray:
+    """Index of every tree in `trees`, all of one order, as a float64 array.
+
+    The adjacency matrices are stacked CLASS_CHUNK at a time and each stack
+    goes through one dense `np.linalg.eigvalsh` call.  The values agree
+    with `spectral_radius(t).mu` to a few ulps, which is enough to rank a
+    class but not to report its extremal value byte-for-byte.
+    """
+    trees = list(trees)
+    if not trees:
+        return np.zeros(0)
+    n = trees[0].vertex_count
+    if any(t.vertex_count != n for t in trees):
+        raise ValueError("class_indices needs trees of one order")
+    out = np.empty(len(trees))
+    for start in range(0, len(trees), CLASS_CHUNK):
+        stack = np.stack([adjacency_matrix(t) for t in trees[start : start + CLASS_CHUNK]])
+        out[start : start + len(stack)] = np.linalg.eigvalsh(stack)[:, -1]
+    return out
 
 
 def rayleigh_quotient(t: Tree, f) -> float:

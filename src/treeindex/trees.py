@@ -153,6 +153,11 @@ def tree_to_json(t: Tree) -> str:
     return '{"n":%d,"edges":[%s]}' % (t.vertex_count, body)
 
 
+def _is_json_int(x) -> bool:
+    # JSON true/false decode to bool, which isinstance counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def tree_from_json(text: str) -> Tree:
     try:
         obj = json.loads(text)
@@ -161,11 +166,13 @@ def tree_from_json(text: str) -> Tree:
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         raise TreeError('tree JSON must be an object with keys "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_json_int(n) or n < 1:
         raise TreeError('"n" must be a positive integer')
+    if not isinstance(obj["edges"], list):
+        raise TreeError('"edges" must be a list')
     edges = []
     for e in obj["edges"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise TreeError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
     return tree_from_edges(n, edges)

@@ -85,6 +85,34 @@ class TestVerifyMinCommand:
         assert "VERIFIED" in out
         assert out.count("\n") >= 7  # one row per tree plus header/verdict
 
+    def test_one_scan_of_the_class(self, capsys, monkeypatch):
+        from treeindex import cli, enumeration, spectral
+        from treeindex.trees import DegreeSequence
+
+        calls = {"enumerate_trees": 0, "spectral_radius": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, fn in (("enumerate_trees", enumeration.enumerate_trees),
+                         ("spectral_radius", spectral.spectral_radius)):
+            for mod in (cli, enumeration, spectral):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+        code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "16")
+        assert code == 0 and "VERIFIED" in out
+        assert calls["enumerate_trees"] == 1
+        # the sole minimizer, plus every tree within tie_tol of the screened
+        # runner-up
+        monkeypatch.undo()
+        mus = sorted(enumeration.class_spectra(DegreeSequence.semiregular(3, 16))[1])
+        band = sum(1 for mu in mus[1:] if mu <= mus[1] + 1e-9)
+        assert calls["spectral_radius"] <= 1 + band
+
     def test_single_tree_class(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "8")
         assert code == 0
@@ -127,6 +155,40 @@ class TestSearchCommand:
         assert out1 == out2
 
 
+class TestGoldenOutput:
+    """Exact stdout bytes; the reported floats must not move by an ulp."""
+
+    def test_search_json_unique_minimizer(self, capsys):
+        code, out, _ = run(capsys, "search", "--pi", "4^3,3^3,2,1^11", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"all_caterpillars":true,"gap_to_runner_up":0.0040346544390774675,'
+            '"min_mu":2.397502007330666,"minimizer_count":1,"minimizers":[{"buds_max_degree":true,'
+            '"canonical_code":"((((()()())()()))(((()()())())())())","edges":[[0,1],[0,2],[0,7],'
+            "[0,8],[1,9],[1,10],[1,11],[2,3],[3,4],[3,12],[4,5],[4,13],[5,6],[5,14],[6,15],"
+            '[6,16],[6,17]],"is_caterpillar":true,"trunk_monotone":false}],"pi":"4^3,3^3,2,1^11",'
+            '"tree_count":419,"unique":true}\n'
+        )
+
+    def test_search_csv_integer_index(self, capsys):
+        code, out, _ = run(capsys, "search", "--pi", "3^2,2^2,1^4", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "canonical_code,mu,is_caterpillar,buds_max_degree,trunk_monotone\n"
+            "(((()()))(()())),2,True,True,True\n"
+        )
+
+    def test_verify_min_table(self, capsys):
+        code, out, _ = run(capsys, "verify-min", "--d", "4", "--n", "14")
+        assert code == 0
+        assert out == (
+            "          mu  caterpillar  canonical_code\n"
+            "    2.532089  True         (((()()())()())(()()())()())\n"
+            "    2.557612  False        ((()()())(()()())(()()())())\n"
+            "VERIFIED: unique minimizer is the caterpillar\n"
+        )
+
+
 class TestReduceCommand:
     def test_spider_single_step_with_rayleigh_data(self, tmp_path, capsys):
         path = tmp_path / "spider.json"
@@ -167,3 +229,26 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["caterpillar", "--bogus"]) == 2
+
+    def test_seed_flag_is_gone(self, capsys):
+        assert main(["--seed", "1", "caterpillar", "--d", "3", "--n", "8"]) == 2
+
+    def test_jobs_flag_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify-min", "--d", "4", "--n", "14", "--jobs", "2")
+        assert code == 0 and out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
+
+
+class TestStrictTreeJson:
+    """JSON booleans are ints to isinstance; tree files must not pass them off as ids."""
+
+    @pytest.mark.parametrize("command", ["mu", "reduce"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": true, "edges": []}', '{"n": 2, "edges": [[false, true]]}'],
+        ids=["bool-n", "bool-endpoints"],
+    )
+    def test_boolean_json_integers_exit_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "" and "error" in err

@@ -7,9 +7,12 @@ import random
 import numpy as np
 import pytest
 
+from treeindex.enumeration import enumerate_trees
 from treeindex.spectral import (
+    CLASS_CHUNK,
     ConvergenceError,
     adjacency_matrix,
+    class_indices,
     caterpillar_symmetry_check,
     caterpillar_trunk_residual,
     is_unimodal,
@@ -20,6 +23,7 @@ from treeindex.spectral import (
     symmetrize_caterpillar,
 )
 from treeindex.trees import (
+    DegreeSequence,
     make_caterpillar,
     make_path,
     make_star,
@@ -156,6 +160,35 @@ class TestSpectralRadius:
         text = spectral_radius(K2).to_json()
         assert text.startswith('{"mu":1,"perron":[')
         assert '"iterations":0' in text
+
+
+class TestClassIndices:
+    # "0" and "1,1" are the one- and two-vertex classes; "3^5,2^2,1^7"
+    # has 52 trees, more than one stacked chunk
+    @pytest.mark.parametrize("pi", ["0", "1,1", "3,1^3", "3^2,2^2,1^4", "3^5,2^2,1^7"])
+    def test_matches_power_iteration_and_oracle(self, pi):
+        trees = list(enumerate_trees(DegreeSequence.parse(pi)))
+        mus = class_indices(trees)
+        assert mus.shape == (len(trees),)
+        for t, mu in zip(trees, mus):
+            assert abs(mu - spectral_radius(t).mu) <= 1e-12
+            assert abs(mu - oracle_mu(t)) <= 1e-12
+
+    def test_class_spans_chunks(self):
+        assert len(list(enumerate_trees(DegreeSequence.parse("3^5,2^2,1^7")))) > CLASS_CHUNK
+
+    def test_order_of_input_is_kept(self):
+        trees = [make_path(6), make_star(5), make_caterpillar(3, 6)]
+        expected = [oracle_mu(t) for t in trees]
+        assert class_indices(trees) == pytest.approx(expected, abs=1e-12)
+        assert class_indices(trees[::-1]) == pytest.approx(expected[::-1], abs=1e-12)
+
+    def test_empty(self):
+        assert class_indices([]).shape == (0,)
+
+    def test_mixed_orders_rejected(self):
+        with pytest.raises(ValueError):
+            class_indices([make_path(4), make_path(5)])
 
 
 class TestPerronBound:

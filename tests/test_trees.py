@@ -308,6 +308,14 @@ class TestSerialization:
         with pytest.raises(TreeError):
             tree_from_json('{"n":3,"edges":[[0,1]]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n":true,"edges":[]}', '{"n":2,"edges":[[false,true]]}', '{"n":1,"edges":5}'],
+    )
+    def test_json_rejects_non_integers(self, text):
+        with pytest.raises(TreeError):
+            tree_from_json(text)
+
     def test_dot_deterministic_and_complete(self):
         text = tree_to_dot(make_path(3))
         assert text == "graph T {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
