@@ -25,6 +25,8 @@ from .trees import (
     DegreeSequence,
     Tree,
     TreeError,
+    _canonical_code,
+    _neighbor_lists,
     arms,
     canonical_form,
     is_caterpillar,
@@ -91,20 +93,30 @@ def _partitions(total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _code_to_tree(code: tuple) -> Tree:
+def _code_edges(code: tuple) -> list[tuple[int, int]]:
+    """Edges of a rooted tree code, its vertices numbered in preorder."""
     edges: list[tuple[int, int]] = []
-    counter = [0]
 
-    def build(node: tuple, parent: int) -> None:
-        me = counter[0]
-        counter[0] += 1
-        if parent >= 0:
-            edges.append((parent, me))
+    def build(node: tuple, me: int) -> int:
+        nxt = me + 1  # the first id after this subtree, once it is built
         for child in node:
-            build(child, me)
+            edges.append((me, nxt))
+            nxt = build(child, nxt)
+        return nxt
 
-    build(code, -1)
-    return tree_from_edges(counter[0], edges)
+    build(code, 0)
+    return edges
+
+
+def _representatives(n: int, edge_lists) -> Iterator[Tree]:
+    """The first tree met of each isomorphism class among the edge lists, in
+    canonical-code order.  Only these representatives are built as `Tree`s;
+    the dedup reads the canonical code of the bare neighbor lists."""
+    found: dict[str, list[tuple[int, int]]] = {}
+    for edges in edge_lists:
+        found.setdefault(_canonical_code(_neighbor_lists(n, edges)), edges)
+    for code in sorted(found, key=lambda c: CanonicalForm(c).sort_key()):
+        yield tree_from_edges(n, found[code])
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +124,7 @@ def free_trees(k: int) -> tuple[Tree, ...]:
     """All non-isomorphic trees on k vertices, sorted by canonical code."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
-    seen: dict[CanonicalForm, Tree] = {}
-    for code in _rooted_trees(k):
-        t = _code_to_tree(code)
-        seen.setdefault(canonical_form(t), t)
-    return tuple(t for _, t in sorted(seen.items(), key=lambda kv: kv[0].sort_key()))
+    return tuple(_representatives(k, map(_code_edges, _rooted_trees(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,22 @@ def _degree_assignments(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[t
     yield from rec(0)
 
 
+def _decorations(internal: tuple[int, ...], leaves: int) -> Iterator[list[tuple[int, int]]]:
+    """Edge lists of every skeleton on len(internal) vertices with every
+    degree assignment, the slack filled with pendant vertices."""
+    k = len(internal)
+    for skeleton in free_trees(k):
+        for assignment in _degree_assignments(skeleton, internal):
+            edges = list(skeleton.edges())
+            nxt = k
+            for v in range(k):
+                for _ in range(assignment[v] - skeleton.degree(v)):
+                    edges.append((v, nxt))
+                    nxt += 1
+            assert nxt == k + leaves
+            yield edges
+
+
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
     """Every tree with degree sequence pi exactly once up to isomorphism,
     in ascending canonical-code order."""
@@ -158,22 +182,7 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
         yield tree_from_edges(2, [(0, 1)])
         return
     internal = tuple(x for x in pi.degrees if x >= 2)
-    k = len(internal)
-    leaves = pi.n - k
-    found: dict[CanonicalForm, Tree] = {}
-    for skeleton in free_trees(k):
-        for assignment in _degree_assignments(skeleton, internal):
-            edges = list(skeleton.edges())
-            nxt = k
-            for v in range(k):
-                for _ in range(assignment[v] - skeleton.degree(v)):
-                    edges.append((v, nxt))
-                    nxt += 1
-            assert nxt == k + leaves
-            t = tree_from_edges(pi.n, edges)
-            found.setdefault(canonical_form(t), t)
-    for _, t in sorted(found.items(), key=lambda kv: kv[0].sort_key()):
-        yield t
+    yield from _representatives(pi.n, _decorations(internal, pi.n - len(internal)))
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:
@@ -261,15 +270,14 @@ class SearchReport:
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-    def to_csv(self, mus: tuple[float, ...] | None = None) -> str:
+    def to_csv(self) -> str:
         lines = ["canonical_code,mu,is_caterpillar,buds_max_degree,trunk_monotone"]
-        for idx, (code, obs) in enumerate(zip(self.minimizer_codes, self.observations)):
-            mu = self.min_mu if mus is None else mus[idx]
+        for code, obs in zip(self.minimizer_codes, self.observations):
             lines.append(
                 "%s,%.17g,%s,%s,%s"
                 % (
                     code.code,
-                    mu,
+                    self.min_mu,
                     obs.is_caterpillar,
                     obs.buds_have_max_branch_degree,
                     obs.trunk_degrees_monotone,
@@ -310,6 +318,8 @@ def extremal_report(
     the report carries are `spectral_radius` indices of those trees, and
     tied candidates are re-resolved in extended precision.
     """
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be a non-negative number, got {tie_tol}")
     keyed = [sign * float(m) for m in mus]
     best_screen = min(keyed)
     candidates = [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]

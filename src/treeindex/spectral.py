@@ -136,13 +136,6 @@ def rayleigh_quotient(t: Tree, f) -> float:
     return float(2.0 * np.sum(f[eu] * f[ev]) / norm2)
 
 
-def _residual(mu, f, eu, ev, n) -> float:
-    s = np.zeros(n, dtype=f.dtype)
-    np.add.at(s, eu, f[ev])
-    np.add.at(s, ev, f[eu])
-    return float(np.max(np.abs(mu * f - s)))
-
-
 def _tree_shift_solve(t: Tree, sigma, b: np.ndarray):
     """Solve (A - sigma*I) y = b exactly by leaf elimination; None if a
     pivot vanishes (sigma essentially an eigenvalue of a subtree)."""
@@ -178,33 +171,16 @@ def _tree_shift_solve(t: Tree, sigma, b: np.ndarray):
     return y
 
 
-def _rayleigh_polish(t, x, mu, eu, ev, n, tol, rounds=8):
-    """Inverse iteration with Rayleigh shifts; returns improved (x, mu, res)
-    together with the number of solves spent."""
-    res = _residual(mu, x, eu, ev, n)
-    spent = 0
-    for _ in range(rounds):
-        if res <= tol:
-            break
-        sigma = mu
-        y = None
-        for bump in (0.0, 1e-10, -1e-10, 1e-8):
-            y = _tree_shift_solve(t, sigma + bump * max(1.0, abs(mu)), x)
-            if y is not None:
-                break
-        if y is None:
-            break
-        y = y / np.sqrt(y @ y)
-        if float(np.sum(y)) < 0.0:
-            y = -y
-        spent += 1
-        x = y
-        s = np.zeros(n, dtype=x.dtype)
-        np.add.at(s, eu, x[ev])
-        np.add.at(s, ev, x[eu])
-        mu = float(x @ s)
-        res = _residual(mu, x, eu, ev, n)
-    return x, mu, res, spent
+def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
+    """One inverse-iteration step shifted by the Rayleigh estimate mu: the
+    unit solution of (A - mu*I) y = x with positive sum, or None if the
+    shift and its nudges all hit a vanishing pivot."""
+    for bump in (0.0, 1e-10, -1e-10, 1e-8):
+        y = _tree_shift_solve(t, mu + bump * max(1.0, abs(mu)), x)
+        if y is not None:
+            y = y / np.sqrt(y @ y)
+            return -y if float(np.sum(y)) < 0.0 else y
+    return None
 
 
 def spectral_radius(
@@ -219,8 +195,10 @@ def spectral_radius(
     (numpy longdouble), which is what the tie-resolution stage of the
     extremal search uses.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be a positive number, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = t.vertex_count
     dtype = np.longdouble if extended else np.float64
     if n == 1:
@@ -234,30 +212,31 @@ def spectral_radius(
     x = np.ones(n, dtype=dtype)
     x /= np.sqrt(x @ x)
     fallback_at = max(1, max_iter // 2)
-    polished = False
+    polish_rounds = 8  # Rayleigh steps allowed from fallback_at on
     iterations = 0
-    mu = 0.0
-    res = math.inf
-    while iterations < max_iter:
+    while True:
+        # s = A x serves both the check of x and the next step from x
         s = np.zeros(n, dtype=dtype)
         np.add.at(s, eu, x[ev])
         np.add.at(s, ev, x[eu])
+        if iterations:
+            mu = float(x @ s)
+            res = float(np.max(np.abs(mu * x - s)))
+            if res <= tol:
+                break
+            if iterations >= fallback_at and polish_rounds:
+                polish_rounds -= 1
+                y = _rayleigh_step(t, x, mu)
+                if y is not None:
+                    x = y
+                    iterations += 1
+                    continue
+                polish_rounds = 0
+            if iterations >= max_iter:
+                break
         y = s + c * x
         x = y / np.sqrt(y @ y)
         iterations += 1
-        s = np.zeros(n, dtype=dtype)
-        np.add.at(s, eu, x[ev])
-        np.add.at(s, ev, x[eu])
-        mu = float(x @ s)
-        res = float(np.max(np.abs(mu * x - s)))
-        if res <= tol:
-            break
-        if iterations >= fallback_at and not polished:
-            polished = True
-            x, mu, res, spent = _rayleigh_polish(t, x, mu, eu, ev, n, tol)
-            iterations += spent
-            if res <= tol:
-                break
     perron = np.asarray(x, dtype=np.float64)
     result = SpectralResult(float(mu), perron, float(res), iterations)
     if res > tol:

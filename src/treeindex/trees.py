@@ -105,9 +105,6 @@ class Tree:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
-    def is_pendant(self, v: int) -> bool:
-        return len(self.adjacency[v]) == 1
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (u, v) with u < v, sorted lexicographically."""
         return tuple(
@@ -133,15 +130,21 @@ class Tree:
         return out
 
 
-def tree_from_edges(n: int, edges) -> Tree:
-    """Build a tree on n vertices from an iterable of (u, v) pairs."""
+def _neighbor_lists(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of the graph on n vertices with these edges,
+    unvalidated beyond the range of the endpoints."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise TreeError(f"edge ({u},{v}) out of range for n={n}")
         adj[u].append(v)
         adj[v].append(u)
-    return Tree(tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def tree_from_edges(n: int, edges) -> Tree:
+    """Build a tree on n vertices from an iterable of (u, v) pairs."""
+    return Tree(_neighbor_lists(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +173,12 @@ def tree_from_json(text: str) -> Tree:
         raise TreeError('"n" must be a positive integer')
     if not isinstance(obj["edges"], list):
         raise TreeError('"edges" must be a list')
-    edges = []
+    if len(obj["edges"]) != n - 1:
+        raise TreeError(f"found {len(obj['edges'])} edges, a tree on {n} vertices needs {n - 1}")
     for e in obj["edges"]:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise TreeError(f"bad edge entry {e!r}")
-        edges.append((e[0], e[1]))
-    return tree_from_edges(n, edges)
+    return tree_from_edges(n, obj["edges"])
 
 
 def tree_to_dot(t: Tree, name: str = "T") -> str:
@@ -512,19 +515,19 @@ class CanonicalForm:
         return self.sort_key() < other.sort_key()
 
 
-def _centers(t: Tree) -> list[int]:
-    n = t.vertex_count
+def _centers(adj) -> list[int]:
+    n = len(adj)
     if n == 1:
         return [0]
-    degree = [t.degree(v) for v in t.vertices()]
-    layer = [v for v in t.vertices() if degree[v] == 1]
+    degree = [len(nbrs) for nbrs in adj]
+    layer = [v for v in range(n) if degree[v] == 1]
     remaining = n
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
         for v in layer:
             degree[v] = 0
-            for u in t.neighbors(v):
+            for u in adj[v]:
                 if degree[u] > 1:
                     degree[u] -= 1
                     if degree[u] == 1:
@@ -537,16 +540,22 @@ def _centers(t: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(t: Tree, root: int, parent: int = -1) -> str:
-    kids = sorted(
-        _rooted_code(t, u, root) for u in t.neighbors(root) if u != parent
-    )
-    return "(" + "".join(kids) + ")"
+def _rooted_code(adj, root: int, parent: int, codes: dict[int, str]) -> str:
+    """AHU code of the subtree below root with the edge to parent cut off;
+    the code of every vertex of that subtree is recorded in codes."""
+    kids = sorted(_rooted_code(adj, u, root, codes) for u in adj[root] if u != parent)
+    codes[root] = "(" + "".join(kids) + ")"
+    return codes[root]
+
+
+def _canonical_code(adj) -> str:
+    """Canonical code of the tree with these neighbor lists: the least
+    rooted code over its centers."""
+    return min([_rooted_code(adj, c, -1, {}) for c in _centers(adj)])
 
 
 def canonical_form(t: Tree) -> CanonicalForm:
-    codes = [_rooted_code(t, c) for c in _centers(t)]
-    return CanonicalForm(min(codes))
+    return CanonicalForm(_canonical_code(t.adjacency))
 
 
 def canonical_order(t: Tree) -> list[int]:
@@ -555,17 +564,16 @@ def canonical_order(t: Tree) -> list[int]:
     Corresponding positions of two isomorphic trees' orders define an
     isomorphism between them.
     """
-    centers = _centers(t)
-    root = min(centers, key=lambda c: (_rooted_code(t, c), c))
+    adj = t.adjacency
+    # one pass per center records the code of every subtree hung from it
+    tables: dict[int, dict[int, str]] = {c: {} for c in _centers(adj)}
+    root = min(tables, key=lambda c: (_rooted_code(adj, c, -1, tables[c]), c))
+    codes = tables[root]
     order: list[int] = []
 
     def visit(v: int, parent: int) -> None:
         order.append(v)
-        kids = sorted(
-            (u for u in t.neighbors(v) if u != parent),
-            key=lambda u: (_rooted_code(t, u, v), u),
-        )
-        for u in kids:
+        for u in sorted((u for u in adj[v] if u != parent), key=lambda u: (codes[u], u)):
             visit(u, v)
 
     visit(root, -1)

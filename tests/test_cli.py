@@ -252,3 +252,48 @@ class TestStrictTreeJson:
         path.write_text(text)
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "" and "error" in err
+
+
+class TestNumericOptions:
+    """Out-of-range numbers are usage errors that name the option."""
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--tol", "nan"], "tol"), (["--tol", "0"], "tol"), (["--tol", "-1e-12"], "tol"),
+         (["--max-iter", "0"], "max_iter"), (["--max-iter", "-5"], "max_iter")],
+    )
+    def test_mu(self, tmp_path, capsys, flags, name):
+        path = tmp_path / "p4.json"
+        path.write_text(tree_to_json(tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])))
+        code, out, err = run(capsys, "mu", str(path), *flags)
+        assert code == 2 and out == "" and name in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "--pi", "3^2,2^2,1^4"], ["verify-min", "--d", "3", "--n", "10"]],
+        ids=["search", "verify-min"],
+    )
+    def test_tie_tol(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, "--tie-tol", value)
+        assert code == 2 and out == "" and "tie_tol" in err
+
+    def test_zero_tie_tol_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "10", "--tie-tol", "0")
+        assert code == 0 and "VERIFIED" in out
+
+
+class TestTreeJsonEdgeCount:
+    @pytest.mark.parametrize("command", ["mu", "reduce"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 1000000000000, "edges": []}', '{"n": 3, "edges": [[0, 1]]}',
+         '{"n": 2, "edges": [[0, 1], [0, 1]]}'],
+        ids=["huge-n", "too-few", "too-many"],
+    )
+    def test_wrong_edge_count_exits_2(self, tmp_path, capsys, command, text):
+        # the count is checked before n neighbor lists are allocated
+        path = tmp_path / "count.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "" and "edges" in err

@@ -9,8 +9,10 @@ import pytest
 
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
+    class_spectra,
     enumerate_semiregular,
     enumerate_trees,
+    extremal_report,
     find_maximizers,
     find_minimizers,
     free_trees,
@@ -200,6 +202,14 @@ class TestFindMinimizers:
         parallel = find_minimizers(pi, jobs=2)
         assert serial.minimizer_codes == parallel.minimizer_codes
         assert serial.min_mu == pytest.approx(parallel.min_mu, abs=1e-14)
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, float("nan")])
+    def test_bad_tie_tol_rejected(self, tie_tol):
+        pi = DegreeSequence.semiregular(3, 10)
+        with pytest.raises(ValueError, match="tie_tol"):
+            extremal_report(pi, *class_spectra(pi), tie_tol=tie_tol)
+        with pytest.raises(ValueError, match="tie_tol"):
+            find_minimizers(pi, tie_tol=tie_tol)
 
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))

@@ -141,6 +141,17 @@ class TestSpectralRadius:
         result = info.value.result
         assert result.mu == pytest.approx(2 * math.cos(math.pi / 13), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
+         ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter")],
+    )
+    def test_bad_numeric_arguments_rejected(self, kwargs, name):
+        # checked before the one- and two-vertex shortcuts, too
+        for t in (make_path(1), make_path(6)):
+            with pytest.raises(ValueError, match=name):
+                spectral_radius(t, **kwargs)
+
     def test_extended_precision_mode(self):
         r = spectral_radius(FORK_19, tol=1e-14, max_iter=20_000, extended=True)
         assert abs(r.mu - math.sqrt(6)) <= 1e-13

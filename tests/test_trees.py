@@ -316,6 +316,10 @@ class TestSerialization:
         with pytest.raises(TreeError):
             tree_from_json(text)
 
+    def test_json_edge_count_checked_before_allocation(self):
+        with pytest.raises(TreeError, match="needs 999999999999"):
+            tree_from_json('{"n":1000000000000,"edges":[]}')
+
     def test_dot_deterministic_and_complete(self):
         text = tree_to_dot(make_path(3))
         assert text == "graph T {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
