@@ -16,6 +16,17 @@ measured by the eigenvalue-equation residual
 
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
+Each sweep computes s = A x once, as one scatter over the edges taken in
+both directions (`np.bincount` in float64; `np.add.at` in extended
+precision, since bincount casts its weights to float64), and uses s both
+to check x and for the power step from x.  The check is screened exactly:
+the residual entry at the vertex where the last full residual vector
+peaked is computed with the same IEEE operations as in the full vector,
+and when it alone exceeds tol, so does the maximum.  The full residual is
+taken whenever the screen does not settle it and on every sweep from the
+polish point on, so every break, polish decision and reported residual is
+the one the full check gives.
+
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
 current Rayleigh estimate is used as a shift for a few inverse-iteration
@@ -89,9 +100,9 @@ class SpectralResult:
 def adjacency_matrix(t: Tree, dtype=np.float64) -> np.ndarray:
     n = t.vertex_count
     a = np.zeros((n, n), dtype=dtype)
-    for u, v in t.edges():
-        a[u, v] = 1
-        a[v, u] = 1
+    eu, ev = _edge_arrays(t)
+    a[eu, ev] = 1
+    a[ev, eu] = 1
     return a
 
 
@@ -208,32 +219,44 @@ def spectral_radius(
         return SpectralResult(1.0, np.array([r, r]), 0.0, 0)
 
     eu, ev = _edge_arrays(t)
+    # edge uv sends x[v] to u, then (second half) x[u] to v
+    tgt = np.concatenate((eu, ev))
+    src = np.concatenate((ev, eu))
     c = dtype(max(t.degrees()))
     x = np.ones(n, dtype=dtype)
     x /= np.sqrt(x @ x)
-    fallback_at = max(1, max_iter // 2)
+    fallback_at = max(1, max_iter // 2)  # never above max_iter
     polish_rounds = 8  # Rayleigh steps allowed from fallback_at on
     iterations = 0
+    w = 0  # where the last full residual vector peaked
     while True:
         # s = A x serves both the check of x and the next step from x
-        s = np.zeros(n, dtype=dtype)
-        np.add.at(s, eu, x[ev])
-        np.add.at(s, ev, x[eu])
+        if extended:
+            s = np.zeros(n, dtype=dtype)
+            np.add.at(s, tgt, x[src])
+        else:
+            s = np.bincount(tgt, weights=x[src], minlength=n)
         if iterations:
             mu = float(x @ s)
-            res = float(np.max(np.abs(mu * x - s)))
-            if res <= tol:
-                break
-            if iterations >= fallback_at and polish_rounds:
-                polish_rounds -= 1
-                y = _rayleigh_step(t, x, mu)
-                if y is not None:
-                    x = y
-                    iterations += 1
-                    continue
-                polish_rounds = 0
-            if iterations >= max_iter:
-                break
+            # before fallback_at only res <= tol ends the power steps; one
+            # residual entry above tol, rounded to float as res is, proves
+            # res > tol
+            if iterations >= fallback_at or not float(abs(mu * x[w] - s[w])) > tol:
+                r = np.abs(mu * x - s)
+                w = int(np.argmax(r))
+                res = float(r[w])
+                if res <= tol:
+                    break
+                if iterations >= fallback_at and polish_rounds:
+                    polish_rounds -= 1
+                    y = _rayleigh_step(t, x, mu)
+                    if y is not None:
+                        x = y
+                        iterations += 1
+                        continue
+                    polish_rounds = 0
+                if iterations >= max_iter:
+                    break
         y = s + c * x
         x = y / np.sqrt(y @ y)
         iterations += 1

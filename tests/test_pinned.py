@@ -3,7 +3,10 @@
 `pinned_outputs.json` holds values captured from the implementation that
 computed A x twice per power sweep, re-derived subtree codes at every
 ancestor in `canonical_order`, and built a `Tree` for every decoration in
-enumeration.  The leaner code must reproduce them exactly.
+enumeration.  The `spectral_sha256`, `spectral_stage2` and
+`spectral_budget_exits` entries were captured from the sweep that
+scattered A x with two `np.add.at` passes and took the full residual
+vector after every sweep.  The leaner code must reproduce them exactly.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import pytest
 
 from treeindex import enumeration, spectral
 from treeindex.enumeration import enumerate_trees, free_trees, tied_minimizer_examples
-from treeindex.spectral import spectral_radius
+from treeindex.spectral import ConvergenceError, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     canonical_order,
@@ -33,11 +36,57 @@ def edge_lists(trees):
     return [[list(e) for e in t.edges()] for t in trees]
 
 
+def relabelled(t, rng):
+    perm = list(range(t.vertex_count))
+    rng.shuffle(perm)
+    return tree_from_edges(t.vertex_count, [(perm[u], perm[v]) for u, v in t.edges()])
+
+
 def relabelled_caterpillar():
-    base = make_caterpillar(3, 42)
-    perm = list(range(base.vertex_count))
-    random.Random(2009).shuffle(perm)
-    return tree_from_edges(base.vertex_count, [(perm[u], perm[v]) for u, v in base.edges()])
+    return relabelled(make_caterpillar(3, 42), random.Random(2009))
+
+
+def random_semiregular(d, k, seed):
+    """A random d-semiregular tree with k internal vertices: a random
+    recursive skeleton with degrees at most d, filled up with pendant
+    vertices, then relabelled."""
+    rng = random.Random(seed)
+    degree = [0] * k
+    edges = []
+    for v in range(1, k):
+        u = rng.choice([w for w in range(v) if degree[w] < d])
+        edges.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    n = k
+    for v in range(k):
+        for _ in range(d - degree[v]):
+            edges.append((v, n))
+            n += 1
+    return relabelled(tree_from_edges(n, edges), rng)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# trees whose full spectral_radius JSON is pinned by its sha256; the path
+# runs 50,000 sweeps before the Rayleigh polish finishes it
+SHA_TREES = {
+    "path_300_relabelled_seed_300": lambda: relabelled(make_path(300), random.Random(300)),
+    "caterpillar_4_302": lambda: make_caterpillar(4, 302),
+    "semiregular_3_60_seed_1": lambda: random_semiregular(3, 60, 1),
+    "semiregular_4_80_seed_2": lambda: random_semiregular(4, 80, 2),
+    "semiregular_5_50_seed_3": lambda: random_semiregular(5, 50, 3),
+}
+
+# small or unreachable targets on the 60-vertex path.  Budgets of 1-3
+# sweeps start the polish at once, and it settles on a non-Perron
+# eigenvector; 50 sweeps converge; tol=1e-300 runs out of sweeps.
+BUDGET_EXITS = {
+    **{f"path_60_max_iter_{m}": dict(max_iter=m) for m in (1, 2, 3, 50)},
+    "path_60_tol_1e-300_max_iter_3000": dict(tol=1e-300, max_iter=3000),
+}
 
 
 class TestPinnedSpectra:
@@ -53,17 +102,44 @@ class TestPinnedSpectra:
         assert r.iterations == 1002  # 1000 sweeps, then two inverse-iteration solves
         assert r.to_json() == PINNED["spectral_path60_max_iter_2000"]
 
+    @pytest.mark.parametrize("name", SHA_TREES)
+    def test_sha256(self, name):
+        got = sha256(spectral_radius(SHA_TREES[name]()).to_json())
+        assert got == PINNED["spectral_sha256"][name]
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_stage2_settings_on_the_ties(self, i):
+        t = tied_minimizer_examples()[i]
+        got = spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).to_json()
+        assert got == PINNED["spectral_stage2"][i]
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("name", BUDGET_EXITS)
+    def test_budget_exits(self, name, extended):
+        message = None
+        try:
+            r = spectral_radius(make_path(60), extended=extended, **BUDGET_EXITS[name])
+        except ConvergenceError as err:
+            message, r = str(err), err.result
+        key = f"{name}_extended" if extended else name
+        assert [message, sha256(r.to_json())] == PINNED["spectral_budget_exits"][key]
+
 
 class TestOneMatvecPerSweep:
     class CountingNumpy:
-        """Stands in for numpy inside `spectral`, counting `np.add.at`."""
+        """Stands in for numpy inside `spectral`, counting the scatter calls
+        that compute A x: `np.bincount` and `np.add.at`."""
 
         def __init__(self):
-            self.calls = 0
+            self.calls = {"bincount": 0, "add.at": 0}
             self.add = self
 
+        def bincount(self, *args, **kwargs):
+            self.calls["bincount"] += 1
+            return np.bincount(*args, **kwargs)
+
         def at(self, *args):
-            self.calls += 1
+            self.calls["add.at"] += 1
             return np.add.at(*args)
 
         def __getattr__(self, name):
@@ -74,9 +150,11 @@ class TestOneMatvecPerSweep:
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
         r = spectral_radius(FORK_19, extended=extended)
-        # one A x per sweep plus the one that checks the last iterate, two
-        # np.add.at calls each
-        assert counting.calls == 2 * (r.iterations + 1)
+        # one A x per sweep plus the one that checks the last iterate, each a
+        # single scatter: bincount in float64, np.add.at in extended precision
+        scatter, other = ("add.at", "bincount") if extended else ("bincount", "add.at")
+        assert counting.calls[scatter] == r.iterations + 1
+        assert counting.calls[other] == 0
 
 
 class TestPinnedEnumeration:

@@ -173,6 +173,20 @@ class TestSpectralRadius:
         assert '"iterations":0' in text
 
 
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_matches_edge_loop(self, dtype):
+        trees = [make_path(1), K2, make_star(5), FORK_19]
+        trees += list(enumerate_trees(DegreeSequence.parse("3^5,2^2,1^7")))
+        for t in trees:
+            expected = np.zeros((t.vertex_count, t.vertex_count), dtype=dtype)
+            for u, v in t.edges():
+                expected[u, v] = expected[v, u] = 1
+            got = adjacency_matrix(t, dtype=dtype)
+            assert got.dtype == dtype
+            assert np.array_equal(got, expected)
+
+
 class TestClassIndices:
     # "0" and "1,1" are the one- and two-vertex classes; "3^5,2^2,1^7"
     # has 52 trees, more than one stacked chunk
