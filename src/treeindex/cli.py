@@ -19,8 +19,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .enumeration import class_spectra, extremal_report, find_minimizers
-from .spectral import ConvergenceError, spectral_radius
+from .enumeration import (
+    DEFAULT_MAX_N,
+    DEFAULT_TIE_TOL,
+    class_spectra,
+    extremal_report,
+    find_minimizers,
+)
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
 from .transforms import (
     ReductionError,
     caterpillar_bound_witness,
@@ -148,12 +154,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reduction_json(seq, records) -> str:
-    by_step = {idx: (r.rq_before, r.rq_after) for idx, r in records.items()}
-    rows = []
-    for idx, step in enumerate(seq.steps):
-        before, after = by_step.get(idx, (None, None))
-        rows.append(
+def _reduction_json(rows) -> str:
+    out = []
+    for step, rec in rows:
+        out.append(
             '{"kind":"%s","v_star":%d,"move":{"u1":%d,"v1":%d,"u2":%d,"v2":%d},'
             '"fork_size":%d,"rq_before":%s,"rq_after":%s}'
             % (
@@ -164,32 +168,32 @@ def _reduction_json(seq, records) -> str:
                 step.move.u2,
                 step.move.v2,
                 step.fork_size,
-                "null" if before is None else "%.17g" % before,
-                "null" if after is None else "%.17g" % after,
+                "null" if rec is None else "%.17g" % rec.rq_before,
+                "null" if rec is None else "%.17g" % rec.rq_after,
             )
         )
-    return "[" + ",".join(rows) + "]"
+    return "[" + ",".join(out) + "]"
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    """Reduction steps of a semiregular tree.  Under "minimal" the steps and
+    their Rayleigh data are those of the certified replay, read back in
+    reduction order; under "any" the Rayleigh columns are null or blank."""
     t = _read_tree(args.tree)
     if semiregular_degree(t) is None and t.vertex_count > 2:
         raise TreeError("input tree is not semiregular: non-pendant degrees differ")
-    seq = reduce_to_caterpillar(t, policy=args.policy)
-    records: dict[int, object] = {}
-    if seq.steps:
-        witness = caterpillar_bound_witness(t)
-        # witness records run caterpillar -> tree; step i of the reduction
-        # is record len(steps)-1-i of the replay
-        for replay_idx, rec in enumerate(witness.step_records):
-            records[len(seq.steps) - 1 - replay_idx] = rec
+    if is_caterpillar(t):
+        rows = []
+    elif args.policy == "minimal":
+        rows = [(r.step, r) for r in reversed(caterpillar_bound_witness(t).step_records)]
+    else:
+        rows = [(step, None) for step in reduce_to_caterpillar(t, policy=args.policy).steps]
     if args.format == "table":
         lines = [
             f"{'step':>4}  {'kind':<16}  {'v*':>3}  {'move':<22}  {'fork':>4}  "
             f"{'rq_before':>12}  {'rq_after':>12}"
         ]
-        for idx, step in enumerate(seq.steps):
-            rec = records.get(idx)
+        for idx, (step, rec) in enumerate(rows):
             move = f"({step.move.u1_pendant},{step.move.v1})<->({step.move.v2},{step.move.u2})"
             before = f"{rec.rq_before:12.6f}" if rec else " " * 12
             after = f"{rec.rq_after:12.6f}" if rec else " " * 12
@@ -197,11 +201,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 f"{idx:>4}  {step.kind:<16}  {step.reduction_point:>3}  {move:<22}  "
                 f"{step.fork_size:>4}  {before}  {after}"
             )
-        if not seq.steps:
+        if not rows:
             lines.append("(already a caterpillar; empty trace)")
         _emit("\n".join(lines), args.out)
     else:
-        _emit(_reduction_json(seq, records), args.out)
+        _emit(_reduction_json(rows), args.out)
     return EXIT_OK
 
 
@@ -221,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mu", help="index and Perron vector of a tree JSON file")
     p.add_argument("tree")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mu)
@@ -233,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tie-tol", type=float, default=1e-9)
-    p.add_argument("--max-n", type=int, default=22)
+    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_min)
 
     p = sub.add_parser("search", help="exhaustive index minimization for a degree sequence")
     p.add_argument("--pi", required=True, help='e.g. "4^4,3^2,2,1^12" or "3,3,1,1,1,1"')
-    p.add_argument("--tie-tol", type=float, default=1e-9)
-    p.add_argument("--max-n", type=int, default=22)
+    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=["json", "csv", "table", "dot"], default="json")
     p.add_argument("--out", default=None)

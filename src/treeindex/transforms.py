@@ -159,7 +159,11 @@ def transport_valuation(t: Tree, f, m: SwitchMove) -> np.ndarray:
     other values, hence the value multiset is preserved.
     """
     validate_switch(t, m)
-    f = np.asarray(f, dtype=np.float64)
+    return _transport(t, np.asarray(f, dtype=np.float64), m)
+
+
+def _transport(t: Tree, f: np.ndarray, m: SwitchMove) -> np.ndarray:
+    """`transport_valuation` for a switch that is already validated."""
     if f.shape != (t.vertex_count,):
         raise TransformError(f"valuation must have length {t.vertex_count}")
     v_hat = int(np.argmax(f))
@@ -200,8 +204,8 @@ class SwitchCertificate:
 
 def switch_certificate(t: Tree, f, m: SwitchMove) -> SwitchCertificate:
     f = np.asarray(f, dtype=np.float64)
-    new_valuation = transport_valuation(t, f, m)
     new_tree = apply_switch(t, m)
+    new_valuation = _transport(t, f, m)
     rq_before = rayleigh_quotient(t, f)
     rq_after = rayleigh_quotient(new_tree, new_valuation)
     norm2 = float(f @ f)
@@ -264,22 +268,19 @@ def find_branch_reductions(t: Tree) -> list[ReductionStep]:
     """
     out: list[ReductionStep] = []
     for v_star in branching_points(t):
-        pbs = sorted(proper_branches(t, v_star), key=lambda b: branch_bud(t, b))
-        for i in range(len(pbs)):
-            for j in range(i + 1, len(pbs)):
-                receiving, reduced = pbs[i], pbs[j]
-                bud = branch_bud(t, receiving)
-                u1 = min(u for u in t.neighbors(bud) if t.degree(u) == 1)
-                move = SwitchMove(u1_pendant=u1, v1=bud, u2=reduced.gateway, v2=v_star)
-                fork = receiving.vertices | reduced.vertices
-                fork_size = sum(1 for w in fork if t.degree(w) >= 2)
+        budded = [(branch_bud(t, b), b) for b in proper_branches(t, v_star)]
+        pbs = sorted(budded, key=lambda p: p[0])
+        for i, (bud, receiving) in enumerate(pbs):
+            u1 = min(u for u in t.neighbors(bud) if t.degree(u) == 1)
+            for _, reduced in pbs[i + 1 :]:
                 out.append(
                     ReductionStep(
                         kind="branch_reduction",
                         reduction_point=v_star,
-                        move=move,
-                        fork=frozenset(fork),
-                        fork_size=fork_size,
+                        move=SwitchMove(u1_pendant=u1, v1=bud, u2=reduced.gateway, v2=v_star),
+                        fork=receiving.vertices | reduced.vertices,
+                        # the two branches share only v_star
+                        fork_size=receiving.length + reduced.length - 1,
                     )
                 )
     return out

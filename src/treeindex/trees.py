@@ -213,13 +213,7 @@ def make_caterpillar(d: int, n: int) -> Tree:
     appended trunk vertex by trunk vertex, so the layout is deterministic.
     Trunk ends carry d-1 pendants, interior trunk vertices d-2.
     """
-    if d < 3:
-        raise TreeError(f"degree must be at least 3, got {d}")
-    if n < 2 or (n - 2) % (d - 1) != 0:
-        raise TreeError(
-            f"no {d}-semiregular tree on {n} vertices: need n >= 2 and n == 2 (mod {d - 1})"
-        )
-    k = (n - 2) // (d - 1)
+    k = DegreeSequence.semiregular(d, n).degrees.count(d)
     if k == 0:
         return tree_from_edges(2, [(0, 1)])
     edges = [(i, i + 1) for i in range(k - 1)]
@@ -371,6 +365,19 @@ def is_caterpillar(t: Tree) -> bool:
     return len(branching_points(t)) == 0
 
 
+def _arm(t: Tree, v: int, u: int) -> list[int]:
+    """The non-pendant vertices met going from v through its non-pendant
+    neighbor u, up to and including the first bud or branching point."""
+    walk = [u]
+    prev = v
+    while True:
+        nxt = [x for x in t.neighbors(walk[-1]) if x != prev and t.degree(x) >= 2]
+        if len(nxt) != 1:
+            return walk
+        prev = walk[-1]
+        walk.append(nxt[0])
+
+
 def trunk_path(t: Tree) -> list[int]:
     """Ordered trunk of a caterpillar (non-pendant vertices as a path).
 
@@ -385,14 +392,8 @@ def trunk_path(t: Tree) -> list[int]:
     if len(ends) != 2:
         raise TreeError("caterpillar trunk must have exactly two ends")
     start = min(ends)
-    path = [start]
-    prev = -1
-    while True:
-        nxt = [u for u in t.neighbors(path[-1]) if t.degree(u) >= 2 and u != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(nxt[0])
+    (first,) = (u for u in t.neighbors(start) if t.degree(u) >= 2)
+    path = [start] + _arm(t, start, first)
     if len(path) != len(core):
         raise TreeError("trunk walk did not cover all non-pendant vertices")
     return path
@@ -438,21 +439,16 @@ def branch(t: Tree, v: int, u: int) -> Branch:
 
 def proper_branches(t: Tree, v_star: int) -> list[Branch]:
     """Branches rooted at the branching point v_star that contain no other
-    branching point and exactly one bud."""
+    branching point and exactly one bud: the walks from v_star that end at
+    a bud, with the pendants of the walked vertices."""
     if nonpendant_degree(t, v_star) < 3:
         raise TreeError(f"vertex {v_star} is not a branching point")
-    bset = set(branching_points(t))
-    budset = set(buds(t))
     out = []
-    for u in t.neighbors(v_star):
-        if t.degree(u) < 2:
-            continue
-        b = branch(t, v_star, u)
-        if bset & b.vertices != {v_star}:
-            continue
-        if len(budset & b.vertices) != 1:
-            continue
-        out.append(b)
+    for walk in (_arm(t, v_star, u) for u in t.neighbors(v_star) if t.degree(u) >= 2):
+        if nonpendant_degree(t, walk[-1]) == 1:
+            vertices = {v_star, *walk}
+            vertices.update(x for w in walk for x in t.neighbors(w) if t.degree(x) == 1)
+            out.append(Branch(v_star, walk[0], frozenset(vertices), len(walk) + 1))
     return out
 
 
@@ -468,17 +464,13 @@ def arms(t: Tree) -> list[list[int]]:
     """Trunk paths running outward to each bud, used for shape reports.
 
     With branching points present these are the non-pendant paths of the
-    proper branches, listed from the branching point to the bud.  For a
+    proper branches, walked from the branching point to the bud.  For a
     caterpillar they are the two half-trunks read from the center outward
     (empty for trees whose trunk has at most one vertex).
     """
     bps = branching_points(t)
     if bps:
-        out = []
-        for v_star in bps:
-            for b in proper_branches(t, v_star):
-                out.append(t.path(v_star, branch_bud(t, b)))
-        return out
+        return [[v] + _arm(t, v, b.gateway) for v in bps for b in proper_branches(t, v)]
     trunk = trunk_path(t)
     k = len(trunk)
     if k <= 1:

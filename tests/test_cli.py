@@ -208,6 +208,30 @@ class TestReduceCommand:
         code, out, _ = run(capsys, "reduce", str(path), "--policy", "any")
         assert code == 0 and len(json.loads(out)) == 1
 
+    def test_any_policy_prints_no_rayleigh_data(self, tmp_path, capsys):
+        # "any" reduces this tree by another sequence than the minimal one
+        # the certified replay follows, so it has no Rayleigh data to show
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"n":16,"edges":[[0,1],[0,2],[0,3],[1,7],[1,8],[2,9],[2,10],[3,4],[3,11],'
+            "[4,5],[4,6],[5,12],[5,13],[6,14],[6,15]]}"
+        )
+        moves = {}
+        for policy in ("minimal", "any"):
+            code, out, _ = run(capsys, "reduce", str(path), "--policy", policy)
+            assert code == 0
+            steps = json.loads(out)
+            moves[policy] = [(s["move"]["u1"], s["move"]["v1"], s["fork_size"]) for s in steps]
+            rq = [(s["rq_before"], s["rq_after"]) for s in steps]
+            assert all(x is not None for pair in rq for x in pair) == (policy == "minimal")
+            assert all(x is None for pair in rq for x in pair) == (policy == "any")
+        assert moves == {"minimal": [(7, 1, 3), (12, 5, 3)], "any": [(7, 1, 3), (9, 2, 6)]}
+        code, out, _ = run(capsys, "reduce", str(path), "--policy", "any", "--format", "table")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(" " * 28) for row in rows)
+        assert "(9,2)<->(4,5)" in rows[1]
+
     def test_caterpillar_empty_trace(self, tmp_path, capsys):
         path = tmp_path / "cat.json"
         path.write_text(tree_to_json(make_caterpillar(3, 10)))

@@ -6,7 +6,10 @@ ancestor in `canonical_order`, and built a `Tree` for every decoration in
 enumeration.  The `spectral_sha256`, `spectral_stage2` and
 `spectral_budget_exits` entries were captured from the sweep that
 scattered A x with two `np.add.at` passes and took the full residual
-vector after every sweep.  The leaner code must reproduce them exactly.
+vector after every sweep.  The `counterexample_minimizers` entry was
+captured from the implementation that found proper branches by component
+search and arms by `Tree.path`.  The leaner code must reproduce them
+exactly.
 """
 
 import hashlib
@@ -18,7 +21,12 @@ import numpy as np
 import pytest
 
 from treeindex import enumeration, spectral
-from treeindex.enumeration import enumerate_trees, free_trees, tied_minimizer_examples
+from treeindex.enumeration import (
+    enumerate_trees,
+    find_minimizers,
+    free_trees,
+    tied_minimizer_examples,
+)
 from treeindex.spectral import ConvergenceError, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
@@ -197,3 +205,15 @@ class TestPinnedCanonicalOrder:
     def test_relabelled_caterpillar(self):
         got = canonical_order(relabelled_caterpillar())
         assert got == PINNED["canonical_order_relabelled_caterpillar_3_42_seed_2009"]
+
+
+class TestPinnedCounterexamples:
+    """Classes whose minimizers include a tree that is not a caterpillar;
+    in `5^3,3,1^12` and `4^3,3,2^3,1^9` it is the only minimizer.  The
+    reports run `arms` on mixed trees with branching points."""
+
+    @pytest.mark.parametrize("pi", sorted(PINNED["counterexample_minimizers"]))
+    def test_find_minimizers_json(self, pi):
+        got = find_minimizers(DegreeSequence.parse(pi)).to_json()
+        assert got == PINNED["counterexample_minimizers"][pi]
+        assert '"all_caterpillars":false' in got
