@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trees import Tree, TreeError, trunk_path
+from .trees import Tree, TreeError, _rooted, trunk_path
 
 __all__ = [
     "ConvergenceError",
@@ -151,15 +151,7 @@ def _tree_shift_solve(t: Tree, sigma, b: np.ndarray):
     """Solve (A - sigma*I) y = b exactly by leaf elimination; None if a
     pivot vanishes (sigma essentially an eigenvalue of a subtree)."""
     n = t.vertex_count
-    parent = np.full(n, -1, dtype=np.intp)
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for u in t.neighbors(v):
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    parent[0] = -1
+    order, parent = _rooted(t.adjacency, 0)
     d = np.zeros(n, dtype=b.dtype)
     bb = b.astype(b.dtype, copy=True)
     for v in reversed(order):
@@ -307,34 +299,29 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
     """True iff positive f is non-increasing along every path leaving v_hat
     and constant on at most one edge, which must be incident to v_hat.
 
-    `tol` widens the equality band; the default compares floats exactly,
-    which is the right mode for transported valuations whose entries are
-    literal copies of each other.
+    Each edge is checked on its own, from the end nearer v_hat in the walk
+    rooted at v_hat.  `tol` widens the equality band; the default compares
+    floats exactly, which is the right mode for transported valuations
+    whose entries are literal copies of each other.  A valuation of the
+    wrong length or a v_hat outside 0..n-1 raises ValueError.
     """
     f = np.asarray(f)
     if f.shape != (t.vertex_count,):
         raise ValueError(f"valuation must have length {t.vertex_count}")
+    if not 0 <= v_hat < t.vertex_count:
+        raise ValueError(f"vertex {v_hat} out of range for n={t.vertex_count}")
     if not np.all(f > 0.0):
         return False
     flat_edges = 0
-    parent = {v_hat: -1}
-    stack = [v_hat]
-    while stack:
-        v = stack.pop()
-        for u in t.neighbors(v):
-            if u in parent:
-                continue
-            parent[u] = v
-            stack.append(u)
-            diff = float(f[u] - f[v])
-            if diff > tol:
+    order, parent = _rooted(t.adjacency, v_hat)
+    for u in order[1:]:
+        diff = float(f[u] - f[parent[u]])
+        if diff > tol:
+            return False
+        if abs(diff) <= tol:
+            flat_edges += 1
+            if parent[u] != v_hat or flat_edges > 1:
                 return False
-            if abs(diff) <= tol:
-                if v != v_hat:
-                    return False
-                flat_edges += 1
-                if flat_edges > 1:
-                    return False
     return True
 
 

@@ -286,16 +286,17 @@ def find_branch_reductions(t: Tree) -> list[ReductionStep]:
     return out
 
 
+def _fork_key(s: ReductionStep) -> tuple[int, int, int, int]:
+    return (s.fork_size, s.reduction_point, s.move.v1, s.move.u2)
+
+
 def minimal_branch_reduction(t: Tree) -> ReductionStep:
     """The reduction with the smallest fork; ties broken by the candidate
     order of `find_branch_reductions`."""
     candidates = find_branch_reductions(t)
     if not candidates:
         raise ReductionError("no branch reduction exists: tree has no branching point")
-    return min(
-        candidates,
-        key=lambda s: (s.fork_size, s.reduction_point, s.move.v1, s.move.u2),
-    )
+    return min(candidates, key=_fork_key)
 
 
 def reduce_to_caterpillar(t: Tree, policy: str = "minimal") -> ReductionSequence:
@@ -304,7 +305,8 @@ def reduce_to_caterpillar(t: Tree, policy: str = "minimal") -> ReductionSequence
     With policy "minimal" every step is a minimal branch reduction; with
     "any" the first available reduction is taken.  Each step removes one
     proper branch, so the sequence length equals the initial surplus
-    sum over branching points of (nonpendant_degree - 2).
+    sum over branching points of (nonpendant_degree - 2).  Only a
+    caterpillar has no branch reduction, so the loop stops exactly there.
     """
     if policy not in ("minimal", "any"):
         raise ReductionError(f"unknown policy {policy!r}")
@@ -313,12 +315,8 @@ def reduce_to_caterpillar(t: Tree, policy: str = "minimal") -> ReductionSequence
     steps: list[ReductionStep] = []
     trees = [t]
     cur = t
-    while not is_caterpillar(cur):
-        step = (
-            minimal_branch_reduction(cur)
-            if policy == "minimal"
-            else find_branch_reductions(cur)[0]
-        )
+    while candidates := find_branch_reductions(cur):
+        step = min(candidates, key=_fork_key) if policy == "minimal" else candidates[0]
         cur = apply_switch(cur, step.move)
         steps.append(step)
         trees.append(cur)

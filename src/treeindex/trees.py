@@ -112,22 +112,33 @@ class Tree:
         )
 
     def path(self, source: int, target: int) -> list[int]:
-        """The unique path between two vertices, endpoints included."""
-        parent = {source: source}
-        stack = [source]
-        while stack and target not in parent:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in parent:
-                    parent[u] = v
-                    stack.append(u)
-        if target not in parent:
-            raise TreeError(f"no path from {source} to {target}")
-        out = [target]
-        while out[-1] != source:
+        """The unique path from source to target, endpoints included: the
+        parent chain from source in the walk rooted at target."""
+        n = len(self.adjacency)
+        for v in (source, target):
+            if not 0 <= v < n:
+                raise TreeError(f"vertex {v} out of range for n={n}")
+        parent = _rooted(self.adjacency, target)[1]
+        out = [source]
+        while out[-1] != target:
             out.append(parent[out[-1]])
-        out.reverse()
         return out
+
+
+def _rooted(adj, root: int, above: int = -1) -> tuple[list[int], list[int]]:
+    """Breadth-first walk of the tree from root that never crosses to above:
+    the vertices reached in order, and each vertex's parent (above for the
+    root, and -1, the no-parent sentinel, for vertices not reached)."""
+    parent = [-1] * len(adj)
+    parent[root] = above
+    order = [root]
+    for v in order:
+        up = parent[v]
+        for u in adj[v]:
+            if u != up:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def _neighbor_lists(n: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -418,21 +429,15 @@ class Branch:
 
 
 def branch(t: Tree, v: int, u: int) -> Branch:
+    """The branch rooted at v through its neighbor u: v and every vertex
+    reached from u without crossing back to v."""
+    if not 0 <= v < t.vertex_count:
+        raise TreeError(f"vertex {v} out of range for n={t.vertex_count}")
     if u not in t.neighbors(v):
         raise TreeError(f"{u} is not adjacent to {v}")
     if t.degree(v) < 2 or t.degree(u) < 2:
         raise TreeError("both branch endpoints must be non-pendant")
-    comp = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in t.neighbors(w):
-            if x == v and w == u:
-                continue
-            if x not in comp:
-                comp.add(x)
-                stack.append(x)
-    comp.add(v)
+    comp = {v, *_rooted(t.adjacency, u, v)[0]}
     length = sum(1 for w in comp if t.degree(w) >= 2)
     return Branch(root=v, gateway=u, vertices=frozenset(comp), length=length)
 
@@ -508,28 +513,16 @@ class CanonicalForm:
 
 
 def _centers(adj) -> list[int]:
-    n = len(adj)
-    if n == 1:
-        return [0]
-    degree = [len(nbrs) for nbrs in adj]
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for u in adj[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-                elif degree[u] == 1:
-                    degree[u] -= 1
-                    if remaining == 2:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+    """The one or two middle vertices of a longest path, sorted.  The last
+    vertex of a walk from any vertex ends a longest path; a walk from that
+    end reaches the other end last."""
+    end = _rooted(adj, 0)[0][-1]
+    order, parent = _rooted(adj, end)
+    path = [order[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
 def _rooted_code(adj, root: int, parent: int, codes: dict[int, str]) -> str:

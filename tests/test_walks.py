@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from treeindex import cli, transforms
+from treeindex import cli, transforms, trees
 from treeindex.enumeration import enumerate_trees
 from treeindex.spectral import spectral_radius, symmetrize_caterpillar
 from treeindex.transforms import (
@@ -181,3 +181,17 @@ def test_reduce_command_reduces_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["reduce", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("policy", ["minimal", "any"])
+def test_reduction_scans_branching_points_once_per_step(monkeypatch, policy):
+    calls = counting(monkeypatch, trees, "branching_points")
+    monkeypatch.setattr(transforms, "branching_points", trees.branching_points)
+    steps = 0
+    for t in enumerate_trees(DegreeSequence.semiregular(3, 20)):
+        before = len(calls)
+        seq = transforms.reduce_to_caterpillar(t, policy)
+        assert len(calls) - before == len(seq.steps) + 1
+        assert is_caterpillar(seq.trees[-1])
+        steps += len(seq.steps)
+    assert steps > 20
