@@ -22,6 +22,7 @@ import sys
 from .enumeration import (
     DEFAULT_MAX_N,
     DEFAULT_TIE_TOL,
+    _require_max_n,
     class_spectra,
     extremal_report,
     find_minimizers,
@@ -36,6 +37,7 @@ from .trees import (
     DegreeSequence,
     Tree,
     TreeError,
+    _degree_tokens,
     canonical_form,
     is_caterpillar,
     make_caterpillar,
@@ -105,6 +107,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_min(args: argparse.Namespace) -> int:
+    _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
     trees, mus = class_spectra(pi, max_n=args.max_n)
     report = extremal_report(pi, trees, mus, tie_tol=args.tie_tol)
@@ -125,6 +128,7 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _require_max_n(sum(mult for _, mult in _degree_tokens(args.pi)), args.max_n)
     pi = DegreeSequence.parse(args.pi)
     report = find_minimizers(pi, tie_tol=args.tie_tol, max_n=args.max_n)
     if args.format == "csv":

@@ -1,20 +1,19 @@
 """Isomorph-free generation of trees with a prescribed degree sequence and
 exhaustive extremal search over such classes.
 
-Generation strategy: split the degree sequence into its internal part
-(entries >= 2, say k of them) and the leaf count.  Every tree with the
-given degrees arises from a tree on k vertices (the internal skeleton)
-whose vertices receive the internal degrees with non-negative slack, the
-slack being filled with pendant vertices.  Internal skeletons stay tiny
-(k <= 10 for n <= 22), so enumerating all free trees on k vertices and
-deduplicating the decorated results by canonical form is cheap and exact.
+Every tree with the given degrees is a free tree on k vertices, k the
+number of degrees >= 2 (the internal skeleton), whose vertices receive
+those degrees with non-negative slack filled with pendant vertices.
+Skeletons (k <= 10 for n <= 22) are first-met representatives of the
+rooted trees on k vertices, each a smaller rooted tree plus its largest
+child.  Trees stay tuples of sorted neighbor lists throughout; duplicates
+are dropped by canonical code, and only the kept ones become `Tree`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 import numpy as np
@@ -26,7 +25,6 @@ from .trees import (
     Tree,
     TreeError,
     _canonical_code,
-    _neighbor_lists,
     arms,
     canonical_form,
     is_caterpillar,
@@ -58,65 +56,45 @@ _STAGE2_TIE = 1e-12
 @lru_cache(maxsize=None)
 def _rooted_trees(k: int) -> tuple[tuple, ...]:
     """All rooted trees on k vertices as canonical nested tuples whose
-    children are sorted."""
+    children are sorted.  Each tree on k > 1 vertices is met once, as a
+    smaller tree `rest` plus its largest child `child`, which is no smaller
+    than the last child of rest."""
     if k == 1:
         return ((),)
-    out: set[tuple] = set()
-    for parts in _partitions(k - 1):
-        groups: dict[int, int] = {}
-        for p in parts:
-            groups[p] = groups.get(p, 0) + 1
-        choices = [
-            list(combinations_with_replacement(_rooted_trees(size), count))
-            for size, count in sorted(groups.items())
-        ]
-        for pick in product(*choices):
-            kids: list[tuple] = []
-            for group in pick:
-                kids.extend(group)
-            out.add(tuple(sorted(kids)))
-    return tuple(sorted(out))
+    return tuple(sorted(
+        rest + (child,)
+        for size in range(1, k)
+        for child in _rooted_trees(size)
+        for rest in _rooted_trees(k - size)
+        if not rest or rest[-1] <= child
+    ))
 
 
-@lru_cache(maxsize=None)
-def _partitions(total: int) -> tuple[tuple[int, ...], ...]:
-    if total == 0:
-        return ((),)
-    out = []
-    def rec(remaining: int, cap: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            rec(remaining - part, part, acc + (part,))
-    rec(total, total, ())
-    return tuple(out)
+def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
+    """Neighbor tuples of a rooted tree code, its vertices numbered in
+    preorder: each vertex's parent, then its children, which is ascending."""
+    adj: list[list[int]] = []
 
-
-def _code_edges(code: tuple) -> list[tuple[int, int]]:
-    """Edges of a rooted tree code, its vertices numbered in preorder."""
-    edges: list[tuple[int, int]] = []
-
-    def build(node: tuple, me: int) -> int:
-        nxt = me + 1  # the first id after this subtree, once it is built
+    def build(node: tuple, nbrs: list[int]) -> None:
+        me = len(adj)
+        adj.append(nbrs)
         for child in node:
-            edges.append((me, nxt))
-            nxt = build(child, nxt)
-        return nxt
+            nbrs.append(len(adj))  # the child's id, which build gives it next
+            build(child, [me])
 
-    build(code, 0)
-    return edges
+    build(code, [])
+    return tuple(map(tuple, adj))
 
 
-def _representatives(n: int, edge_lists) -> Iterator[Tree]:
-    """The first tree met of each isomorphism class among the edge lists, in
-    canonical-code order.  Only these representatives are built as `Tree`s;
-    the dedup reads the canonical code of the bare neighbor lists."""
-    found: dict[str, list[tuple[int, int]]] = {}
-    for edges in edge_lists:
-        found.setdefault(_canonical_code(_neighbor_lists(n, edges)), edges)
+def _representatives(adjacencies) -> Iterator[Tree]:
+    """The first tree met of each isomorphism class among the neighbor
+    lists, in canonical-code order.  Only these representatives are built
+    as `Tree`s; the dedup reads the canonical code of the bare lists."""
+    found: dict[str, tuple[tuple[int, ...], ...]] = {}
+    for adj in adjacencies:
+        found.setdefault(_canonical_code(adj), adj)
     for code in sorted(found, key=lambda c: CanonicalForm(c).sort_key()):
-        yield tree_from_edges(n, found[code])
+        yield Tree(found[code])
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +102,7 @@ def free_trees(k: int) -> tuple[Tree, ...]:
     """All non-isomorphic trees on k vertices, sorted by canonical code."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
-    return tuple(_representatives(k, map(_code_edges, _rooted_trees(k))))
+    return tuple(_representatives(map(_code_adjacency, _rooted_trees(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +132,20 @@ def _degree_assignments(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[t
     yield from rec(0)
 
 
-def _decorations(internal: tuple[int, ...], leaves: int) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of every skeleton on len(internal) vertices with every
-    degree assignment, the slack filled with pendant vertices."""
+def _decorations(internal: tuple[int, ...], leaves: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Neighbor lists of every skeleton on len(internal) vertices with every
+    degree assignment, the slack filled with pendant vertices numbered on
+    from k, skeleton vertex by skeleton vertex."""
     k = len(internal)
     for skeleton in free_trees(k):
         for assignment in _degree_assignments(skeleton, internal):
-            edges = list(skeleton.edges())
-            nxt = k
+            adj = list(skeleton.adjacency)
             for v in range(k):
-                for _ in range(assignment[v] - skeleton.degree(v)):
-                    edges.append((v, nxt))
-                    nxt += 1
-            assert nxt == k + leaves
-            yield edges
+                extra = assignment[v] - skeleton.degree(v)
+                adj[v] += tuple(range(len(adj), len(adj) + extra))
+                adj.extend([(v,)] * extra)
+            assert len(adj) == k + leaves
+            yield tuple(adj)
 
 
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
@@ -182,7 +160,7 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
         yield tree_from_edges(2, [(0, 1)])
         return
     internal = tuple(x for x in pi.degrees if x >= 2)
-    yield from _representatives(pi.n, _decorations(internal, pi.n - len(internal)))
+    yield from _representatives(_decorations(internal, pi.n - len(internal)))
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:
@@ -290,15 +268,19 @@ def _stage2_mu(t: Tree) -> float:
     return spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).mu
 
 
+def _require_max_n(n: int, max_n: int) -> None:
+    """Refuse a class on more than max_n vertices.  Callers that build the
+    class from its vertex count check that count first."""
+    if n > max_n:
+        raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
+
+
 def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray]:
     """Every tree of the class in enumeration order, with the screened index
     of each from one batched `class_indices` scan."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
-    if pi.n > max_n:
-        raise TreeError(
-            f"class has n={pi.n} > {max_n}; raise max_n explicitly for larger runs"
-        )
+    _require_max_n(pi.n, max_n)
     trees = list(enumerate_trees(pi))
     return trees, class_indices(trees)
 
@@ -381,11 +363,9 @@ def find_maximizers(
     pi: DegreeSequence,
     tie_tol: float = DEFAULT_TIE_TOL,
     max_n: int = DEFAULT_MAX_N,
-    jobs: int = 1,
 ) -> tuple[Tree, ...]:
     """Index-maximizing trees of the class, for cross-checking the search
-    machinery from the opposite extreme.  `jobs` is ignored, as in
-    `find_minimizers`."""
+    machinery from the opposite extreme."""
     return extremal_report(pi, *class_spectra(pi, max_n), tie_tol, sign=-1).minimizers
 
 

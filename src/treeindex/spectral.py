@@ -415,16 +415,10 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
     f = result.perron
     mu = result.mu
     coef = mu - (d - 2) / mu
+    ends = [min(u for u in t.neighbors(v) if t.degree(u) == 1) for v in (trunk[0], trunk[-1])]
+    ext = [ends[0], *trunk, ends[1]]  # v_0, v_1 .. v_k, v_{k+1}
     worst = 0.0
-    for idx, v in enumerate(trunk):
-        around = 0.0
-        if idx > 0:
-            around += float(f[trunk[idx - 1]])
-        else:
-            around += float(f[min(u for u in t.neighbors(v) if t.degree(u) == 1)])
-        if idx < len(trunk) - 1:
-            around += float(f[trunk[idx + 1]])
-        else:
-            around += float(f[min(u for u in t.neighbors(v) if t.degree(u) == 1)])
+    for i, v in enumerate(trunk):
+        around = float(f[ext[i]]) + float(f[ext[i + 2]])
         worst = max(worst, abs(coef * float(f[v]) - around))
     return worst

@@ -141,21 +141,15 @@ def _rooted(adj, root: int, above: int = -1) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _neighbor_lists(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuples of the graph on n vertices with these edges,
-    unvalidated beyond the range of the endpoints."""
+def tree_from_edges(n: int, edges) -> Tree:
+    """Build a tree on n vertices from an iterable of (u, v) pairs."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise TreeError(f"edge ({u},{v}) out of range for n={n}")
         adj[u].append(v)
         adj[v].append(u)
-    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
-
-def tree_from_edges(n: int, edges) -> Tree:
-    """Build a tree on n vertices from an iterable of (u, v) pairs."""
-    return Tree(_neighbor_lists(n, edges))
+    return Tree(tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +285,7 @@ class DegreeSequence:
     def parse(cls, text: str) -> "DegreeSequence":
         """Parse "4^4,3^2,2,1^12" or the expanded form "4,4,4,...". """
         degs: list[int] = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                raise TreeError("empty token in degree sequence")
-            if "^" in token:
-                base, _, count = token.partition("^")
-                try:
-                    value, mult = int(base), int(count)
-                except ValueError:
-                    raise TreeError(f"bad degree token {token!r}") from None
-            else:
-                try:
-                    value, mult = int(token), 1
-                except ValueError:
-                    raise TreeError(f"bad degree token {token!r}") from None
-            if mult < 1:
-                raise TreeError(f"bad multiplicity in {token!r}")
+        for value, mult in _degree_tokens(text):
             degs.extend([value] * mult)
         return cls(tuple(sorted(degs, reverse=True)))
 
@@ -324,6 +302,25 @@ class DegreeSequence:
 
     def __lt__(self, other: "DegreeSequence") -> bool:
         return self.degrees < other.degrees
+
+
+def _degree_tokens(text: str) -> list[tuple[int, int]]:
+    """The (degree, multiplicity) pairs of a "4^4,3^2,2,1^12" string, checked
+    but not expanded, so a caller can bound the vertex count first."""
+    out = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise TreeError("empty token in degree sequence")
+        base, hat, count = token.partition("^")
+        try:
+            value, mult = int(base), int(count) if hat else 1
+        except ValueError:
+            raise TreeError(f"bad degree token {token!r}") from None
+        if mult < 1:
+            raise TreeError(f"bad multiplicity in {token!r}")
+        out.append((value, mult))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -321,3 +321,20 @@ class TestTreeJsonEdgeCount:
         path.write_text(text)
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "" and "edges" in err
+
+
+class TestSizeGuardBeforeBuild:
+    """The vertex count is held against --max-n before anything of that
+    size is built; these sizes do not even fit an index."""
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [(["verify-min", "--d", "3", "--n", str(10**30 + 2)], "n=%d > 22" % (10**30 + 2)),
+         (["search", "--pi", "3^100000000000000000000,1^2"], "n=%d > 22" % (10**20 + 2)),
+         (["search", "--pi", "1^2,2^9223372036854775808", "--max-n", "30"],
+          "n=%d > 30" % (2**63 + 2))],
+        ids=["verify-min", "search", "search-max-n"],
+    )
+    def test_huge_class_exits_2(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"class has {bound}" in err

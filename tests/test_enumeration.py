@@ -1,6 +1,7 @@
 """Generator soundness and extremal search, cross-checked against known
 free-tree counts and a brute-force labeled enumeration."""
 
+import hashlib
 import math
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
+    _rooted_trees,
     class_spectra,
     enumerate_semiregular,
     enumerate_trees,
@@ -31,6 +33,11 @@ from treeindex.trees import (
 
 # number of non-isomorphic trees on 1..10 vertices
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+# number of rooted trees on 1..14 vertices (OEIS A000081)
+ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
+# sha256 of repr(_rooted_trees(12)), captured from the generator that built
+# each tree from an integer partition of its child sizes
+ROOTED_12_SHA256 = "cfa4685785396084808a3b5524c7044f9e5879d27f1ff4fcd1bcab15eb3a21dd"
 
 
 def prufer_tree(seq, n):
@@ -103,6 +110,28 @@ class TestFreeTrees:
             canonical_form(tree_from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 4)])),
         }
         assert codes == explicit
+
+
+    def test_counts_past_ten(self):
+        assert [len(free_trees(k)) for k in (11, 12)] == [235, 551]
+
+
+class TestRootedTrees:
+    def test_counts_match_a000081(self):
+        assert [len(_rooted_trees(k)) for k in range(1, 15)] == ROOTED_TREE_COUNTS
+
+    def test_sorted_distinct_with_sorted_children(self):
+        def sorted_children(code):
+            return list(code) == sorted(code) and all(map(sorted_children, code))
+
+        for k in range(1, 15):
+            codes = _rooted_trees(k)
+            assert list(codes) == sorted(set(codes))
+            assert all(map(sorted_children, codes))
+
+    def test_pinned_order(self):
+        digest = hashlib.sha256(repr(_rooted_trees(12)).encode()).hexdigest()
+        assert digest == ROOTED_12_SHA256
 
 
 class TestEnumerateTrees:

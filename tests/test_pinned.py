@@ -30,6 +30,7 @@ from treeindex.enumeration import (
 from treeindex.spectral import ConvergenceError, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
+    Tree,
     canonical_order,
     make_caterpillar,
     make_path,
@@ -186,16 +187,23 @@ class TestPinnedEnumeration:
         enumeration.free_trees.cache_clear()
         enumeration._rooted_trees.cache_clear()
         builds = []
+        edge_builds = []
 
-        def counted(n, edges):
-            builds.append(n)
+        def counted(adjacency):
+            builds.append(len(adjacency))
+            return Tree(adjacency)
+
+        def counted_edges(n, edges):
+            edge_builds.append(n)
             return tree_from_edges(n, edges)
 
-        monkeypatch.setattr(enumeration, "tree_from_edges", counted)
+        monkeypatch.setattr(enumeration, "Tree", counted)
+        monkeypatch.setattr(enumeration, "tree_from_edges", counted_edges)
         trees = list(enumerate_trees(pi))
         monkeypatch.undo()
         skeletons = free_trees(sum(1 for x in pi.degrees if x >= 2))
         assert len(builds) == len(trees) + len(skeletons)
+        assert edge_builds == []
 
 
 class TestPinnedCanonicalOrder:
