@@ -75,6 +75,8 @@ def _read_tree(path: str) -> Tree:
 
 
 def cmd_caterpillar(args: argparse.Namespace) -> int:
+    if args.n > sys.maxsize:
+        raise TreeError(f"--n {args.n} is too large: a tree has at most {sys.maxsize} vertices")
     t = make_caterpillar(args.d, args.n)
     if args.format == "dot":
         _emit(tree_to_dot(t), args.out)
@@ -199,12 +201,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         ]
         for idx, (step, rec) in enumerate(rows):
             move = f"({step.move.u1_pendant},{step.move.v1})<->({step.move.v2},{step.move.u2})"
-            before = f"{rec.rq_before:12.6f}" if rec else " " * 12
-            after = f"{rec.rq_after:12.6f}" if rec else " " * 12
-            lines.append(
+            row = (
                 f"{idx:>4}  {step.kind:<16}  {step.reduction_point:>3}  {move:<22}  "
-                f"{step.fork_size:>4}  {before}  {after}"
+                f"{step.fork_size:>4}"
             )
+            if rec is not None:
+                row += f"  {rec.rq_before:12.6f}  {rec.rq_after:12.6f}"
+            lines.append(row)
         if not rows:
             lines.append("(already a caterpillar; empty trace)")
         _emit("\n".join(lines), args.out)

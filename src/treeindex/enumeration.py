@@ -6,8 +6,11 @@ number of degrees >= 2 (the internal skeleton), whose vertices receive
 those degrees with non-negative slack filled with pendant vertices.
 Skeletons (k <= 10 for n <= 22) are first-met representatives of the
 rooted trees on k vertices, each a smaller rooted tree plus its largest
-child.  Trees stay tuples of sorted neighbor lists throughout; duplicates
-are dropped by canonical code, and only the kept ones become `Tree`s.
+child, with at most D children at the root and D - 1 below, D the largest
+degree of the class: a skeleton of larger degree takes no assignment.
+Duplicates are dropped by a canonical code read off the skeleton and the
+pendant count of each of its vertices; only the first-met decoration of
+each class is expanded to sorted neighbor lists and becomes a `Tree`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .trees import (
     Tree,
     TreeError,
     _canonical_code,
+    _centers,
     arms,
     canonical_form,
     is_caterpillar,
@@ -54,19 +58,21 @@ _STAGE2_TIE = 1e-12
 # free-tree generation (internal skeletons)
 
 @lru_cache(maxsize=None)
-def _rooted_trees(k: int) -> tuple[tuple, ...]:
+def _rooted_trees(k: int, root_cap: int | None = None, cap: int | None = None) -> tuple[tuple, ...]:
     """All rooted trees on k vertices as canonical nested tuples whose
-    children are sorted.  Each tree on k > 1 vertices is met once, as a
-    smaller tree `rest` plus its largest child `child`, which is no smaller
-    than the last child of rest."""
+    children are sorted, with at most root_cap children at the root and at
+    most cap at every other vertex (None: no bound).  Each tree on k > 1
+    vertices is met once, as a smaller tree `rest` plus its largest child
+    `child`, which is no smaller than the last child of rest.  The bounded
+    trees are the subsequence of the unbounded ones that fit the caps."""
     if k == 1:
         return ((),)
     return tuple(sorted(
         rest + (child,)
         for size in range(1, k)
-        for child in _rooted_trees(size)
-        for rest in _rooted_trees(k - size)
-        if not rest or rest[-1] <= child
+        for child in _rooted_trees(size, cap, cap)
+        for rest in _rooted_trees(k - size, root_cap, cap)
+        if (not rest or rest[-1] <= child) and (root_cap is None or len(rest) < root_cap)
     ))
 
 
@@ -86,66 +92,81 @@ def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, adj))
 
 
-def _representatives(adjacencies) -> Iterator[Tree]:
-    """The first tree met of each isomorphism class among the neighbor
-    lists, in canonical-code order.  Only these representatives are built
-    as `Tree`s; the dedup reads the canonical code of the bare lists."""
-    found: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for adj in adjacencies:
-        found.setdefault(_canonical_code(adj), adj)
+def _representatives(coded, expand=lambda adj: adj) -> Iterator[Tree]:
+    """The first item met of each isomorphism class among the (canonical
+    code, item) pairs, in canonical-code order, expanded to neighbor lists.
+    Only these representatives are built as `Tree`s."""
+    found: dict[str, object] = {}
+    for code, item in coded:
+        found.setdefault(code, item)
     for code in sorted(found, key=lambda c: CanonicalForm(c).sort_key()):
-        yield Tree(found[code])
+        yield Tree(expand(found[code]))
 
 
 @lru_cache(maxsize=None)
-def free_trees(k: int) -> tuple[Tree, ...]:
-    """All non-isomorphic trees on k vertices, sorted by canonical code."""
+def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
+    """All non-isomorphic trees on k vertices, sorted by canonical code;
+    with max_degree, the subsequence of those whose degrees are at most
+    max_degree.  Every rooting of such a tree has at most max_degree
+    children at the root and max_degree - 1 below it, so the bounded rooted
+    trees meet each class first in the same rooting as the unbounded ones."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
-    return tuple(_representatives(map(_code_adjacency, _rooted_trees(k))))
+    if max_degree is not None and max_degree < 0:
+        raise TreeError("free_trees needs max_degree >= 0")
+    below = None if max_degree is None else max_degree - 1
+    adjacencies = map(_code_adjacency, _rooted_trees(k, max_degree, below))
+    return tuple(_representatives((_canonical_code(adj), adj) for adj in adjacencies))
 
 
 # ---------------------------------------------------------------------------
 # degree-sequence enumeration
 
-def _degree_assignments(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _pendant_counts(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Distinct ways to hand the internal degree multiset to the skeleton
-    vertices such that every vertex keeps non-negative pendant slack."""
+    vertices such that every vertex keeps non-negative pendant slack, as
+    the number of pendant vertices each skeleton vertex gets."""
     k = skeleton.vertex_count
     values = sorted(set(internal), reverse=True)
     counts = {v: internal.count(v) for v in values}
-    assignment = [0] * k
+    slack = [0] * k
 
     def rec(v: int) -> Iterator[tuple[int, ...]]:
         if v == k:
-            yield tuple(assignment)
+            yield tuple(slack)
             return
         for value in values:
             if counts[value] == 0 or value < skeleton.degree(v):
                 continue
             counts[value] -= 1
-            assignment[v] = value
+            slack[v] = value - skeleton.degree(v)
             yield from rec(v + 1)
             counts[value] += 1
-        assignment[v] = 0
 
     yield from rec(0)
 
 
-def _decorations(internal: tuple[int, ...], leaves: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Neighbor lists of every skeleton on len(internal) vertices with every
-    degree assignment, the slack filled with pendant vertices numbered on
-    from k, skeleton vertex by skeleton vertex."""
-    k = len(internal)
-    for skeleton in free_trees(k):
-        for assignment in _degree_assignments(skeleton, internal):
-            adj = list(skeleton.adjacency)
-            for v in range(k):
-                extra = assignment[v] - skeleton.degree(v)
-                adj[v] += tuple(range(len(adj), len(adj) + extra))
-                adj.extend([(v,)] * extra)
-            assert len(adj) == k + leaves
-            yield tuple(adj)
+def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
+    """Every skeleton on len(internal) vertices with every degree
+    assignment, as (canonical code, (skeleton, pendant counts)).  Each
+    skeleton leaf gets a pendant, so the decorated tree has the skeleton's
+    centers, and its code is read off the skeleton with the pendant counts."""
+    for skeleton in free_trees(len(internal), max(internal)):
+        adj = skeleton.adjacency
+        centers = _centers(adj)
+        for pendants in _pendant_counts(skeleton, internal):
+            yield _canonical_code(adj, pendants, centers), (skeleton, pendants)
+
+
+def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[tuple[int, ...], ...]:
+    """Neighbor lists of the skeleton with pendants[v] pendant vertices at
+    each v, numbered on from k, skeleton vertex by skeleton vertex."""
+    adj = list(skeleton.adjacency)
+    for v, extra in enumerate(pendants):
+        adj[v] += tuple(range(len(adj), len(adj) + extra))
+        adj.extend([(v,)] * extra)
+    assert len(adj) == skeleton.vertex_count + leaves
+    return tuple(adj)
 
 
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
@@ -160,7 +181,8 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
         yield tree_from_edges(2, [(0, 1)])
         return
     internal = tuple(x for x in pi.degrees if x >= 2)
-    yield from _representatives(_decorations(internal, pi.n - len(internal)))
+    leaves = pi.n - len(internal)
+    yield from _representatives(_decorations(internal), lambda item: _decorated(*item, leaves))
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:

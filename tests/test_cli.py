@@ -39,6 +39,11 @@ class TestCaterpillarCommand:
         assert code == 0
         assert out.startswith("graph T {")
 
+    def test_n_past_any_index_exits_2(self, capsys):
+        n = str(10**30 + 2)
+        code, out, err = run(capsys, "caterpillar", "--d", "3", "--n", n)
+        assert code == 2 and out == "" and f"--n {n} is too large" in err
+
 
 class TestMuCommand:
     def test_p4_golden_ratio(self, tmp_path, capsys):
@@ -229,8 +234,24 @@ class TestReduceCommand:
         code, out, _ = run(capsys, "reduce", str(path), "--policy", "any", "--format", "table")
         assert code == 0
         rows = out.splitlines()[1:]
-        assert len(rows) == 2 and all(row.endswith(" " * 28) for row in rows)
-        assert "(9,2)<->(4,5)" in rows[1]
+        # the empty Rayleigh columns are left off, not padded with blanks
+        assert len(rows) == 2 and all(row == row.rstrip() for row in rows)
+        assert rows[1] == "   1  branch_reduction    4  (9,2)<->(4,5)              6"
+
+    def test_minimal_table_keeps_its_rayleigh_columns(self, tmp_path, capsys):
+        # the bytes of the default table before the blank columns were dropped
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"n":16,"edges":[[0,1],[0,2],[0,3],[1,7],[1,8],[2,9],[2,10],[3,4],[3,11],'
+            "[4,5],[4,6],[5,12],[5,13],[6,14],[6,15]]}"
+        )
+        code, out, _ = run(capsys, "reduce", str(path), "--format", "table")
+        assert code == 0
+        assert out == (
+            "step  kind               v*  move                    fork     rq_before      rq_after\n"
+            "   0  branch_reduction    0  (7,1)<->(0,2)              3      2.327867      2.335404\n"
+            "   1  branch_reduction    4  (12,5)<->(4,6)             3      2.320330      2.327867\n"
+        )
 
     def test_caterpillar_empty_trace(self, tmp_path, capsys):
         path = tmp_path / "cat.json"

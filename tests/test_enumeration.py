@@ -10,6 +10,8 @@ import pytest
 
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
+    _decorated,
+    _decorations,
     _rooted_trees,
     class_spectra,
     enumerate_semiregular,
@@ -24,6 +26,8 @@ from treeindex.spectral import adjacency_matrix, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     TreeError,
+    _canonical_code,
+    _centers,
     canonical_form,
     is_caterpillar,
     make_caterpillar,
@@ -35,6 +39,10 @@ from treeindex.trees import (
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 # number of rooted trees on 1..14 vertices (OEIS A000081)
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
+# number of trees on 1..14 vertices with degrees at most 3 (OEIS A000672)
+# and at most 4 (OEIS A000602)
+MAX_DEGREE_3_COUNTS = [1, 1, 1, 2, 2, 4, 6, 11, 18, 37, 66, 135, 265, 552]
+MAX_DEGREE_4_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858]
 # sha256 of repr(_rooted_trees(12)), captured from the generator that built
 # each tree from an integer partition of its child sizes
 ROOTED_12_SHA256 = "cfa4685785396084808a3b5524c7044f9e5879d27f1ff4fcd1bcab15eb3a21dd"
@@ -116,6 +124,24 @@ class TestFreeTrees:
         assert [len(free_trees(k)) for k in (11, 12)] == [235, 551]
 
 
+class TestDegreeBoundedFreeTrees:
+    @pytest.mark.parametrize("bound, counts", [(3, MAX_DEGREE_3_COUNTS), (4, MAX_DEGREE_4_COUNTS)])
+    def test_counts_match_oeis(self, bound, counts):
+        assert [len(free_trees(k, bound)) for k in range(1, 15)] == counts
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_degree_subsequence_of_the_unbounded_trees(self, k):
+        # same trees, same order, same vertex numbering
+        unbounded = free_trees(k)
+        for bound in range(k + 1):
+            fits = [t for t in unbounded if max(t.degrees()) <= bound]
+            assert [t.edges() for t in free_trees(k, bound)] == [t.edges() for t in fits]
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(TreeError):
+            free_trees(3, -1)
+
+
 class TestRootedTrees:
     def test_counts_match_a000081(self):
         assert [len(_rooted_trees(k)) for k in range(1, 15)] == ROOTED_TREE_COUNTS
@@ -132,6 +158,19 @@ class TestRootedTrees:
     def test_pinned_order(self):
         digest = hashlib.sha256(repr(_rooted_trees(12)).encode()).hexdigest()
         assert digest == ROOTED_12_SHA256
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bounded_is_the_fitting_subsequence(self, k):
+        def most_children(code):
+            return max([len(code)] + [most_children(child) for child in code])
+
+        unbounded = _rooted_trees(k)
+        for bound in range(k + 1):
+            fits = tuple(
+                code for code in unbounded
+                if len(code) <= bound and all(most_children(c) <= bound - 1 for c in code)
+            )
+            assert _rooted_trees(k, bound, bound - 1) == fits
 
 
 class TestEnumerateTrees:
@@ -203,6 +242,28 @@ class TestEnumerateTrees:
                 len(list(enumerate_trees(pi))) for pi in all_tree_degree_sequences(n)
             )
             assert total == FREE_TREE_COUNTS[n - 1]
+
+
+# every decoration of these classes is coded on its skeleton and checked
+# against the code of its full neighbor lists
+DECORATION_SWEEP = [
+    DegreeSequence.semiregular(d, n)
+    for d in (3, 4, 5) for n in range(d + 1, 21) if (n - 2) % (d - 1) == 0
+] + [DegreeSequence.parse(p) for p in
+     ("4^4,3^2,2,1^12", "4^3,3^3,2,1^11", "3^4,2^6,1^6", "5,4^2,3,2,1^10")]
+
+
+class TestDecorationCodes:
+    @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
+    def test_code_read_off_the_skeleton(self, pi):
+        internal = tuple(x for x in pi.degrees if x >= 2)
+        codes = set()
+        for code, (skeleton, pendants) in _decorations(internal):
+            adj = _decorated(skeleton, pendants, pi.n - len(internal))
+            assert _centers(skeleton.adjacency) == _centers(adj)
+            assert code == _canonical_code(skeleton.adjacency, pendants) == _canonical_code(adj)
+            codes.add(code)
+        assert codes == {canonical_form(t).code for t in enumerate_trees(pi)}
 
 
 class TestFindMinimizers:

@@ -201,7 +201,8 @@ class TestPinnedEnumeration:
         monkeypatch.setattr(enumeration, "tree_from_edges", counted_edges)
         trees = list(enumerate_trees(pi))
         monkeypatch.undo()
-        skeletons = free_trees(sum(1 for x in pi.degrees if x >= 2))
+        internal = [x for x in pi.degrees if x >= 2]
+        skeletons = free_trees(len(internal), max(internal))
         assert len(builds) == len(trees) + len(skeletons)
         assert edge_builds == []
 
