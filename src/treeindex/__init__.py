@@ -83,6 +83,7 @@ from .enumeration import (
     class_spectra,
     enumerate_semiregular,
     enumerate_trees,
+    extremal_choice,
     extremal_report,
     find_maximizers,
     find_minimizers,

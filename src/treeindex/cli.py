@@ -17,6 +17,8 @@ carry floats at 17 significant digits, tables at 6.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 
 from .enumeration import (
@@ -24,7 +26,7 @@ from .enumeration import (
     DEFAULT_TIE_TOL,
     _require_max_n,
     class_spectra,
-    extremal_report,
+    extremal_choice,
     find_minimizers,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
@@ -51,6 +53,10 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
+# peak memory per vertex of building and printing a caterpillar, about
+# 330 MB at n = 10**6 with CPython 3.11
+CATERPILLAR_BYTES_PER_VERTEX = 300
+
 # existing command lines pass --jobs, so it must keep parsing
 JOBS_HELP = "accepted and ignored (the class scan is one batched solve)"
 
@@ -74,10 +80,24 @@ def _read_tree(path: str) -> Tree:
     return tree_from_json(text)
 
 
+def _memory_bytes() -> int:
+    """Physical memory of this machine, or sys.maxsize where it cannot be
+    read."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def cmd_caterpillar(args: argparse.Namespace) -> int:
-    if args.n > sys.maxsize:
-        raise TreeError(f"--n {args.n} is too large: a tree has at most {sys.maxsize} vertices")
-    t = make_caterpillar(args.d, args.n)
+    need = args.n * CATERPILLAR_BYTES_PER_VERTEX
+    if need > _memory_bytes():
+        raise TreeError(f"--n {args.n} is too large: building it takes about {need:.3g} bytes, "
+                        "more than the memory of this machine")
+    try:
+        t = make_caterpillar(args.d, args.n)
+    except MemoryError:
+        raise TreeError(f"--n {args.n} is too large: out of memory building it") from None
     if args.format == "dot":
         _emit(tree_to_dot(t), args.out)
     elif args.format == "table":
@@ -112,14 +132,14 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
     trees, mus = class_spectra(pi, max_n=args.max_n)
-    report = extremal_report(pi, trees, mus, tie_tol=args.tie_tol)
+    chosen = extremal_choice(trees, mus, tie_tol=args.tie_tol)
     cat_code = canonical_form(make_caterpillar(args.d, args.n))
     rows = sorted(
         (float(mu), canonical_form(t).code, is_caterpillar(t)) for t, mu in zip(trees, mus)
     )
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
-    verified = report.unique and report.minimizer_codes[0] == cat_code
+    verified = len(chosen) == 1 and canonical_form(trees[chosen[0]]) == cat_code
     lines.append(
         "VERIFIED: unique minimizer is the caterpillar"
         if verified
@@ -216,7 +236,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call."""
     parser = argparse.ArgumentParser(
         prog="treeindex",
         description="Spectral-radius toolkit for trees with prescribed degrees.",

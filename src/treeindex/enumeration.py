@@ -4,17 +4,21 @@ exhaustive extremal search over such classes.
 Every tree with the given degrees is a free tree on k vertices, k the
 number of degrees >= 2 (the internal skeleton), whose vertices receive
 those degrees with non-negative slack filled with pendant vertices.
-Skeletons (k <= 10 for n <= 22) are first-met representatives of the
-rooted trees on k vertices, each a smaller rooted tree plus its largest
-child, with at most D children at the root and D - 1 below, D the largest
-degree of the class: a skeleton of larger degree takes no assignment.
-Duplicates are dropped by a canonical code read off the skeleton and the
-pendant count of each of its vertices; only the first-met decoration of
-each class is expanded to sorted neighbor lists and becomes a `Tree`.
+Skeletons (k <= 10 for n <= 22) are the rooted trees on k vertices, each
+a smaller rooted tree plus its largest child, with at most D children at
+the root and D - 1 below, D the largest degree of the class: a skeleton
+of larger degree takes no assignment.  Only the rootings at a centre are
+kept, and each skeleton is numbered in preorder of its least rooting, the
+least nested tuple over all its roots.  Duplicate decorations are dropped
+by a canonical code built bottom-up on the skeleton from the pendant
+count of each of its vertices, with each distinct subtree coded once per
+call; only the first-met decoration of each class is expanded to sorted
+neighbor lists and becomes a `Tree`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -27,8 +31,8 @@ from .trees import (
     DegreeSequence,
     Tree,
     TreeError,
-    _canonical_code,
     _centers,
+    _rooted,
     arms,
     canonical_form,
     is_caterpillar,
@@ -42,6 +46,7 @@ __all__ = [
     "MinimizerObservations",
     "SearchReport",
     "class_spectra",
+    "extremal_choice",
     "extremal_report",
     "find_minimizers",
     "find_maximizers",
@@ -92,7 +97,7 @@ def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, adj))
 
 
-def _representatives(coded, expand=lambda adj: adj) -> Iterator[Tree]:
+def _representatives(coded, expand) -> Iterator[Tree]:
     """The first item met of each isomorphism class among the (canonical
     code, item) pairs, in canonical-code order, expanded to neighbor lists.
     Only these representatives are built as `Tree`s."""
@@ -103,20 +108,74 @@ def _representatives(coded, expand=lambda adj: adj) -> Iterator[Tree]:
         yield Tree(expand(found[code]))
 
 
+def _graft(node: tuple, branch: tuple) -> tuple:
+    """The rooted tree code node with branch as one more child, in order."""
+    at = bisect(node, branch)
+    return node[:at] + (branch,) + node[at:]
+
+
+def _least_rooting(code: tuple) -> tuple:
+    """The least nested tuple over all rootings of the tree that code roots
+    at one of its vertices.  One walk down hands each child the rest of the
+    tree seen from its parent, which the child takes as one more child."""
+    least = code
+    stack = [(code, None)]
+    while stack:
+        node, above = stack.pop()
+        for at, child in enumerate(node):
+            if at and node[at - 1] == child:
+                continue  # a twin of the last child reroots to the same tuples
+            rest = node[:at] + node[at + 1:]
+            if above is not None:
+                rest = _graft(rest, above)
+            least = min(least, _graft(child, rest))
+            stack.append((child, rest))
+    return least
+
+
+def _coded(node: tuple, memo: dict[tuple, tuple[int, str]]) -> tuple[int, str]:
+    """Height and AHU code of a rooted tree code, kept in memo."""
+    got = memo.get(node)
+    if got is None:
+        kids = [_coded(child, memo) for child in node]
+        height = 1 + max((h for h, _ in kids), default=-1)
+        got = memo[node] = (height, "(" + "".join(sorted(c for _, c in kids)) + ")")
+    return got
+
+
+def _centre_rootings(k: int, max_degree: int | None) -> Iterator[tuple[str, tuple]]:
+    """The rooted trees on k vertices of degree at most max_degree whose
+    root is a centre, each with the canonical code of its free tree.  The
+    root is a centre when no child is taller than the next by more than
+    one: the only centre when the two tallest tie, and one of two, next to
+    the tallest child, when that child is one taller."""
+    below = None if max_degree is None else max_degree - 1
+    memo: dict[tuple, tuple[int, str]] = {}
+    for tree in _rooted_trees(k, max_degree, below):
+        heights = [_coded(child, memo)[0] for child in tree]
+        *_, second, top = [-1, -1] + sorted(heights)
+        if top == second:
+            yield _coded(tree, memo)[1], tree
+        elif top == second + 1:
+            at = heights.index(top)
+            other = _graft(tree[at], tree[:at] + tree[at + 1:])
+            yield min(_coded(tree, memo)[1], _coded(other, memo)[1]), tree
+
+
 @lru_cache(maxsize=None)
 def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     """All non-isomorphic trees on k vertices, sorted by canonical code;
     with max_degree, the subsequence of those whose degrees are at most
-    max_degree.  Every rooting of such a tree has at most max_degree
-    children at the root and max_degree - 1 below it, so the bounded rooted
-    trees meet each class first in the same rooting as the unbounded ones."""
+    max_degree.  Each tree is met in its rootings at a centre among the
+    rooted trees with at most max_degree children at the root and
+    max_degree - 1 below, which every rooting of such a tree fits, and is
+    numbered in preorder of its least rooting."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
         raise TreeError("free_trees needs max_degree >= 0")
-    below = None if max_degree is None else max_degree - 1
-    adjacencies = map(_code_adjacency, _rooted_trees(k, max_degree, below))
-    return tuple(_representatives((_canonical_code(adj), adj) for adj in adjacencies))
+    rootings = _centre_rootings(k, max_degree)
+    return tuple(_representatives(rootings, lambda tree: _code_adjacency(_least_rooting(tree))))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +185,8 @@ def _pendant_counts(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[tuple
     """Distinct ways to hand the internal degree multiset to the skeleton
     vertices such that every vertex keeps non-negative pendant slack, as
     the number of pendant vertices each skeleton vertex gets."""
-    k = skeleton.vertex_count
+    degrees = skeleton.degrees()
+    k = len(degrees)
     values = sorted(set(internal), reverse=True)
     counts = {v: internal.count(v) for v in values}
     slack = [0] * k
@@ -136,26 +196,57 @@ def _pendant_counts(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[tuple
             yield tuple(slack)
             return
         for value in values:
-            if counts[value] == 0 or value < skeleton.degree(v):
+            if counts[value] == 0 or value < degrees[v]:
                 continue
             counts[value] -= 1
-            slack[v] = value - skeleton.degree(v)
+            slack[v] = value - degrees[v]
             yield from rec(v + 1)
             counts[value] += 1
 
     yield from rec(0)
 
 
+def _coding_steps(adj) -> tuple[list[tuple[int, int, tuple[int, ...]]], tuple[int, ...]]:
+    """Bottom-up steps that code a tree from each of its centres, as (slot,
+    vertex, child slots), and the slots that end up holding those codes.
+    Slot v holds the subtree of v in the rooting at the first centre.  With
+    a second centre, slot k holds the first centre without the second, and
+    slot k + 1 the second centre with slot k as one more child."""
+    centres = _centers(adj)
+    first = centres[0]
+    order, parent = _rooted(adj, first)
+    steps = [(v, v, tuple(u for u in adj[v] if u != parent[v])) for v in reversed(order)]
+    if len(centres) == 1:
+        return steps, (first,)
+    second, k = centres[1], len(adj)
+    steps.append((k, first, tuple(u for u in adj[first] if u != second)))
+    steps.append((k + 1, second, tuple(u for u in adj[second] if u != first) + (k,)))
+    return steps, (first, k + 1)
+
+
 def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
     """Every skeleton on len(internal) vertices with every degree
     assignment, as (canonical code, (skeleton, pendant counts)).  Each
     skeleton leaf gets a pendant, so the decorated tree has the skeleton's
-    centers, and its code is read off the skeleton with the pendant counts."""
+    centres, and its code is built bottom-up on the skeleton.  A subtree is
+    interned by its pendant count and the labels of its children, so each
+    distinct subtree's code is built once per call; a pendant's code "()"
+    sorts after every other, so pendants go last."""
+    labels: dict[tuple[int, tuple[int, ...]], int] = {}
+    codes: list[str] = []
+    label = [0] * (len(internal) + 2)
     for skeleton in free_trees(len(internal), max(internal)):
-        adj = skeleton.adjacency
-        centers = _centers(adj)
+        steps, roots = _coding_steps(skeleton.adjacency)
         for pendants in _pendant_counts(skeleton, internal):
-            yield _canonical_code(adj, pendants, centers), (skeleton, pendants)
+            for slot, v, kids in steps:
+                key = (pendants[v], tuple(sorted([label[u] for u in kids])))
+                got = labels.get(key)
+                if got is None:
+                    got = labels[key] = len(codes)
+                    kid_codes = sorted([codes[label[u]] for u in kids])
+                    codes.append("(" + "".join(kid_codes) + "()" * pendants[v] + ")")
+                label[slot] = got
+            yield min(codes[label[root]] for root in roots), (skeleton, pendants)
 
 
 def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[tuple[int, ...], ...]:
@@ -307,6 +398,38 @@ def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[
     return trees, class_indices(trees)
 
 
+def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], list[int]]:
+    """The signed screened values, and the candidates within tie_tol of
+    their extreme."""
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be a non-negative number, got {tie_tol}")
+    keyed = [sign * float(m) for m in mus]
+    best_screen = min(keyed)
+    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]
+
+
+def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int) -> tuple[list[int], float | None]:
+    """The candidates that stay extremal when tied ones are re-resolved in
+    extended precision, with their signed stage-2 value; a lone candidate
+    stands without one."""
+    if len(candidates) == 1:
+        return candidates, None
+    stage2 = {i: sign * _stage2_mu(trees[i]) for i in candidates}
+    best2 = min(stage2.values())
+    return [i for i in candidates if stage2[i] <= best2 + _STAGE2_TIE], best2
+
+
+def extremal_choice(
+    trees: list[Tree],
+    mus: np.ndarray,
+    tie_tol: float = DEFAULT_TIE_TOL,
+    sign: int = +1,
+) -> list[int]:
+    """Positions of the extremal trees of a `class_spectra` scan, the same
+    trees `extremal_report` reports, without the index values it carries."""
+    return _resolve_ties(trees, _screen(mus, tie_tol, sign)[1], sign)[0]
+
+
 def extremal_report(
     pi: DegreeSequence,
     trees: list[Tree],
@@ -322,11 +445,7 @@ def extremal_report(
     the report carries are `spectral_radius` indices of those trees, and
     tied candidates are re-resolved in extended precision.
     """
-    if not tie_tol >= 0:
-        raise ValueError(f"tie_tol must be a non-negative number, got {tie_tol}")
-    keyed = [sign * float(m) for m in mus]
-    best_screen = min(keyed)
-    candidates = [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]
+    keyed, candidates = _screen(mus, tie_tol, sign)
     best = min(sign * spectral_radius(trees[i]).mu for i in candidates)
     taken = set(candidates)
     rest = [i for i in range(len(trees)) if i not in taken]
@@ -340,14 +459,8 @@ def extremal_report(
         gap = runner - best
     else:
         gap = None
-    if len(candidates) > 1:
-        stage2 = {i: sign * _stage2_mu(trees[i]) for i in candidates}
-        best2 = min(stage2.values())
-        chosen = [i for i in candidates if stage2[i] <= best2 + _STAGE2_TIE]
-        extremal_value = sign * best2
-    else:
-        chosen = candidates
-        extremal_value = sign * best
+    chosen, best2 = _resolve_ties(trees, candidates, sign)
+    extremal_value = sign * (best if best2 is None else best2)
     chosen_trees = tuple(trees[i] for i in chosen)
     codes = tuple(canonical_form(t) for t in chosen_trees)
     obs = tuple(_observe(t) for t in chosen_trees)

@@ -522,26 +522,18 @@ def _centers(adj) -> list[int]:
     return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
-def _rooted_code(adj, root: int, parent: int, codes: dict[int, str], pendants=None) -> str:
+def _rooted_code(adj, root: int, parent: int, codes: dict[int, str]) -> str:
     """AHU code of the subtree below root with the edge to parent cut off;
-    the code of every vertex of that subtree is recorded in codes.  With
-    pendants, vertex v also carries pendants[v] leaves outside adj.  A leaf's
-    code "()" sorts after every other code, which starts with "((", so those
-    leaves go last."""
-    kids = sorted(_rooted_code(adj, u, root, codes, pendants) for u in adj[root] if u != parent)
-    if pendants:
-        kids.append("()" * pendants[root])
+    the code of every vertex of that subtree is recorded in codes."""
+    kids = sorted(_rooted_code(adj, u, root, codes) for u in adj[root] if u != parent)
     codes[root] = "(" + "".join(kids) + ")"
     return codes[root]
 
 
-def _canonical_code(adj, pendants=None, centers=None) -> str:
-    """Canonical code of the tree with these neighbor lists, and with
-    pendants[v] more leaves at each v if given: the least rooted code over
-    its centers, which a caller coding many decorations of one tree passes
-    in.  The added leaves must not move the centers, as when every leaf of
-    adj gets at least one and a lone vertex at least two."""
-    return min([_rooted_code(adj, c, -1, {}, pendants) for c in centers or _centers(adj)])
+def _canonical_code(adj) -> str:
+    """Canonical code of the tree with these neighbor lists: the least
+    rooted code over its centers."""
+    return min([_rooted_code(adj, c, -1, {}) for c in _centers(adj)])
 
 
 def canonical_form(t: Tree) -> CanonicalForm:

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeindex
+from treeindex import cli, enumeration
 from treeindex.cli import main
 from treeindex.trees import make_caterpillar, tree_from_edges, tree_from_json, tree_to_json
 
@@ -43,6 +49,39 @@ class TestCaterpillarCommand:
         n = str(10**30 + 2)
         code, out, err = run(capsys, "caterpillar", "--d", "3", "--n", n)
         assert code == 2 and out == "" and f"--n {n} is too large" in err
+
+    def test_n_past_memory_exits_2_under_an_address_space_limit(self):
+        resource = pytest.importorskip("resource")
+        n = str(10**18 + 2)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        src = str(Path(treeindex.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "treeindex.cli", "caterpillar", "--d", "3", "--n", n],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: --n {n} is too large")
+
+    def test_n_past_memory_is_refused_before_building(self, capsys, monkeypatch):
+        def refuse(d, n):
+            raise AssertionError("built a caterpillar past the memory of the machine")
+
+        monkeypatch.setattr(cli, "_memory_bytes", lambda: 10**6)
+        monkeypatch.setattr(cli, "make_caterpillar", refuse)
+        code, out, err = run(capsys, "caterpillar", "--d", "3", "--n", "100002")
+        assert code == 2 and out == "" and "error: --n 100002 is too large" in err
+
+    def test_out_of_memory_while_building_exits_2(self, capsys, monkeypatch):
+        def exhausted(d, n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "make_caterpillar", exhausted)
+        code, out, err = run(capsys, "caterpillar", "--d", "3", "--n", "8")
+        assert code == 2 and out == "" and "error: --n 8 is too large" in err
 
 
 class TestMuCommand:
@@ -117,6 +156,16 @@ class TestVerifyMinCommand:
         mus = sorted(enumeration.class_spectra(DegreeSequence.semiregular(3, 16))[1])
         band = sum(1 for mu in mus[1:] if mu <= mus[1] + 1e-9)
         assert calls["spectral_radius"] <= 1 + band
+
+    @pytest.mark.parametrize("d, n", [(3, 16), (4, 14), (5, 22)])
+    def test_no_index_solve_when_the_screen_leaves_one_candidate(self, capsys, monkeypatch, d, n):
+        # the verdict rests on the screened values and the minimizer's code
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-min solved for an index it does not print")
+
+        monkeypatch.setattr(enumeration, "spectral_radius", refuse)
+        code, out, _ = run(capsys, "verify-min", "--d", str(d), "--n", str(n))
+        assert code == 0 and out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
 
     def test_single_tree_class(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "8")
@@ -277,6 +326,9 @@ class TestUsage:
 
     def test_seed_flag_is_gone(self, capsys):
         assert main(["--seed", "1", "caterpillar", "--d", "3", "--n", "8"]) == 2
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_jobs_flag_still_accepted(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "4", "--n", "14", "--jobs", "2")

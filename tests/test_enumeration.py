@@ -10,12 +10,14 @@ import pytest
 
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
+    _code_adjacency,
     _decorated,
     _decorations,
     _rooted_trees,
     class_spectra,
     enumerate_semiregular,
     enumerate_trees,
+    extremal_choice,
     extremal_report,
     find_maximizers,
     find_minimizers,
@@ -85,6 +87,15 @@ def brute_force_classes(n):
     return classes
 
 
+def least_rooting(adj):
+    """The least nested tuple over all rootings of the tree, by rooting it
+    at every vertex in turn."""
+    def nest(v, parent):
+        return tuple(sorted(nest(u, v) for u in adj[v] if u != parent))
+
+    return min(nest(root, -1) for root in range(len(adj)))
+
+
 def all_tree_degree_sequences(n):
     """Every realizable tree degree sequence on n vertices."""
     if n == 1:
@@ -122,6 +133,12 @@ class TestFreeTrees:
 
     def test_counts_past_ten(self):
         assert [len(free_trees(k)) for k in (11, 12)] == [235, 551]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_numbered_in_preorder_of_the_least_rooting(self, k):
+        for bound in [None, *range(k + 1)]:
+            for t in free_trees(k, bound):
+                assert t.adjacency == _code_adjacency(least_rooting(t.adjacency))
 
 
 class TestDegreeBoundedFreeTrees:
@@ -261,7 +278,7 @@ class TestDecorationCodes:
         for code, (skeleton, pendants) in _decorations(internal):
             adj = _decorated(skeleton, pendants, pi.n - len(internal))
             assert _centers(skeleton.adjacency) == _centers(adj)
-            assert code == _canonical_code(skeleton.adjacency, pendants) == _canonical_code(adj)
+            assert code == _canonical_code(adj)
             codes.add(code)
         assert codes == {canonical_form(t).code for t in enumerate_trees(pi)}
 
@@ -299,7 +316,20 @@ class TestFindMinimizers:
         with pytest.raises(ValueError, match="tie_tol"):
             extremal_report(pi, *class_spectra(pi), tie_tol=tie_tol)
         with pytest.raises(ValueError, match="tie_tol"):
+            extremal_choice(*class_spectra(pi), tie_tol=tie_tol)
+        with pytest.raises(ValueError, match="tie_tol"):
             find_minimizers(pi, tie_tol=tie_tol)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize(
+        "pi",
+        [TIED_MINIMIZER_CLASS, DegreeSequence.parse("4^3,3^3,2,1^11"), DegreeSequence.semiregular(3, 16)],
+        ids=lambda pi: pi.compact(),
+    )
+    def test_choice_is_the_reported_extremal_trees(self, pi, sign):
+        trees, mus = class_spectra(pi)
+        chosen = extremal_choice(trees, mus, sign=sign)
+        assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, sign=sign).minimizers
 
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))

@@ -3,7 +3,10 @@
 `pinned_outputs.json` holds values captured from the implementation that
 computed A x twice per power sweep, re-derived subtree codes at every
 ancestor in `canonical_order`, and built a `Tree` for every decoration in
-enumeration.  The `spectral_sha256`, `spectral_stage2` and
+enumeration.  The `free_trees_adjacency_sha256` and
+`enumerate_edge_lists_sha256` entries were captured from the generator
+that met each skeleton first among all its rootings and coded every
+decoration recursively.  The `spectral_sha256`, `spectral_stage2` and
 `spectral_budget_exits` entries were captured from the sweep that
 scattered A x with two `np.add.at` passes and took the full residual
 vector after every sweep.  The `counterexample_minimizers` entry was
@@ -170,6 +173,21 @@ class TestPinnedEnumeration:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_free_trees(self, k):
         assert edge_lists(free_trees(k)) == PINNED[f"free_trees_{k}"]
+
+    @pytest.mark.parametrize("key", sorted(PINNED["free_trees_adjacency_sha256"]))
+    def test_free_trees_numbering(self, key):
+        k, bound = key.split(",")
+        got = free_trees(int(k), None if bound == "None" else int(bound))
+        digest = hashlib.sha256(repr([t.adjacency for t in got]).encode()).hexdigest()
+        assert digest == PINNED["free_trees_adjacency_sha256"][key]
+
+    @pytest.mark.parametrize("pi", sorted(PINNED["enumerate_edge_lists_sha256"]))
+    def test_edge_lists(self, pi):
+        got = edge_lists(enumerate_trees(DegreeSequence.parse(pi)))
+        pinned = PINNED["enumerate_edge_lists_sha256"][pi]
+        assert len(got) == pinned["count"]
+        digest = hashlib.sha256(json.dumps(got, separators=(",", ":")).encode()).hexdigest()
+        assert digest == pinned["sha256"]
 
     def test_mixed_class(self):
         got = edge_lists(enumerate_trees(DegreeSequence.parse("3^4,2^6,1^6")))
