@@ -10,8 +10,9 @@ Subcommands:
                 Rayleigh data of the certified inverse replay
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or input
-error.  All output is deterministic for fixed arguments; machine formats
-carry floats at 17 significant digits, tables at 6.
+error, including an --out path that cannot be written.  All output is
+deterministic for fixed arguments; machine formats carry floats at 17
+significant digits, tables at 6.
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise TreeError(f"cannot write {out}: {exc}") from None
 
 
 def _read_tree(path: str) -> Tree:

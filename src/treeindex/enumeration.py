@@ -83,17 +83,15 @@ def _rooted_trees(k: int, root_cap: int | None = None, cap: int | None = None) -
 
 def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
     """Neighbor tuples of a rooted tree code, its vertices numbered in
-    preorder: each vertex's parent, then its children, which is ascending."""
-    adj: list[list[int]] = []
-
-    def build(node: tuple, nbrs: list[int]) -> None:
-        me = len(adj)
-        adj.append(nbrs)
-        for child in node:
-            nbrs.append(len(adj))  # the child's id, which build gives it next
-            build(child, [me])
-
-    build(code, [])
+    preorder: each vertex's parent, then its children, which is ascending.
+    Children go on the stack last first, so the first is numbered next."""
+    adj: list[list[int]] = [[]]
+    stack = [(child, 0) for child in reversed(code)]
+    while stack:
+        node, up = stack.pop()
+        adj[up].append(len(adj))
+        adj.append([up])
+        stack.extend((child, len(adj) - 1) for child in reversed(node))
     return tuple(map(tuple, adj))
 
 
@@ -181,29 +179,22 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
 # ---------------------------------------------------------------------------
 # degree-sequence enumeration
 
-def _pendant_counts(skeleton: Tree, internal: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct ways to hand the internal degree multiset to the skeleton
-    vertices such that every vertex keeps non-negative pendant slack, as
-    the number of pendant vertices each skeleton vertex gets."""
-    degrees = skeleton.degrees()
-    k = len(degrees)
-    values = sorted(set(internal), reverse=True)
-    counts = {v: internal.count(v) for v in values}
-    slack = [0] * k
-
-    def rec(v: int) -> Iterator[tuple[int, ...]]:
-        if v == k:
-            yield tuple(slack)
-            return
-        for value in values:
-            if counts[value] == 0 or value < degrees[v]:
-                continue
-            counts[value] -= 1
-            slack[v] = value - degrees[v]
-            yield from rec(v + 1)
-            counts[value] += 1
-
-    yield from rec(0)
+def _pendant_counts(degrees, counts, slack, v=0) -> Iterator[tuple[int, ...]]:
+    """Distinct ways to hand the internal degrees (value -> count in counts,
+    larger values first) to the skeleton vertices v, v+1, ... of these
+    degrees so that each keeps non-negative pendant slack, as the number of
+    pendant vertices every skeleton vertex gets; slack holds the numbers of
+    the vertices before v."""
+    if v == len(degrees):
+        yield tuple(slack)
+        return
+    for value in counts:
+        if counts[value] == 0 or value < degrees[v]:
+            continue
+        counts[value] -= 1
+        slack[v] = value - degrees[v]
+        yield from _pendant_counts(degrees, counts, slack, v + 1)
+        counts[value] += 1
 
 
 def _coding_steps(adj) -> tuple[list[tuple[int, int, tuple[int, ...]]], tuple[int, ...]]:
@@ -235,9 +226,11 @@ def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
     labels: dict[tuple[int, tuple[int, ...]], int] = {}
     codes: list[str] = []
     label = [0] * (len(internal) + 2)
+    counts = {value: internal.count(value) for value in sorted(set(internal), reverse=True)}
+    slack = [0] * len(internal)
     for skeleton in free_trees(len(internal), max(internal)):
         steps, roots = _coding_steps(skeleton.adjacency)
-        for pendants in _pendant_counts(skeleton, internal):
+        for pendants in _pendant_counts(skeleton.degrees(), counts, slack):
             for slot, v, kids in steps:
                 key = (pendants[v], tuple(sorted([label[u] for u in kids])))
                 got = labels.get(key)

@@ -49,7 +49,6 @@ from .trees import (
     nonpendant_vertices,
     proper_branches,
     semiregular_degree,
-    tree_from_edges,
     trunk_path,
 )
 
@@ -133,16 +132,14 @@ def validate_switch(t: Tree, m: SwitchMove) -> None:
 
 
 def apply_switch(t: Tree, m: SwitchMove) -> Tree:
-    """Apply a validated switch; the result has the same degree sequence."""
+    """Apply a validated switch; the result has the same degree sequence.
+    Only the neighbor tuples of the four vertices of the move change."""
     validate_switch(t, m)
-    drop = {
-        (min(m.v1, m.u1_pendant), max(m.v1, m.u1_pendant)),
-        (min(m.v2, m.u2), max(m.v2, m.u2)),
-    }
-    edges = [e for e in t.edges() if e not in drop]
-    edges.append((min(m.v1, m.u2), max(m.v1, m.u2)))
-    edges.append((min(m.v2, m.u1_pendant), max(m.v2, m.u1_pendant)))
-    return tree_from_edges(t.vertex_count, edges)
+    adj = list(t.adjacency)
+    for v, old, new in ((m.v1, m.u1_pendant, m.u2), (m.u1_pendant, m.v1, m.v2),
+                        (m.v2, m.u2, m.u1_pendant), (m.u2, m.v2, m.v1)):
+        adj[v] = tuple(sorted([new if u == old else u for u in adj[v]]))
+    return Tree(tuple(adj))
 
 
 def inverse_move(m: SwitchMove) -> SwitchMove:

@@ -51,43 +51,45 @@ class TreeError(ValueError):
 class Tree:
     """A tree on vertices 0..n-1 stored as sorted neighbor tuples.
 
-    Invariants checked on construction: symmetric adjacency without
-    self-loops or duplicates, exactly n-1 edges, and connectivity.
+    Construction checks the lists in one walk from vertex 0, after checking
+    that they hold 2(n-1) entries in all.  The walk gives each vertex its
+    parent when it first meets it.  It rejects a list that is unsorted,
+    repeats an id or holds one outside 0..n-1, and an entry that names the
+    vertex itself or a vertex already met other than the walker's parent.
+    A walk that meets all n vertices thus sees n-1 child entries and at
+    most one parent entry per vertex.  Those must be all 2(n-1) entries, so
+    every vertex but 0 lists its parent and the lists are symmetric: the
+    n-1 edges connect all n vertices, which makes a tree.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.adjacency)
+        adj = self.adjacency
+        n = len(adj)
         if n == 0:
             raise TreeError("a tree needs at least one vertex")
-        ends = 0
-        for v, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise TreeError(f"neighbor list of vertex {v} must be sorted and duplicate-free")
-            for u in nbrs:
-                if u == v:
-                    raise TreeError(f"self-loop at vertex {v}")
-                if not 0 <= u < n:
-                    raise TreeError(f"neighbor {u} of vertex {v} out of range")
-                if v not in self.adjacency[u]:
-                    raise TreeError(f"edge {v}-{u} is not symmetric")
-            ends += len(nbrs)
+        ends = sum(map(len, adj))
         if ends != 2 * (n - 1):
-            raise TreeError(f"found {ends // 2} edges, a tree on {n} vertices needs {n - 1}")
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    stack.append(u)
-        if count != n:
-            raise TreeError("graph is not connected")
+            raise TreeError(f"{ends} neighbor entries, a tree on {n} vertices has {2 * n - 2}")
+        parent = [n] * n  # n: not met yet
+        parent[0] = -1
+        order = [0]
+        for v in order:
+            up, last = parent[v], -1
+            for u in adj[v]:
+                if not last < u < n:
+                    fault = "out of range" if not 0 <= u < n else "repeated or out of order"
+                    raise TreeError(f"neighbor {u} of vertex {v} is {fault}")
+                last = u
+                if u != up:
+                    if parent[u] != n:
+                        raise TreeError(f"self-loop at vertex {v}" if u == v
+                                        else f"edge {v}-{u} is not symmetric or closes a cycle")
+                    parent[u] = v
+                    order.append(u)
+        if len(order) != n:
+            raise TreeError(f"graph is not connected: vertex {parent.index(n)} is not reached")
 
     @property
     def vertex_count(self) -> int:
@@ -552,13 +554,13 @@ def canonical_order(t: Tree) -> list[int]:
     root = min(tables, key=lambda c: (_rooted_code(adj, c, -1, tables[c]), c))
     codes = tables[root]
     order: list[int] = []
-
-    def visit(v: int, parent: int) -> None:
+    # preorder with children by (code, id), pushed last first
+    stack = [(root, -1)]
+    while stack:
+        v, parent = stack.pop()
         order.append(v)
-        for u in sorted((u for u in adj[v] if u != parent), key=lambda u: (codes[u], u)):
-            visit(u, v)
-
-    visit(root, -1)
+        kids = sorted((u for u in adj[v] if u != parent), key=lambda u: (codes[u], u), reverse=True)
+        stack.extend((u, v) for u in kids)
     return order
 
 

@@ -411,3 +411,21 @@ class TestSizeGuardBeforeBuild:
     def test_huge_class_exits_2(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"class has {bound}" in err
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is an input error, not a failed
+    verification."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["caterpillar", "--d", "3", "--n", "8"], ["verify-min", "--d", "3", "--n", "8"]],
+        ids=["caterpillar", "verify-min"],
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert list(tmp_path.iterdir()) == []

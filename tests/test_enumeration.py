@@ -1,6 +1,7 @@
 """Generator soundness and extremal search, cross-checked against known
 free-tree counts and a brute-force labeled enumeration."""
 
+import gc
 import hashlib
 import math
 from itertools import product
@@ -31,6 +32,7 @@ from treeindex.trees import (
     _canonical_code,
     _centers,
     canonical_form,
+    canonical_order,
     is_caterpillar,
     make_caterpillar,
     make_star,
@@ -375,3 +377,24 @@ class TestTiedMinimizerExamples:
         fork, cat_a, cat_b = tied_minimizer_examples()
         assert not is_caterpillar(fork)
         assert is_caterpillar(cat_a) and is_caterpillar(cat_b)
+
+
+class TestNoCyclicGarbage:
+    """These calls leave nothing for the cyclic garbage collector: with it
+    switched off, a collection afterwards finds nothing unreachable."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: list(enumerate_trees(DegreeSequence.parse("3^14,1^16"))),
+        lambda: list(enumerate_trees(DegreeSequence.parse("5,4,3^3,2^3,1^10"))),
+        lambda: canonical_order(tied_minimizer_examples()[0]),
+    ], ids=["enumerate 3^14,1^16", "enumerate 5,4,3^3,2^3,1^10", "canonical_order FORK_19"])
+    def test_collects_nothing(self, call):
+        free_trees.cache_clear()
+        _rooted_trees.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

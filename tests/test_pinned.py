@@ -11,11 +11,14 @@ decoration recursively.  The `spectral_sha256`, `spectral_stage2` and
 scattered A x with two `np.add.at` passes and took the full residual
 vector after every sweep.  The `counterexample_minimizers` entry was
 captured from the implementation that found proper branches by component
-search and arms by `Tree.path`.  The leaner code must reproduce them
-exactly.
+search and arms by `Tree.path`.  The `reduce_json` and `witness_sha256`
+entries were captured from the implementation that rebuilt every switched
+tree from its edge list.  The leaner code must reproduce them exactly.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 from treeindex import enumeration, spectral
+from treeindex.cli import main
 from treeindex.enumeration import (
     enumerate_trees,
     find_minimizers,
@@ -31,6 +35,7 @@ from treeindex.enumeration import (
     tied_minimizer_examples,
 )
 from treeindex.spectral import ConvergenceError, spectral_radius
+from treeindex.transforms import ReductionError, caterpillar_bound_witness
 from treeindex.trees import (
     DegreeSequence,
     Tree,
@@ -38,10 +43,14 @@ from treeindex.trees import (
     make_caterpillar,
     make_path,
     tree_from_edges,
+    tree_to_json,
 )
 
 PINNED = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
 FORK_19 = tied_minimizer_examples()[0]
+SPIDER_10 = tree_from_edges(
+    10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
+)
 
 
 def edge_lists(trees):
@@ -90,6 +99,17 @@ SHA_TREES = {
     "semiregular_3_60_seed_1": lambda: random_semiregular(3, 60, 1),
     "semiregular_4_80_seed_2": lambda: random_semiregular(4, 80, 2),
     "semiregular_5_50_seed_3": lambda: random_semiregular(5, 50, 3),
+}
+
+# trees whose witness replay and reduce output are pinned: both replay
+# routes occur, and FORK_19 is refused as not semiregular
+REPLAY_TREES = {
+    "spider_10": lambda: SPIDER_10,
+    "fork_19": lambda: FORK_19,
+    **{
+        f"semiregular_{d}_{k}_seed_{s}": lambda d=d, k=k, s=s: random_semiregular(d, k, s)
+        for d, k, s in ((3, 14, 4), (3, 14, 5), (4, 10, 3), (4, 10, 4), (5, 8, 1), (5, 8, 4))
+    },
 }
 
 # small or unreachable targets on the 60-vertex path.  Budgets of 1-3
@@ -244,3 +264,31 @@ class TestPinnedCounterexamples:
         got = find_minimizers(DegreeSequence.parse(pi)).to_json()
         assert got == PINNED["counterexample_minimizers"][pi]
         assert '"all_caterpillars":false' in got
+
+
+class TestPinnedReplay:
+    """Every tree the switch replay builds is checked against the input at
+    its end, so these pin what the replay computes on the way."""
+
+    @pytest.mark.parametrize("name", REPLAY_TREES)
+    def test_witness(self, name):
+        try:
+            w = caterpillar_bound_witness(REPLAY_TREES[name]())
+        except ReductionError as err:
+            got = f"ReductionError: {err}"
+        else:
+            h = hashlib.sha256(w.route.encode())
+            h.update(repr(w.rq_trace).encode())
+            h.update(w.valuation.tobytes())
+            got = h.hexdigest()
+        assert got == PINNED["witness_sha256"][name]
+
+    @pytest.mark.parametrize("policy", ["minimal", "any"])
+    @pytest.mark.parametrize("name", REPLAY_TREES)
+    def test_reduce_json(self, tmp_path, name, policy):
+        path = tmp_path / "tree.json"
+        path.write_text(tree_to_json(REPLAY_TREES[name]()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["reduce", str(path), "--policy", policy, "--format", "json"])
+        assert [rc, out.getvalue(), err.getvalue()] == PINNED["reduce_json"][name][policy]

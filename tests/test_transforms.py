@@ -124,6 +124,19 @@ class TestApplySwitch:
         with pytest.raises(SwitchError):
             validate_switch(c, SwitchMove(6, 1, 3, 0))
 
+    @pytest.mark.parametrize("t", [
+        SPIDER_10, FORK_19, make_caterpillar(3, 14), make_caterpillar(5, 18), make_path(7),
+    ], ids=["spider", "fork", "caterpillar-3", "caterpillar-5", "path"])
+    def test_matches_the_edge_list_rebuild(self, t):
+        # the reference swaps the two edges in the edge list and builds anew
+        moves = valid_moves(t, np.ones(t.vertex_count))
+        assert moves
+        for m in moves:
+            drop = {frozenset((m.v1, m.u1_pendant)), frozenset((m.v2, m.u2))}
+            edges = [e for e in t.edges() if frozenset(e) not in drop]
+            edges += [(m.v1, m.u2), (m.v2, m.u1_pendant)]
+            assert apply_switch(t, m) == tree_from_edges(t.vertex_count, edges)
+
     def test_random_switches_preserve_treeness(self):
         rng = random.Random(99)
         for _ in range(100):
