@@ -10,7 +10,8 @@ Subcommands:
                 Rayleigh data of the certified inverse replay
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or input
-error, including an --out path that cannot be written.  All output is
+error, including an --out path that cannot be written and an input that
+nests past the interpreter's recursion limit.  All output is
 deterministic for fixed arguments; machine formats carry floats at 17
 significant digits, tables at 6.
 """
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TreeError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError as exc:
+        print(f"error: input nests too deep for this implementation: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

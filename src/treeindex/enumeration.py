@@ -334,13 +334,11 @@ class SearchReport:
         obj = {
             "pi": self.pi.compact(),
             "tree_count": self.tree_count,
-            "min_mu": float(f"{self.min_mu:.17g}"),
+            "min_mu": self.min_mu,
             "minimizer_count": len(self.minimizers),
             "unique": self.unique,
             "all_caterpillars": self.all_caterpillars,
-            "gap_to_runner_up": None
-            if self.gap_to_runner_up is None
-            else float(f"{self.gap_to_runner_up:.17g}"),
+            "gap_to_runner_up": self.gap_to_runner_up,
             "minimizers": [
                 {
                     "canonical_code": code.code,
@@ -370,10 +368,6 @@ class SearchReport:
         return "\n".join(lines) + "\n"
 
 
-def _stage2_mu(t: Tree) -> float:
-    return spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).mu
-
-
 def _require_max_n(n: int, max_n: int) -> None:
     """Refuse a class on more than max_n vertices.  Callers that build the
     class from its vertex count check that count first."""
@@ -401,15 +395,31 @@ def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], li
     return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]
 
 
-def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int) -> tuple[list[int], float | None]:
-    """The candidates that stay extremal when tied ones are re-resolved in
-    extended precision, with their signed stage-2 value; a lone candidate
-    stands without one."""
+def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
+    """<Ax, x> / <x, x> of a float64 vector, summed exactly and rounded once:
+    each entry m / 2^e is scaled to an integer by the largest 2^e, and
+    int / int true division rounds correctly.  The quotient R is at most
+    the index and, by Temple's inequality, short of it by at most
+    |Ax - Rx|^2 / (R - lambda_2): about 1e-21 for a Perron vector at the
+    residual `spectral_radius` reaches on trees of n <= 22, far below half
+    an ulp, so R rounds as the index does unless the index lies that close
+    to a rounding boundary."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    scale = max(den for _, den in ratios)
+    m = [num * (scale // den) for num, den in ratios]
+    ax_x = sum(m[u] * sum(m[v] for v in nbrs) for u, nbrs in enumerate(t.adjacency))
+    return ax_x / sum(v * v for v in m)
+
+
+def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int, perron) -> tuple[list[int], float | None]:
+    """The candidates that stay extremal when tied ones are settled by the
+    exact Rayleigh quotients of their Perron vectors perron(i), with their
+    signed value; a lone candidate stands without one."""
     if len(candidates) == 1:
         return candidates, None
-    stage2 = {i: sign * _stage2_mu(trees[i]) for i in candidates}
-    best2 = min(stage2.values())
-    return [i for i in candidates if stage2[i] <= best2 + _STAGE2_TIE], best2
+    quotients = {i: sign * _exact_rayleigh(trees[i], perron(i)) for i in candidates}
+    least = min(quotients.values())
+    return [i for i in candidates if quotients[i] <= least + _STAGE2_TIE], least
 
 
 def extremal_choice(
@@ -420,7 +430,8 @@ def extremal_choice(
 ) -> list[int]:
     """Positions of the extremal trees of a `class_spectra` scan, the same
     trees `extremal_report` reports, without the index values it carries."""
-    return _resolve_ties(trees, _screen(mus, tie_tol, sign)[1], sign)[0]
+    candidates = _screen(mus, tie_tol, sign)[1]
+    return _resolve_ties(trees, candidates, sign, lambda i: spectral_radius(trees[i]).perron)[0]
 
 
 def extremal_report(
@@ -435,13 +446,13 @@ def extremal_report(
 
     The screened values `mus` only pick the candidates within tie_tol of
     the extreme and the band within tie_tol of the runner-up.  The values
-    the report carries are `spectral_radius` indices of those trees, and
-    tied candidates are re-resolved in extended precision.
+    the report carries are `spectral_radius` indices of those trees, one
+    solve each; tied candidates are settled by `_resolve_ties`.
     """
     keyed, candidates = _screen(mus, tie_tol, sign)
-    best = min(sign * spectral_radius(trees[i]).mu for i in candidates)
-    taken = set(candidates)
-    rest = [i for i in range(len(trees)) if i not in taken]
+    solved = {i: spectral_radius(trees[i]) for i in candidates}
+    best = min(sign * r.mu for r in solved.values())
+    rest = [i for i in range(len(trees)) if i not in solved]
     if rest:
         runner_screen = min(keyed[i] for i in rest)
         runner = min(
@@ -452,8 +463,8 @@ def extremal_report(
         gap = runner - best
     else:
         gap = None
-    chosen, best2 = _resolve_ties(trees, candidates, sign)
-    extremal_value = sign * (best if best2 is None else best2)
+    chosen, settled = _resolve_ties(trees, candidates, sign, lambda i: solved[i].perron)
+    extremal_value = sign * (best if settled is None else settled)
     chosen_trees = tuple(trees[i] for i in chosen)
     codes = tuple(canonical_form(t) for t in chosen_trees)
     obs = tuple(_observe(t) for t in chosen_trees)
@@ -479,8 +490,9 @@ def find_minimizers(
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    Trees within tie_tol of the screened minimum are re-resolved in
-    extended precision; survivors are reported as tied minimizers.
+    Trees within tie_tol of the screened minimum are settled by the exact
+    Rayleigh quotients of their Perron vectors; survivors are reported as
+    tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
@@ -494,7 +506,8 @@ def find_maximizers(
 ) -> tuple[Tree, ...]:
     """Index-maximizing trees of the class, for cross-checking the search
     machinery from the opposite extreme."""
-    return extremal_report(pi, *class_spectra(pi, max_n), tie_tol, sign=-1).minimizers
+    trees, mus = class_spectra(pi, max_n)
+    return tuple(trees[i] for i in extremal_choice(trees, mus, tie_tol, sign=-1))
 
 
 # ---------------------------------------------------------------------------

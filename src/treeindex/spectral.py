@@ -194,9 +194,10 @@ def spectral_radius(
 ) -> SpectralResult:
     """Index mu(t) with its positive unit eigenvector.
 
-    `extended=True` runs the whole iteration in extended precision
-    (numpy longdouble), which is what the tie-resolution stage of the
-    extremal search uses.
+    `extended=True` runs the whole iteration in numpy longdouble, which
+    is 80-bit on x86 and plain float64 on some platforms.  No code in the
+    package passes it; it stays as public API and as the reference the
+    tie tests compare against.
     """
     if not tol > 0:
         raise ValueError(f"tol must be a positive number, got {tol}")

@@ -203,6 +203,13 @@ class TestSearchCommand:
         code, _, err = run(capsys, "search", "--pi", "3,3,1")
         assert code == 2 and "not realizable" in err
 
+    def test_class_too_deep_to_enumerate_exits_2(self, capsys):
+        # the one tree of this class is a 402-vertex path, whose rooted
+        # skeleton nests past the interpreter's recursion limit
+        code, out, err = run(capsys, "search", "--pi", "2^400,1^2", "--max-n", "402")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_compact_and_expanded_forms_agree(self, capsys):
         _, out1, _ = run(capsys, "search", "--pi", "3^4,1^6")
         _, out2, _ = run(capsys, "search", "--pi", "3,3,3,3,1,1,1,1,1,1")

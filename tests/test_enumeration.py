@@ -3,17 +3,22 @@ free-tree counts and a brute-force labeled enumeration."""
 
 import gc
 import hashlib
+import inspect
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from treeindex import enumeration
+from treeindex.cli import main
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
     _code_adjacency,
     _decorated,
     _decorations,
+    _exact_rayleigh,
     _rooted_trees,
     class_spectra,
     enumerate_semiregular,
@@ -340,6 +345,66 @@ class TestFindMinimizers:
         csv = report.to_csv()
         assert csv.splitlines()[0] == "canonical_code,mu,is_caterpillar,buds_max_degree,trunk_monotone"
         assert len(csv.splitlines()) == 2
+
+
+class TestExactRayleigh:
+    @pytest.mark.parametrize(
+        "t", tied_minimizer_examples() + (make_star(4),), ids=["fork", "cat_a", "cat_b", "star"]
+    )
+    def test_one_rounding_of_the_rational_quotient(self, t):
+        # entries of widely spread magnitudes; Fraction is the reference
+        rng = np.random.default_rng(t.vertex_count)
+        for _ in range(50):
+            x = rng.random(t.vertex_count) * 2.0 ** rng.integers(-60, 5, t.vertex_count)
+            f = [Fraction(v) for v in x.tolist()]
+            ax_x = sum(f[u] * f[v] for u, nbrs in enumerate(t.adjacency) for v in nbrs)
+            assert _exact_rayleigh(t, x) == float(ax_x / sum(v * v for v in f))
+
+    def test_perron_vector_gives_the_index(self):
+        # at a converged Perron vector the quotient rounds to sqrt(6)'s double
+        for t in tied_minimizer_examples():
+            assert _exact_rayleigh(t, spectral_radius(t).perron) == math.sqrt(6)
+
+
+class TestOneSolvePerTieCandidate:
+    """Ties are settled from the float64 solve each candidate already gets:
+    no call asks for extended precision and no tree is solved twice."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        signature = inspect.signature(spectral_radius)
+
+        def recorded(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            made.append((bound.arguments["t"], bound.arguments["extended"]))
+            return spectral_radius(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "spectral_radius", recorded)
+        return made
+
+    @staticmethod
+    def assert_one_float64_solve_each(calls):
+        extended = [flag for _, flag in calls]
+        assert extended and not any(extended)
+        solved = [t for t, _ in calls]
+        assert len(solved) == len(set(solved))
+
+    def test_find_minimizers(self, calls):
+        assert len(find_minimizers(TIED_MINIMIZER_CLASS).minimizers) == 11
+        self.assert_one_float64_solve_each(calls)
+
+    def test_find_maximizers(self, calls):
+        # a wide band makes many candidates tie on the maximizing side
+        assert len(find_maximizers(TIED_MINIMIZER_CLASS, tie_tol=1.0)) == 1
+        self.assert_one_float64_solve_each(calls)
+
+    def test_verify_min(self, calls, capsys):
+        rc = main(["verify-min", "--d", "3", "--n", "14", "--tie-tol", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
+        self.assert_one_float64_solve_each(calls)
 
 
 class TestFindMaximizers:

@@ -13,7 +13,10 @@ vector after every sweep.  The `counterexample_minimizers` entry was
 captured from the implementation that found proper branches by component
 search and arms by `Tree.path`.  The `reduce_json` and `witness_sha256`
 entries were captured from the implementation that rebuilt every switched
-tree from its edge list.  The leaner code must reproduce them exactly.
+tree from its edge list.  The `search_tied_class_stdout` and
+`tie_class_minimizers` entries were captured from the implementation that
+settled ties with a second, longdouble solve of every tie candidate.  The
+leaner code must reproduce them exactly.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ import pytest
 from treeindex import enumeration, spectral
 from treeindex.cli import main
 from treeindex.enumeration import (
+    TIED_MINIMIZER_CLASS,
     enumerate_trees,
     find_minimizers,
     free_trees,
@@ -264,6 +268,46 @@ class TestPinnedCounterexamples:
         got = find_minimizers(DegreeSequence.parse(pi)).to_json()
         assert got == PINNED["counterexample_minimizers"][pi]
         assert '"all_caterpillars":false' in got
+
+
+# tie classes with n <= 18 beyond those of counterexample_minimizers; the
+# minimizers of all eight tie at more than one tree
+TIE_CLASSES = sorted(PINNED["tie_class_minimizers"])
+# every pinned class whose minimizers tie, the reference class included
+PINNED_TIES = TIE_CLASSES + [
+    "4^3,3,1^9", "5,4^2,3,2,1^10", "4^3,3^2,1^10", TIED_MINIMIZER_CLASS.compact()
+]
+
+
+class TestPinnedTies:
+    """Classes with tied minimizers, where the value that settles a tie
+    decides what `search` prints."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_search_stdout(self, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["search", "--pi", TIED_MINIMIZER_CLASS.compact(), "--format", fmt])
+        assert [rc, out.getvalue(), err.getvalue()] == [0, PINNED["search_tied_class_stdout"][fmt], ""]
+
+    @pytest.mark.parametrize("pi", TIE_CLASSES)
+    def test_find_minimizers_json(self, pi):
+        report = find_minimizers(DegreeSequence.parse(pi))
+        assert not report.unique
+        assert report.to_json() == PINNED["tie_class_minimizers"][pi]
+
+    @pytest.mark.parametrize("pi", PINNED_TIES)
+    def test_min_mu_is_the_extended_precision_index(self, pi):
+        """The reference is the longdouble solve at a 1e-14 residual,
+        `spectral_radius(..., extended=True)`.  `extended=` stays public API
+        for this check and because the benchmark tracer binds it on every
+        traced call."""
+        report = find_minimizers(DegreeSequence.parse(pi))
+        reference = min(
+            spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).mu
+            for t in report.minimizers
+        )
+        assert report.min_mu == float(reference)
 
 
 class TestPinnedReplay:
