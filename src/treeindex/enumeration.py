@@ -385,14 +385,17 @@ def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[
     return trees, class_indices(trees)
 
 
-def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], list[int]]:
-    """The signed screened values, and the candidates within tie_tol of
-    their extreme."""
+def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], list[int], float]:
+    """The signed screened values, the candidates within the band of their
+    extreme, and the band: tie_tol, but never narrower than the exact tie
+    band _STAGE2_TIE.  The screen's own rounding is about 1e-14, so a
+    narrower band would drop trees that the exact quotients tie."""
     if not tie_tol >= 0:
         raise ValueError(f"tie_tol must be a non-negative number, got {tie_tol}")
+    band = max(tie_tol, _STAGE2_TIE)
     keyed = [sign * float(m) for m in mus]
     best_screen = min(keyed)
-    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + tie_tol]
+    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + band], band
 
 
 def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
@@ -444,12 +447,12 @@ def extremal_report(
     """Extremal selection over a `class_spectra` scan; sign=+1 minimizes,
     sign=-1 maximizes.
 
-    The screened values `mus` only pick the candidates within tie_tol of
-    the extreme and the band within tie_tol of the runner-up.  The values
-    the report carries are `spectral_radius` indices of those trees, one
-    solve each; tied candidates are settled by `_resolve_ties`.
+    The screened values `mus` only pick the candidates within the `_screen`
+    band of the extreme and the trees within that band of the runner-up.
+    The values the report carries are `spectral_radius` indices of those
+    trees, one solve each; tied candidates are settled by `_resolve_ties`.
     """
-    keyed, candidates = _screen(mus, tie_tol, sign)
+    keyed, candidates, band = _screen(mus, tie_tol, sign)
     solved = {i: spectral_radius(trees[i]) for i in candidates}
     best = min(sign * r.mu for r in solved.values())
     rest = [i for i in range(len(trees)) if i not in solved]
@@ -458,7 +461,7 @@ def extremal_report(
         runner = min(
             sign * spectral_radius(trees[i]).mu
             for i in rest
-            if keyed[i] <= runner_screen + tie_tol
+            if keyed[i] <= runner_screen + band
         )
         gap = runner - best
     else:
@@ -490,9 +493,9 @@ def find_minimizers(
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    Trees within tie_tol of the screened minimum are settled by the exact
-    Rayleigh quotients of their Perron vectors; survivors are reported as
-    tied minimizers.
+    Trees within tie_tol (at least 1e-12, the exact tie band) of the
+    screened minimum are settled by the exact Rayleigh quotients of their
+    Perron vectors; survivors are reported as tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """

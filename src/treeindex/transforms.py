@@ -40,8 +40,9 @@ from .spectral import (
 )
 from .trees import (
     Tree,
+    _proper_branch,
+    _proper_walks,
     branch,
-    branch_bud,
     branching_points,
     is_caterpillar,
     isomorphism_map,
@@ -76,6 +77,9 @@ __all__ = [
     "WitnessResult",
     "caterpillar_bound_witness",
 ]
+
+# slack on both sides of mu_tree >= rq >= mu_cat in WitnessResult.gap_ok
+_GAP_TOL = 1e-9
 
 
 class TransformError(ValueError):
@@ -261,12 +265,13 @@ def find_branch_reductions(t: Tree) -> list[ReductionStep]:
 
     Within a pair, the branch whose bud has the smaller id receives the
     other; candidates are listed in (reduction point, receiving bud,
-    reduced gateway) order.
+    reduced gateway) order.  Each proper branch is walked once: its walk
+    ends at its bud and gives the `Branch`.
     """
     out: list[ReductionStep] = []
     for v_star in branching_points(t):
-        budded = [(branch_bud(t, b), b) for b in proper_branches(t, v_star)]
-        pbs = sorted(budded, key=lambda p: p[0])
+        walks = sorted(_proper_walks(t, v_star), key=lambda walk: walk[-1])
+        pbs = [(walk[-1], _proper_branch(t, v_star, walk)) for walk in walks]
         for i, (bud, receiving) in enumerate(pbs):
             u1 = min(u for u in t.neighbors(bud) if t.degree(u) == 1)
             for _, reduced in pbs[i + 1 :]:
@@ -355,9 +360,10 @@ def _spiral(cat: Tree, f0: np.ndarray, lengths) -> SpiralResult:
     """Run the spiral procedure on a labeled caterpillar with its
     (symmetrized) Perron vector as seed.
 
-    The trunk is indexed from the center outward in non-increasing value
-    order, alternating between the longer and the shorter half.  After an
-    opening switch creates three branches at the center v0, the procedure
+    The trunk is indexed from its center (k - 1) // 2 outward in
+    non-increasing value order, alternating between the right half and the
+    left half, right first; for even k the right half is one longer.  After
+    an opening switch creates three branches at the center v0, the procedure
     repeatedly lets the most valuable active tip capture the outermost
     unplaced trunk chunk, retiring tips as they are covered.  A branch
     that reaches the longest target length is frozen: its indices leave
@@ -379,19 +385,11 @@ def _spiral(cat: Tree, f0: np.ndarray, lengths) -> SpiralResult:
             "a branch may not cover more trunk vertices than the other two combined"
         )
 
-    center = (k - 1) // 2 if k % 2 == 1 else k // 2 - 1
+    center = (k - 1) // 2
     v0 = trunk[center]
-    right = trunk[center + 1 :]
-    left = trunk[center - 1 :: -1] if center > 0 else []
-    v = [v0]
-    li = ri = 0
-    for idx in range(1, k):
-        if idx % 2 == 1:
-            v.append(right[ri])
-            ri += 1
-        else:
-            v.append(left[li])
-            li += 1
+    v = [v0] * k
+    v[1::2] = trunk[center + 1 :]
+    v[2::2] = trunk[center - 1 :: -1]
     f = np.asarray(f0, dtype=np.float64)
     for idx in range(k - 1):
         if not f[v[idx]] >= f[v[idx + 1]]:
@@ -497,7 +495,7 @@ class WitnessResult:
     step_records: tuple[WitnessStep, ...]
 
 
-def caterpillar_bound_witness(g: Tree, tol: float = 1e-9) -> WitnessResult:
+def caterpillar_bound_witness(g: Tree) -> WitnessResult:
     """Replay the minimal reduction sequence of g in reverse, transporting
     the caterpillar Perron vector back onto g.
 
@@ -570,7 +568,7 @@ def caterpillar_bound_witness(g: Tree, tol: float = 1e-9) -> WitnessResult:
         raise ReductionError("inverse replay did not reconstruct the input tree")
     rq = trace[-1]
     mu_tree = spectral_radius(g).mu
-    gap_ok = (rq >= mu_cat - tol) and (mu_tree >= rq - tol)
+    gap_ok = (rq >= mu_cat - _GAP_TOL) and (mu_tree >= rq - _GAP_TOL)
     return WitnessResult(
         valuation=f,
         rq=rq,

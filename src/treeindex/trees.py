@@ -441,19 +441,28 @@ def branch(t: Tree, v: int, u: int) -> Branch:
     return Branch(root=v, gateway=u, vertices=frozenset(comp), length=length)
 
 
-def proper_branches(t: Tree, v_star: int) -> list[Branch]:
-    """Branches rooted at the branching point v_star that contain no other
-    branching point and exactly one bud: the walks from v_star that end at
-    a bud, with the pendants of the walked vertices."""
+def _proper_walks(t: Tree, v_star: int) -> list[list[int]]:
+    """The `_arm` walks from the branching point v_star that end at a bud,
+    gateway first and bud last, in neighbor order: one per proper branch."""
     if nonpendant_degree(t, v_star) < 3:
         raise TreeError(f"vertex {v_star} is not a branching point")
-    out = []
-    for walk in (_arm(t, v_star, u) for u in t.neighbors(v_star) if t.degree(u) >= 2):
-        if nonpendant_degree(t, walk[-1]) == 1:
-            vertices = {v_star, *walk}
-            vertices.update(x for w in walk for x in t.neighbors(w) if t.degree(x) == 1)
-            out.append(Branch(v_star, walk[0], frozenset(vertices), len(walk) + 1))
-    return out
+    walks = (_arm(t, v_star, u) for u in t.neighbors(v_star) if t.degree(u) >= 2)
+    return [walk for walk in walks if nonpendant_degree(t, walk[-1]) == 1]
+
+
+def _proper_branch(t: Tree, v_star: int, walk: list[int]) -> Branch:
+    """The proper branch at v_star along one of its `_proper_walks`: v_star,
+    the walk and the walk's pendants."""
+    vertices = {v_star, *walk}
+    vertices.update(x for w in walk for x in t.neighbors(w) if t.degree(x) == 1)
+    return Branch(v_star, walk[0], frozenset(vertices), len(walk) + 1)
+
+
+def proper_branches(t: Tree, v_star: int) -> list[Branch]:
+    """Branches rooted at the branching point v_star that contain no other
+    branching point and exactly one bud, one per `_proper_walks` walk and
+    in the same order."""
+    return [_proper_branch(t, v_star, walk) for walk in _proper_walks(t, v_star)]
 
 
 def branch_bud(t: Tree, b: Branch) -> int:
@@ -467,26 +476,18 @@ def branch_bud(t: Tree, b: Branch) -> int:
 def arms(t: Tree) -> list[list[int]]:
     """Trunk paths running outward to each bud, used for shape reports.
 
-    With branching points present these are the non-pendant paths of the
-    proper branches, walked from the branching point to the bud.  For a
-    caterpillar they are the two half-trunks read from the center outward
+    With branching points present these are the `_proper_walks` of each
+    branching point with the point itself in front, from the branching
+    point to the bud.  For a caterpillar they are the two half-trunks read
+    from the center outward, split at the one or two middle vertices
     (empty for trees whose trunk has at most one vertex).
     """
     bps = branching_points(t)
     if bps:
-        return [[v] + _arm(t, v, b.gateway) for v in bps for b in proper_branches(t, v)]
+        return [[v] + walk for v in bps for walk in _proper_walks(t, v)]
     trunk = trunk_path(t)
     k = len(trunk)
-    if k <= 1:
-        return []
-    if k % 2 == 0:
-        left = trunk[k // 2 - 1 :: -1]
-        right = trunk[k // 2 :]
-    else:
-        mid = k // 2
-        left = trunk[mid::-1]
-        right = trunk[mid:]
-    return [left, right]
+    return [trunk[(k - 1) // 2 :: -1], trunk[k // 2 :]] if k > 1 else []
 
 
 # ---------------------------------------------------------------------------

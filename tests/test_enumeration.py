@@ -327,6 +327,16 @@ class TestFindMinimizers:
         with pytest.raises(ValueError, match="tie_tol"):
             find_minimizers(pi, tie_tol=tie_tol)
 
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-15])
+    @pytest.mark.parametrize("text", ["4^4,3^2,2,1^12", "4^3,3,1^9", "5^2,3^2,2,1^10"])
+    def test_tie_tol_below_screen_rounding_keeps_ties(self, text, tie_tol):
+        # the screened values of trees tied at the same index differ by
+        # about 1e-14, so the screen band never narrows below the exact
+        # tie band: the report is the default's, ties and gap included
+        pi = DegreeSequence.parse(text)
+        assert find_minimizers(pi, tie_tol=tie_tol).to_json() == find_minimizers(pi).to_json()
+        assert find_maximizers(pi, tie_tol=tie_tol) == find_maximizers(pi)
+
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize(
         "pi",

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from treeindex import cli, transforms, trees
+import treeindex
+from treeindex import cli, enumeration, spectral, transforms, trees
 from treeindex.enumeration import enumerate_trees
 from treeindex.spectral import spectral_radius, symmetrize_caterpillar
 from treeindex.transforms import (
@@ -22,6 +23,7 @@ from treeindex.trees import (
     branching_points,
     buds,
     is_caterpillar,
+    nonpendant_degree,
     nonpendant_vertices,
     proper_branches,
     tree_from_edges,
@@ -195,3 +197,41 @@ def test_reduction_scans_branching_points_once_per_step(monkeypatch, policy):
         assert is_caterpillar(seq.trees[-1])
         steps += len(seq.steps)
     assert steps > 20
+
+
+def test_arms_walk_each_arm_once(monkeypatch, sweep_trees):
+    calls = counting(monkeypatch, trees, "_arm")
+    for t in sweep_trees:
+        if bps := branching_points(t):
+            before = len(calls)
+            arms(t)
+            assert len(calls) - before == sum(nonpendant_degree(t, v) for v in bps)
+
+
+def test_reductions_take_buds_from_the_walks(monkeypatch, sweep_trees):
+    arm_calls = counting(monkeypatch, trees, "_arm")
+    bud_calls = counting(monkeypatch, trees, "branch_bud")
+    # count a call through a name bound in transforms as well
+    monkeypatch.setattr(transforms, "branch_bud", trees.branch_bud, raising=False)
+    for t in sweep_trees:
+        before = len(arm_calls)
+        find_branch_reductions(t)
+        walked = sum(nonpendant_degree(t, v) for v in branching_points(t))
+        assert len(arm_calls) - before == walked
+    assert bud_calls == []
+
+
+# ---------------------------------------------------------------------------
+# package namespace
+
+
+def test_package_names_come_from_each_module_all():
+    modules = [trees, spectral, transforms, enumeration]
+    # `cli` is bound too once anything imports treeindex.cli, as this file does
+    names = {name for name in vars(treeindex) if not name.startswith("_")} - {"cli"}
+    assert names == {name for mod in modules for name in mod.__all__} | {
+        mod.__name__.rpartition(".")[2] for mod in modules
+    }
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(treeindex, name) is getattr(mod, name)
