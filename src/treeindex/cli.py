@@ -10,8 +10,9 @@ Subcommands:
                 Rayleigh data of the certified inverse replay
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or input
-error, including an --out path that cannot be written and an input that
-nests past the interpreter's recursion limit.  All output is
+error, including an --out path that cannot be written, a standard output
+closed before the command wrote to it (which ends quietly), and an input
+that nests past the interpreter's recursion limit.  All output is
 deterministic for fixed arguments; machine formats carry floats at 17
 significant digits, tables at 6.
 """
@@ -303,7 +304,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (TreeError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

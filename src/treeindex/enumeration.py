@@ -18,6 +18,7 @@ neighbor lists and becomes a `Tree`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import class_indices, spectral_radius
+from .spectral import class_indices, spectral_radii
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -390,8 +391,8 @@ def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], li
     extreme, and the band: tie_tol, but never narrower than the exact tie
     band _STAGE2_TIE.  The screen's own rounding is about 1e-14, so a
     narrower band would drop trees that the exact quotients tie."""
-    if not tie_tol >= 0:
-        raise ValueError(f"tie_tol must be a non-negative number, got {tie_tol}")
+    if not tie_tol >= 0 or not math.isfinite(tie_tol):
+        raise ValueError(f"tie_tol must be a non-negative finite number, got {tie_tol}")
     band = max(tie_tol, _STAGE2_TIE)
     keyed = [sign * float(m) for m in mus]
     best_screen = min(keyed)
@@ -414,13 +415,14 @@ def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
     return ax_x / sum(v * v for v in m)
 
 
-def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int, perron) -> tuple[list[int], float | None]:
+def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int, solved) -> tuple[list[int], float | None]:
     """The candidates that stay extremal when tied ones are settled by the
-    exact Rayleigh quotients of their Perron vectors perron(i), with their
-    signed value; a lone candidate stands without one."""
+    exact Rayleigh quotients of their Perron vectors, from `solved`, their
+    `spectral_radii` results in candidate order, with their signed value; a
+    lone candidate stands without one."""
     if len(candidates) == 1:
         return candidates, None
-    quotients = {i: sign * _exact_rayleigh(trees[i], perron(i)) for i in candidates}
+    quotients = {i: sign * _exact_rayleigh(trees[i], r.perron) for i, r in zip(candidates, solved)}
     least = min(quotients.values())
     return [i for i in candidates if quotients[i] <= least + _STAGE2_TIE], least
 
@@ -432,9 +434,12 @@ def extremal_choice(
     sign: int = +1,
 ) -> list[int]:
     """Positions of the extremal trees of a `class_spectra` scan, the same
-    trees `extremal_report` reports, without the index values it carries."""
+    trees `extremal_report` reports, without the index values it carries.
+    Two or more candidates are solved as one block; a lone one is not."""
     candidates = _screen(mus, tie_tol, sign)[1]
-    return _resolve_ties(trees, candidates, sign, lambda i: spectral_radius(trees[i]).perron)[0]
+    if len(candidates) == 1:
+        return candidates
+    return _resolve_ties(trees, candidates, sign, spectral_radii([trees[i] for i in candidates]))[0]
 
 
 def extremal_report(
@@ -449,24 +454,22 @@ def extremal_report(
 
     The screened values `mus` only pick the candidates within the `_screen`
     band of the extreme and the trees within that band of the runner-up.
-    The values the report carries are `spectral_radius` indices of those
-    trees, one solve each; tied candidates are settled by `_resolve_ties`.
+    The values the report carries are `spectral_radii` indices of those
+    trees, all solved as one block, each once; tied candidates are settled
+    by `_resolve_ties`.
     """
     keyed, candidates, band = _screen(mus, tie_tol, sign)
-    solved = {i: spectral_radius(trees[i]) for i in candidates}
-    best = min(sign * r.mu for r in solved.values())
-    rest = [i for i in range(len(trees)) if i not in solved]
+    picked = set(candidates)
+    rest = [i for i in range(len(trees)) if i not in picked]
+    runners = []
     if rest:
         runner_screen = min(keyed[i] for i in rest)
-        runner = min(
-            sign * spectral_radius(trees[i]).mu
-            for i in rest
-            if keyed[i] <= runner_screen + band
-        )
-        gap = runner - best
-    else:
-        gap = None
-    chosen, settled = _resolve_ties(trees, candidates, sign, lambda i: solved[i].perron)
+        runners = [i for i in rest if keyed[i] <= runner_screen + band]
+    solved = spectral_radii([trees[i] for i in candidates + runners])
+    ties, runner_ups = solved[: len(candidates)], solved[len(candidates) :]
+    best = min(sign * r.mu for r in ties)
+    gap = min(sign * r.mu for r in runner_ups) - best if runners else None
+    chosen, settled = _resolve_ties(trees, candidates, sign, ties)
     extremal_value = sign * (best if settled is None else settled)
     chosen_trees = tuple(trees[i] for i in chosen)
     codes = tuple(canonical_form(t) for t in chosen_trees)

@@ -5,27 +5,32 @@ positive-eigenvector bound, unimodality, and caterpillar symmetry.
 Whole classes of same-order trees are screened by `class_indices`, which
 stacks the dense adjacency matrices and calls `np.linalg.eigvalsh` once per
 chunk; its values rank trees, while reported indices come from
-`spectral_radius`.
+`spectral_radius` or, for several trees at once, `spectral_radii`.
 
-The index of a single tree is computed matrix-free by shifted power
-iteration.  Trees are
-bipartite, so -mu is also an eigenvalue; iterating on A + cI with
+The index of a tree is computed matrix-free by shifted power iteration.
+Trees are bipartite, so -mu is also an eigenvalue; iterating on A + cI with
 c = max degree separates |mu + c| from |-mu + c| and makes the iteration
 converge to the Perron direction from the all-ones start.  Convergence is
 measured by the eigenvalue-equation residual
 
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
-Each sweep computes s = A x once, as one scatter over the edges taken in
-both directions (`np.bincount` in float64; `np.add.at` in extended
+There is one loop, and it runs on a block of trees laid end to end on one
+flat vertex vector; `spectral_radius` is a block of one.  Each sweep
+computes s = A x once for the whole block, as one scatter over the edges
+taken in both directions (`np.bincount` in float64; `np.add.at` in extended
 precision, since bincount casts its weights to float64), and uses s both
-to check x and for the power step from x.  The check is screened exactly:
-the residual entry at the vertex where the last full residual vector
-peaked is computed with the same IEEE operations as in the full vector,
-and when it alone exceeds tol, so does the maximum.  The full residual is
-taken whenever the screen does not settle it and on every sweep from the
-polish point on, so every break, polish decision and reported residual is
-the one the full check gives.
+to check x and for the power step from x.  Each vertex receives its own
+tree's terms in the order a block of one gives them, the power step is
+elementwise, and mu = x.s and the norm y.y are dots on each tree's views,
+so every tree gets the bits it would get alone.  The check is screened
+exactly: the residual entry at the vertex where the tree's last full
+residual vector peaked is computed with the same IEEE operations as in the
+full vector, and when it alone exceeds tol, so does the maximum.  The full
+residual is taken whenever the screen does not settle it and on every
+sweep from the polish point on, so every stop, polish decision and
+reported residual is the one the full check gives.  A tree that stops
+leaves the block; the rest go on at the same iteration count.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -37,6 +42,7 @@ always the true residual of the returned vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +58,7 @@ __all__ = [
     "class_indices",
     "rayleigh_quotient",
     "spectral_radius",
+    "spectral_radii",
     "perron_bound_check",
     "is_unimodal",
     "pendant_minima_check",
@@ -186,83 +193,170 @@ def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
     return None
 
 
+class _Member:
+    """One tree of a block: its scatter pairs and shift, its loop state, and
+    its span and views in the block's vectors."""
+
+    __slots__ = ("pos", "tree", "n", "tgt", "src", "shift", "peak", "polish", "span", "x", "y")
+
+    def __init__(self, pos: int, t: Tree, dtype):
+        eu, ev = _edge_arrays(t)
+        self.pos, self.tree, self.n = pos, t, t.vertex_count
+        # edge uv sends x[v] to u, then (second half) x[u] to v
+        self.tgt = np.concatenate((eu, ev))
+        self.src = np.concatenate((ev, eu))
+        self.shift = max(t.degrees())
+        self.peak = 0  # where the last full residual vector peaked
+        self.polish = 8  # Rayleigh steps allowed from the polish point on
+        x = np.ones(self.n, dtype=dtype)
+        x /= np.sqrt(x @ x)
+        self.x = x
+
+
+def _layout(block: list[_Member], dtype):
+    """Lay the trees of a block end to end on one flat vertex vector: the
+    scatter pairs moved to each tree's span, the shift at every vertex, the
+    iterate x (each tree's current one) and a buffer y, with each tree's
+    views of both, a buffer for the squared norms, and the index that
+    spreads one value per tree over its vertices.  A lone tree's norm is
+    taken as a scalar, which divides faster than a spread vector."""
+    sizes = [m.n for m in block]
+    starts = np.cumsum([0] + sizes).tolist()
+    tgt = np.concatenate([m.tgt + a for m, a in zip(block, starts)])
+    src = np.concatenate([m.src + a for m, a in zip(block, starts)])
+    shift = np.repeat(np.array([m.shift for m in block], dtype=dtype), sizes)
+    x = np.concatenate([m.x for m in block])
+    y = np.empty_like(x)
+    for m, a in zip(block, starts):
+        m.span = slice(a, a + m.n)
+        m.x, m.y = x[m.span], y[m.span]
+    spread = np.repeat(np.arange(len(block)), sizes) if len(block) > 1 else 0
+    return starts[-1], tgt, src, shift, x, y, [m.y for m in block], np.empty(len(block), dtype), spread
+
+
+def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
+    """The power-iteration loop on a block of trees, as the module docstring
+    describes, giving the last iterate of each tree unchecked; `_solve`
+    checks them.  Every pass adds one iteration to each tree still in the
+    block, by a power step or a polish step, so they all share one count.
+    The residual screen works on each tree's own scalars: at the block sizes
+    of a tie set that costs less than a screen over the whole block."""
+    extended = dtype is not np.float64
+    results: list = [None] * len(trees)
+    block = []
+    for pos, t in enumerate(trees):
+        if t.vertex_count == 1:
+            results[pos] = SpectralResult(0.0, np.ones(1), 0.0, 0)
+        elif t.vertex_count == 2:
+            r = math.sqrt(0.5)
+            results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
+        else:
+            block.append(_Member(pos, t, dtype))
+    if not block:
+        return results
+    size, tgt, src, shift, x, y, ys, norms, spread = _layout(block, dtype)
+    fallback_at = max(1, max_iter // 2)  # never above max_iter
+    iterations = 0
+    while True:
+        # s = A x serves both the check of x and the next step from x
+        if extended:
+            s = np.zeros(size, dtype=dtype)
+            np.add.at(s, tgt, x[src])
+        else:
+            s = np.bincount(tgt, weights=x[src], minlength=size)
+        done = []
+        polished = []
+        if iterations:
+            for m in block:
+                xv, sv, w = m.x, s[m.span], m.peak
+                mu = float(xv.dot(sv))
+                # before fallback_at only res <= tol ends the power steps; one
+                # residual entry above tol, rounded to float as res is, proves
+                # res > tol
+                if iterations >= fallback_at or not float(abs(mu * xv[w] - sv[w])) > tol:
+                    r = np.abs(mu * xv - sv)
+                    m.peak = w = int(np.argmax(r))
+                    res = float(r[w])
+                    if res <= tol:
+                        done.append((m, mu, res))
+                        continue
+                    if iterations >= fallback_at and m.polish:
+                        m.polish -= 1
+                        z = _rayleigh_step(m.tree, xv, mu)
+                        if z is not None:
+                            polished.append((m, z))
+                            continue
+                        m.polish = 0
+                    if iterations >= max_iter:
+                        done.append((m, mu, res))
+            if done:
+                for m, mu, res in done:
+                    results[m.pos] = SpectralResult(mu, m.x.astype(np.float64), res, iterations)
+                stopped = {m for m, _, _ in done}
+                block = [m for m in block if m not in stopped]
+                if not block:
+                    return results
+        np.multiply(shift, x, out=y)
+        y += s  # s + c x, as addition commutes
+        for j, v in enumerate(ys):
+            norms[j] = v.dot(v)
+        np.divide(y, np.sqrt(norms)[spread], out=x)
+        for m, z in polished:
+            m.x[...] = z
+        iterations += 1
+        if done:
+            size, tgt, src, shift, x, y, ys, norms, spread = _layout(block, dtype)
+
+
+def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
+    """Validate the budget, run the block, and raise the ConvergenceError of
+    the first tree in order whose last iterate misses tol or is not
+    entrywise positive."""
+    if not tol > 0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    results = _power_iteration(trees, tol, max_iter, dtype)
+    for r in results:
+        if r.residual > tol:
+            raise ConvergenceError(
+                f"residual {r.residual:.3e} above tol {tol:.3e} after {r.iterations} iterations",
+                r,
+            )
+        if not np.all(r.perron > 0.0):
+            raise ConvergenceError("iterate is not entrywise positive", r)
+    return results
+
+
+def spectral_radii(
+    trees: Sequence[Tree],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[SpectralResult]:
+    """`spectral_radius` of every tree in `trees`, in order, solved as one
+    block: each result equals the one `spectral_radius` gives that tree,
+    byte for byte.  A failure raises the ConvergenceError of the first
+    failing tree in order, as `spectral_radius` raises it for that tree."""
+    return _solve(list(trees), tol, max_iter, np.float64)
+
+
 def spectral_radius(
     t: Tree,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     extended: bool = False,
 ) -> SpectralResult:
-    """Index mu(t) with its positive unit eigenvector.
+    """Index mu(t) with its positive unit eigenvector: the power iteration
+    on a block of one.
 
     `extended=True` runs the whole iteration in numpy longdouble, which
     is 80-bit on x86 and plain float64 on some platforms.  No code in the
     package passes it; it stays as public API and as the reference the
     tie tests compare against.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be a positive number, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    n = t.vertex_count
-    dtype = np.longdouble if extended else np.float64
-    if n == 1:
-        return SpectralResult(0.0, np.ones(1), 0.0, 0)
-    if n == 2:
-        r = math.sqrt(0.5)
-        return SpectralResult(1.0, np.array([r, r]), 0.0, 0)
-
-    eu, ev = _edge_arrays(t)
-    # edge uv sends x[v] to u, then (second half) x[u] to v
-    tgt = np.concatenate((eu, ev))
-    src = np.concatenate((ev, eu))
-    c = dtype(max(t.degrees()))
-    x = np.ones(n, dtype=dtype)
-    x /= np.sqrt(x @ x)
-    fallback_at = max(1, max_iter // 2)  # never above max_iter
-    polish_rounds = 8  # Rayleigh steps allowed from fallback_at on
-    iterations = 0
-    w = 0  # where the last full residual vector peaked
-    while True:
-        # s = A x serves both the check of x and the next step from x
-        if extended:
-            s = np.zeros(n, dtype=dtype)
-            np.add.at(s, tgt, x[src])
-        else:
-            s = np.bincount(tgt, weights=x[src], minlength=n)
-        if iterations:
-            mu = float(x @ s)
-            # before fallback_at only res <= tol ends the power steps; one
-            # residual entry above tol, rounded to float as res is, proves
-            # res > tol
-            if iterations >= fallback_at or not float(abs(mu * x[w] - s[w])) > tol:
-                r = np.abs(mu * x - s)
-                w = int(np.argmax(r))
-                res = float(r[w])
-                if res <= tol:
-                    break
-                if iterations >= fallback_at and polish_rounds:
-                    polish_rounds -= 1
-                    y = _rayleigh_step(t, x, mu)
-                    if y is not None:
-                        x = y
-                        iterations += 1
-                        continue
-                    polish_rounds = 0
-                if iterations >= max_iter:
-                    break
-        y = s + c * x
-        x = y / np.sqrt(y @ y)
-        iterations += 1
-    perron = np.asarray(x, dtype=np.float64)
-    result = SpectralResult(float(mu), perron, float(res), iterations)
-    if res > tol:
-        raise ConvergenceError(
-            f"residual {res:.3e} above tol {tol:.3e} after {iterations} iterations",
-            result,
-        )
-    if not np.all(perron > 0.0):
-        raise ConvergenceError("iterate is not entrywise positive", result)
-    return result
+    return _solve([t], tol, max_iter, np.longdouble if extended else np.float64)[0]
 
 
 @dataclass(frozen=True)

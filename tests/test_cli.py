@@ -163,7 +163,7 @@ class TestVerifyMinCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("verify-min solved for an index it does not print")
 
-        monkeypatch.setattr(enumeration, "spectral_radius", refuse)
+        monkeypatch.setattr(enumeration, "spectral_radii", refuse)
         code, out, _ = run(capsys, "verify-min", "--d", str(d), "--n", str(n))
         assert code == 0 and out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
 
@@ -364,7 +364,8 @@ class TestNumericOptions:
     @pytest.mark.parametrize(
         "flags, name",
         [(["--tol", "nan"], "tol"), (["--tol", "0"], "tol"), (["--tol", "-1e-12"], "tol"),
-         (["--max-iter", "0"], "max_iter"), (["--max-iter", "-5"], "max_iter")],
+         (["--max-iter", "0"], "max_iter"), (["--max-iter", "-5"], "max_iter"),
+         (["--tol", "inf"], "tol")],
     )
     def test_mu(self, tmp_path, capsys, flags, name):
         path = tmp_path / "p4.json"
@@ -372,7 +373,7 @@ class TestNumericOptions:
         code, out, err = run(capsys, "mu", str(path), *flags)
         assert code == 2 and out == "" and name in err
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize(
         "argv",
         [["search", "--pi", "3^2,2^2,1^4"], ["verify-min", "--d", "3", "--n", "10"]],
@@ -385,6 +386,23 @@ class TestNumericOptions:
     def test_zero_tie_tol_is_allowed(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "10", "--tie-tol", "0")
         assert code == 0 and "VERIFIED" in out
+
+
+class TestClosedStdout:
+    def test_search_into_a_closed_pipe_ends_quietly(self):
+        src = str(Path(treeindex.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "treeindex.cli", "search", "--pi", "5,4^2,3,2^5,1^10"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stderr == ""  # no traceback, and no message either
 
 
 class TestTreeJsonEdgeCount:

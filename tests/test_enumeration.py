@@ -3,7 +3,6 @@ free-tree counts and a brute-force labeled enumeration."""
 
 import gc
 import hashlib
-import inspect
 import math
 from fractions import Fraction
 from itertools import product
@@ -11,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from treeindex import enumeration
+from treeindex import enumeration, spectral
 from treeindex.cli import main
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
@@ -378,27 +377,27 @@ class TestExactRayleigh:
 
 class TestOneSolvePerTieCandidate:
     """Ties are settled from the float64 solve each candidate already gets:
-    no call asks for extended precision and no tree is solved twice."""
+    no solve runs in extended precision, no tree is solved twice, and a
+    search solves its candidates as one block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        signature = inspect.signature(spectral_radius)
+        loop = spectral._power_iteration
 
-        def recorded(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            made.append((bound.arguments["t"], bound.arguments["extended"]))
-            return spectral_radius(*args, **kwargs)
+        def recorded(trees, tol, max_iter, dtype):
+            made.append((list(trees), dtype))
+            return loop(trees, tol, max_iter, dtype)
 
-        monkeypatch.setattr(enumeration, "spectral_radius", recorded)
+        monkeypatch.setattr(spectral, "_power_iteration", recorded)
         return made
 
     @staticmethod
     def assert_one_float64_solve_each(calls):
-        extended = [flag for _, flag in calls]
+        assert len(calls) == 1  # one block per search
+        extended = [dtype is not np.float64 for _, dtype in calls]
         assert extended and not any(extended)
-        solved = [t for t, _ in calls]
+        solved = [t for block, _ in calls for t in block]
         assert len(solved) == len(set(solved))
 
     def test_find_minimizers(self, calls):

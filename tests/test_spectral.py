@@ -7,7 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from treeindex.enumeration import enumerate_trees
+from test_pinned import BUDGET_EXITS
+from treeindex.enumeration import (
+    DEFAULT_TIE_TOL,
+    TIED_MINIMIZER_CLASS,
+    _screen,
+    class_spectra,
+    enumerate_trees,
+)
 from treeindex.spectral import (
     CLASS_CHUNK,
     ConvergenceError,
@@ -19,6 +26,7 @@ from treeindex.spectral import (
     pendant_minima_check,
     perron_bound_check,
     rayleigh_quotient,
+    spectral_radii,
     spectral_radius,
     symmetrize_caterpillar,
 )
@@ -144,13 +152,22 @@ class TestSpectralRadius:
     @pytest.mark.parametrize(
         "kwargs, name",
         [({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
-         ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter")],
+         ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
+         ({"tol": float("inf")}, "tol"), ({"max_iter": True}, "max_iter"),
+         ({"max_iter": 2.5}, "max_iter"), ({"max_iter": "3"}, "max_iter")],
     )
     def test_bad_numeric_arguments_rejected(self, kwargs, name):
         # checked before the one- and two-vertex shortcuts, too
         for t in (make_path(1), make_path(6)):
             with pytest.raises(ValueError, match=name):
                 spectral_radius(t, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            spectral_radii([make_path(1), make_path(6)], **kwargs)
+
+    def test_infinite_tolerance_is_not_a_converged_index(self):
+        # tol=inf once stopped P5 after one sweep at mu = 1.697, not sqrt(3)
+        with pytest.raises(ValueError, match="tol"):
+            spectral_radius(make_path(5), tol=float("inf"))
 
     def test_extended_precision_mode(self):
         r = spectral_radius(FORK_19, tol=1e-14, max_iter=20_000, extended=True)
@@ -171,6 +188,61 @@ class TestSpectralRadius:
         text = spectral_radius(K2).to_json()
         assert text.startswith('{"mu":1,"perron":[')
         assert '"iterations":0' in text
+
+
+def one_by_one(t, **budget):
+    """spectral_radius of t, as (error message or None, result)."""
+    try:
+        return None, spectral_radius(t, **budget)
+    except ConvergenceError as err:
+        return str(err), err.result
+
+
+def fields(r):
+    return r.mu, r.perron.tobytes(), r.residual, r.iterations
+
+
+def tie_candidates():
+    trees, mus = class_spectra(TIED_MINIMIZER_CLASS)
+    return [trees[i] for i in _screen(mus, DEFAULT_TIE_TOL, +1)[1]]
+
+
+class TestSpectralRadii:
+    """A block solve gives each tree what spectral_radius gives it alone,
+    field for field, and fails as the first failing tree fails alone."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        ties = tie_candidates()
+        assert len(ties) == 11
+        return [make_path(1), K2, *ties]
+
+    def test_block_equals_one_by_one(self, mixed):
+        block = [mixed[2], make_path(60), *mixed]
+        got = spectral_radii(block)
+        assert [fields(r) for r in got] == [fields(one_by_one(t)[1]) for t in block]
+
+    @pytest.mark.parametrize("path_first", [True, False])
+    @pytest.mark.parametrize("name", BUDGET_EXITS)
+    def test_budget_exits(self, mixed, name, path_first):
+        budget = BUDGET_EXITS[name]
+        block = [make_path(60), *mixed] if path_first else [*mixed, make_path(60)]
+        expected = [one_by_one(t, **budget) for t in block]
+        failed = [(message, r) for message, r in expected if message is not None]
+        if not failed:
+            got = spectral_radii(block, **budget)
+            assert [fields(r) for r in got] == [fields(r) for _, r in expected]
+            return
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radii(block, **budget)
+        message, result = failed[0]
+        assert str(info.value) == message
+        assert fields(info.value.result) == fields(result)
+
+    def test_empty_and_tiny_blocks(self):
+        assert spectral_radii([]) == []
+        got = spectral_radii([make_path(1), K2])
+        assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in (make_path(1), K2)]
 
 
 class TestAdjacencyMatrix:
