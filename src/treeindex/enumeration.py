@@ -70,7 +70,9 @@ def _rooted_trees(k: int, root_cap: int | None = None, cap: int | None = None) -
     most cap at every other vertex (None: no bound).  Each tree on k > 1
     vertices is met once, as a smaller tree `rest` plus its largest child
     `child`, which is no smaller than the last child of rest.  The bounded
-    trees are the subsequence of the unbounded ones that fit the caps."""
+    trees are the subsequence of the unbounded ones that fit the caps.  The
+    cheap root-cap test goes first: on a long path the comparison of deep
+    nested tuples is what costs."""
     if k == 1:
         return ((),)
     return tuple(sorted(
@@ -78,7 +80,7 @@ def _rooted_trees(k: int, root_cap: int | None = None, cap: int | None = None) -
         for size in range(1, k)
         for child in _rooted_trees(size, cap, cap)
         for rest in _rooted_trees(k - size, root_cap, cap)
-        if (not rest or rest[-1] <= child) and (root_cap is None or len(rest) < root_cap)
+        if (root_cap is None or len(rest) < root_cap) and (not rest or rest[-1] <= child)
     ))
 
 
@@ -99,11 +101,12 @@ def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
 def _representatives(coded, expand) -> Iterator[Tree]:
     """The first item met of each isomorphism class among the (canonical
     code, item) pairs, in canonical-code order, expanded to neighbor lists.
-    Only these representatives are built as `Tree`s."""
+    Only these representatives are built as `Tree`s.  The codes of one call
+    all have the same length, so plain string order is canonical order."""
     found: dict[str, object] = {}
     for code, item in coded:
         found.setdefault(code, item)
-    for code in sorted(found, key=lambda c: CanonicalForm(c).sort_key()):
+    for code in sorted(found):
         yield Tree(expand(found[code]))
 
 
@@ -180,34 +183,57 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
 # ---------------------------------------------------------------------------
 # degree-sequence enumeration
 
-def _pendant_counts(degrees, counts, slack, v=0) -> Iterator[tuple[int, ...]]:
-    """Distinct ways to hand the internal degrees (value -> count in counts,
-    larger values first) to the skeleton vertices v, v+1, ... of these
-    degrees so that each keeps non-negative pendant slack, as the number of
-    pendant vertices every skeleton vertex gets; slack holds the numbers of
-    the vertices before v."""
-    if v == len(degrees):
-        yield tuple(slack)
-        return
-    for value in counts:
-        if counts[value] == 0 or value < degrees[v]:
+def _pendant_counts(degrees, counts) -> Iterator[tuple[int, ...]]:
+    """Distinct ways to hand the internal degrees (value -> count in counts)
+    to the skeleton vertices of these degrees so that each keeps
+    non-negative pendant slack, as the number of pendant vertices every
+    skeleton vertex gets, in descending lexicographic order.  One loop
+    walks the choices depth first: choice[v] is the position in values of
+    the value vertex v holds, and left[i] how many of values[i] are not yet
+    handed out.  Values are descending, so the first one too small for a
+    vertex ends its choices."""
+    values = sorted(counts, reverse=True)
+    left = [counts[value] for value in values]
+    last = len(degrees) - 1
+    choice = [-1] * len(degrees)
+    slack = [0] * len(degrees)
+    v = 0
+    while v >= 0:
+        i = choice[v]
+        if i >= 0:
+            left[i] += 1
+        i += 1
+        while i < len(values) and not left[i]:
+            i += 1
+        if i == len(values) or values[i] < degrees[v]:
+            choice[v] = -1
+            v -= 1
             continue
-        counts[value] -= 1
-        slack[v] = value - degrees[v]
-        yield from _pendant_counts(degrees, counts, slack, v + 1)
-        counts[value] += 1
+        left[i] -= 1
+        choice[v] = i
+        slack[v] = values[i] - degrees[v]
+        if v < last:
+            v += 1
+        else:
+            yield tuple(slack)
 
 
 def _coding_steps(adj) -> tuple[list[tuple[int, int, tuple[int, ...]]], tuple[int, ...]]:
     """Bottom-up steps that code a tree from each of its centres, as (slot,
     vertex, child slots), and the slots that end up holding those codes.
-    Slot v holds the subtree of v in the rooting at the first centre.  With
-    a second centre, slot k holds the first centre without the second, and
-    slot k + 1 the second centre with slot k as one more child."""
+    Slot v holds the subtree of v in the rooting at the first centre; a
+    vertex without children takes no step, since its slot is filled before
+    the steps run.  With a second centre, slot k holds the first centre
+    without the second, and slot k + 1 the second centre with slot k as one
+    more child."""
     centres = _centers(adj)
     first = centres[0]
     order, parent = _rooted(adj, first)
-    steps = [(v, v, tuple(u for u in adj[v] if u != parent[v])) for v in reversed(order)]
+    steps = []
+    for v in reversed(order):
+        kids = tuple(u for u in adj[v] if u != parent[v])
+        if kids:
+            steps.append((v, v, kids))
     if len(centres) == 1:
         return steps, (first,)
     second, k = centres[1], len(adj)
@@ -220,27 +246,39 @@ def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
     """Every skeleton on len(internal) vertices with every degree
     assignment, as (canonical code, (skeleton, pendant counts)).  Each
     skeleton leaf gets a pendant, so the decorated tree has the skeleton's
-    centres, and its code is built bottom-up on the skeleton.  A subtree is
-    interned by its pendant count and the labels of its children, so each
-    distinct subtree's code is built once per call; a pendant's code "()"
+    centres, and its code is built bottom-up on the skeleton.  Each
+    distinct subtree is coded once per call and known by its label, the
+    position of its code in codes.  A skeleton leaf's label is its pendant
+    count.  Any other subtree is interned by its pendant count followed by
+    the labels of its children in order: one child's label as it is, two
+    compared once, and only more than two sorted.  A pendant's code "()"
     sorts after every other, so pendants go last."""
-    labels: dict[tuple[int, tuple[int, ...]], int] = {}
-    codes: list[str] = []
-    label = [0] * (len(internal) + 2)
-    counts = {value: internal.count(value) for value in sorted(set(internal), reverse=True)}
-    slack = [0] * len(internal)
-    for skeleton in free_trees(len(internal), max(internal)):
+    k = len(internal)
+    labels: dict[tuple[int, ...], int] = {}
+    codes = ["(" + "()" * pad + ")" for pad in range(max(internal) + 1)]
+    label = [0] * (k + 2)
+    counts = {value: internal.count(value) for value in set(internal)}
+    for skeleton in free_trees(k, max(internal)):
         steps, roots = _coding_steps(skeleton.adjacency)
-        for pendants in _pendant_counts(skeleton.degrees(), counts, slack):
+        first, last = roots[0], roots[-1]
+        for pendants in _pendant_counts(skeleton.degrees(), counts):
+            label[:k] = pendants
             for slot, v, kids in steps:
-                key = (pendants[v], tuple(sorted([label[u] for u in kids])))
+                pad = pendants[v]
+                if len(kids) == 1:
+                    key = (pad, label[kids[0]])
+                elif len(kids) == 2:
+                    a, b = label[kids[0]], label[kids[1]]
+                    key = (pad, a, b) if a <= b else (pad, b, a)
+                else:
+                    key = (pad, *sorted([label[u] for u in kids]))
                 got = labels.get(key)
                 if got is None:
                     got = labels[key] = len(codes)
                     kid_codes = sorted([codes[label[u]] for u in kids])
-                    codes.append("(" + "".join(kid_codes) + "()" * pendants[v] + ")")
+                    codes.append("(" + "".join(kid_codes) + "()" * pad + ")")
                 label[slot] = got
-            yield min(codes[label[root]] for root in roots), (skeleton, pendants)
+            yield min(codes[label[first]], codes[label[last]]), (skeleton, pendants)
 
 
 def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[tuple[int, ...], ...]:
@@ -248,8 +286,10 @@ def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[
     each v, numbered on from k, skeleton vertex by skeleton vertex."""
     adj = list(skeleton.adjacency)
     for v, extra in enumerate(pendants):
-        adj[v] += tuple(range(len(adj), len(adj) + extra))
-        adj.extend([(v,)] * extra)
+        if extra:
+            n = len(adj)
+            adj[v] += tuple(range(n, n + extra))
+            adj += [(v,)] * extra
     assert len(adj) == skeleton.vertex_count + leaves
     return tuple(adj)
 

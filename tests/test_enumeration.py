@@ -18,6 +18,7 @@ from treeindex.enumeration import (
     _decorated,
     _decorations,
     _exact_rayleigh,
+    _pendant_counts,
     _rooted_trees,
     class_spectra,
     enumerate_semiregular,
@@ -54,6 +55,11 @@ MAX_DEGREE_4_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858]
 # sha256 of repr(_rooted_trees(12)), captured from the generator that built
 # each tree from an integer partition of its child sizes
 ROOTED_12_SHA256 = "cfa4685785396084808a3b5524c7044f9e5879d27f1ff4fcd1bcab15eb3a21dd"
+# sha256 over repr(t.adjacency) of every tree enumerate_trees yields for
+# the 193 classes with 3 <= n <= 15 and degrees <= 5 (10,940 trees), in
+# all_tree_degree_sequences order, captured from the recursive pendant walker
+# and the sorted-label coding that the decoration loop had before
+ENUMERATION_15_SHA256 = "fbb7ede366d529a44922f2353513075b2782cd3a1fee58dadbbf2b56c14a1a11"
 
 
 def prufer_tree(seq, n):
@@ -287,6 +293,66 @@ class TestDecorationCodes:
             assert code == _canonical_code(adj)
             codes.add(code)
         assert codes == {canonical_form(t).code for t in enumerate_trees(pi)}
+
+    def test_pinned_output_through_n_15(self):
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(3, 16):
+            for pi in all_tree_degree_sequences(n):
+                if max(pi.degrees) <= 5:
+                    for t in enumerate_trees(pi):
+                        digest.update(repr(t.adjacency).encode())
+                        count += 1
+        assert count == 10940
+        assert digest.hexdigest() == ENUMERATION_15_SHA256
+
+
+def recursive_pendant_counts(degrees, counts, slack, v=0):
+    """The recursive walk `_pendant_counts` replaced, kept as its
+    reference: counts maps each value to its count, larger values first,
+    and slack holds the numbers of the vertices before v."""
+    if v == len(degrees):
+        yield tuple(slack)
+        return
+    for value in counts:
+        if counts[value] == 0 or value < degrees[v]:
+            continue
+        counts[value] -= 1
+        slack[v] = value - degrees[v]
+        yield from recursive_pendant_counts(degrees, counts, slack, v + 1)
+        counts[value] += 1
+
+
+def descending_counts(values):
+    return {value: values.count(value) for value in sorted(set(values), reverse=True)}
+
+
+class TestPendantCounts:
+    @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
+    def test_same_sequence_as_the_recursive_walk(self, pi):
+        internal = tuple(x for x in pi.degrees if x >= 2)
+        counts = descending_counts(internal)
+        for skeleton in free_trees(len(internal), max(internal)):
+            degrees = skeleton.degrees()
+            expected = list(recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees)))
+            assert list(_pendant_counts(degrees, counts)) == expected
+        assert counts == descending_counts(internal)
+
+    @pytest.mark.parametrize("degrees, values, expected", [
+        # one skeleton vertex takes the whole degree as pendants
+        ((0,), (4,), [(4,)]),
+        # all values equal: one assignment
+        ((1, 2, 2, 1), (3, 3, 3, 3), [(2, 1, 1, 2)]),
+        # no value fits the centre of the star
+        ((3, 1, 1, 1), (2, 2, 2, 2), []),
+        # descending lexicographic order, each distinct vector once
+        ((1, 2, 1), (3, 2, 2), [(2, 0, 1), (1, 1, 1), (1, 0, 2)]),
+    ])
+    def test_edge_cases(self, degrees, values, expected):
+        counts = descending_counts(values)
+        reference = list(recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees)))
+        assert reference == expected
+        assert list(_pendant_counts(degrees, counts)) == expected
 
 
 class TestFindMinimizers:
