@@ -3,17 +3,18 @@ exhaustive extremal search over such classes.
 
 Every tree with the given degrees is a free tree on k vertices, k the
 number of degrees >= 2 (the internal skeleton), whose vertices receive
-those degrees with non-negative slack filled with pendant vertices.
-Skeletons (k <= 10 for n <= 22) are the rooted trees on k vertices, each
-a smaller rooted tree plus its largest child, with at most D children at
-the root and D - 1 below, D the largest degree of the class: a skeleton
-of larger degree takes no assignment.  Only the rootings at a centre are
-kept, and each skeleton is numbered in preorder of its least rooting, the
-least nested tuple over all its roots.  Duplicate decorations are dropped
-by a canonical code built bottom-up on the skeleton from the pendant
-count of each of its vertices, with each distinct subtree coded once per
-call; only the first-met decoration of each class is expanded to sorted
-neighbor lists and becomes a `Tree`.
+those degrees with non-negative slack filled with pendant vertices.  One
+decoration loop lists a class: each skeleton with each degree assignment,
+coded bottom-up on the skeleton from the pendant count of each of its
+vertices, with each distinct subtree coded once per call.  Duplicate
+decorations are dropped by that code, and only the first-met decoration of
+each class is expanded to sorted neighbor lists and becomes a `Tree`.
+The skeletons come from the same loop: a free tree on k vertices is one
+decorated skeleton of the degrees of its own internal vertices, so the
+trees on k vertices with no degree above D are the distinct codes over
+every such degree tuple, one level of skeletons smaller.  Each skeleton is
+numbered in preorder of its least rooting, the least nested tuple over all
+its roots.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -63,27 +65,6 @@ _STAGE2_TIE = 1e-12
 # ---------------------------------------------------------------------------
 # free-tree generation (internal skeletons)
 
-@lru_cache(maxsize=None)
-def _rooted_trees(k: int, root_cap: int | None = None, cap: int | None = None) -> tuple[tuple, ...]:
-    """All rooted trees on k vertices as canonical nested tuples whose
-    children are sorted, with at most root_cap children at the root and at
-    most cap at every other vertex (None: no bound).  Each tree on k > 1
-    vertices is met once, as a smaller tree `rest` plus its largest child
-    `child`, which is no smaller than the last child of rest.  The bounded
-    trees are the subsequence of the unbounded ones that fit the caps.  The
-    cheap root-cap test goes first: on a long path the comparison of deep
-    nested tuples is what costs."""
-    if k == 1:
-        return ((),)
-    return tuple(sorted(
-        rest + (child,)
-        for size in range(1, k)
-        for child in _rooted_trees(size, cap, cap)
-        for rest in _rooted_trees(k - size, root_cap, cap)
-        if (root_cap is None or len(rest) < root_cap) and (not rest or rest[-1] <= child)
-    ))
-
-
 def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
     """Neighbor tuples of a rooted tree code, its vertices numbered in
     preorder: each vertex's parent, then its children, which is ascending.
@@ -98,16 +79,18 @@ def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, adj))
 
 
-def _representatives(coded, expand) -> Iterator[Tree]:
-    """The first item met of each isomorphism class among the (canonical
-    code, item) pairs, in canonical-code order, expanded to neighbor lists.
-    Only these representatives are built as `Tree`s.  The codes of one call
-    all have the same length, so plain string order is canonical order."""
-    found: dict[str, object] = {}
-    for code, item in coded:
-        found.setdefault(code, item)
-    for code in sorted(found):
-        yield Tree(expand(found[code]))
+def _code_tree(code: str) -> tuple:
+    """The rooted tree of a canonical code string as a nested tuple whose
+    children are in tuple order, read in one pass over the brackets."""
+    stack: list[list[tuple]] = [[]]
+    for bracket in code:
+        if bracket == "(":
+            stack.append([])
+        else:
+            node = stack.pop()
+            node.sort()
+            stack[-1].append(tuple(node))
+    return stack[0][0]
 
 
 def _graft(node: tuple, branch: tuple) -> tuple:
@@ -135,49 +118,35 @@ def _least_rooting(code: tuple) -> tuple:
     return least
 
 
-def _coded(node: tuple, memo: dict[tuple, tuple[int, str]]) -> tuple[int, str]:
-    """Height and AHU code of a rooted tree code, kept in memo."""
-    got = memo.get(node)
-    if got is None:
-        kids = [_coded(child, memo) for child in node]
-        height = 1 + max((h for h, _ in kids), default=-1)
-        got = memo[node] = (height, "(" + "".join(sorted(c for _, c in kids)) + ")")
-    return got
-
-
-def _centre_rootings(k: int, max_degree: int | None) -> Iterator[tuple[str, tuple]]:
-    """The rooted trees on k vertices of degree at most max_degree whose
-    root is a centre, each with the canonical code of its free tree.  The
-    root is a centre when no child is taller than the next by more than
-    one: the only centre when the two tallest tie, and one of two, next to
-    the tallest child, when that child is one taller."""
-    below = None if max_degree is None else max_degree - 1
-    memo: dict[tuple, tuple[int, str]] = {}
-    for tree in _rooted_trees(k, max_degree, below):
-        heights = [_coded(child, memo)[0] for child in tree]
-        *_, second, top = [-1, -1] + sorted(heights)
-        if top == second:
-            yield _coded(tree, memo)[1], tree
-        elif top == second + 1:
-            at = heights.index(top)
-            other = _graft(tree[at], tree[:at] + tree[at + 1:])
-            yield min(_coded(tree, memo)[1], _coded(other, memo)[1]), tree
-
-
 @lru_cache(maxsize=None)
 def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     """All non-isomorphic trees on k vertices, sorted by canonical code;
     with max_degree, the subsequence of those whose degrees are at most
-    max_degree.  Each tree is met in its rootings at a centre among the
-    rooted trees with at most max_degree children at the root and
-    max_degree - 1 below, which every rooting of such a tree fits, and is
-    numbered in preorder of its least rooting."""
+    max_degree.  A tree on k > 2 vertices is one decorated skeleton of the
+    degrees of its m internal vertices, which sum to k - 2 + m and are at
+    most k - m each, so the trees are the union of the decoration codes
+    over those degree tuples.  Every code has length 2k, so string order is
+    canonical order.  Each tree is numbered in preorder of its least
+    rooting."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
         raise TreeError("free_trees needs max_degree >= 0")
-    rootings = _centre_rootings(k, max_degree)
-    return tuple(_representatives(rootings, lambda tree: _code_adjacency(_least_rooting(tree))))
+    if k == 1:
+        return (Tree(((),)),)
+    if k == 2:
+        return (Tree(((1,), (0,))),) if max_degree != 0 else ()
+    top = k if max_degree is None else max_degree
+    codes: set[str] = set()
+    for m in range(1, k - 1):
+        for internal in combinations_with_replacement(range(min(top, k - m), 1, -1), m):
+            if sum(internal) == k - 2 + m:
+                # a plain loop, not set.update over a generator expression:
+                # each skeleton level nests these calls once more, and fewer
+                # frames per level let longer path skeletons fit the limit
+                for code, _ in _decorations(internal):
+                    codes.add(code)
+    return tuple(Tree(_code_adjacency(_least_rooting(_code_tree(code)))) for code in sorted(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +265,9 @@ def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[
 
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
     """Every tree with degree sequence pi exactly once up to isomorphism,
-    in ascending canonical-code order."""
+    in ascending canonical-code order: the first decoration met of each
+    code, built as a `Tree`.  The codes all have the same length, so plain
+    string order is canonical order."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     if pi.degrees == (0,):
@@ -307,7 +278,11 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
         return
     internal = tuple(x for x in pi.degrees if x >= 2)
     leaves = pi.n - len(internal)
-    yield from _representatives(_decorations(internal), lambda item: _decorated(*item, leaves))
+    first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
+    for code, item in _decorations(internal):
+        first.setdefault(code, item)
+    for code in sorted(first):
+        yield Tree(_decorated(*first[code], leaves))
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:

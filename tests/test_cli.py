@@ -204,9 +204,10 @@ class TestSearchCommand:
         assert code == 2 and "not realizable" in err
 
     def test_class_too_deep_to_enumerate_exits_2(self, capsys):
-        # the one tree of this class is a 402-vertex path, whose rooted
-        # skeleton nests past the interpreter's recursion limit
-        code, out, err = run(capsys, "search", "--pi", "2^400,1^2", "--max-n", "402")
+        # the one tree of this class is a 1002-vertex path, whose skeleton
+        # levels (paths of 1000, 998, ... vertices) nest past the
+        # interpreter's recursion limit
+        code, out, err = run(capsys, "search", "--pi", "2^1000,1^2", "--max-n", "1002")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

@@ -19,7 +19,6 @@ from treeindex.enumeration import (
     _decorations,
     _exact_rayleigh,
     _pendant_counts,
-    _rooted_trees,
     class_spectra,
     enumerate_semiregular,
     enumerate_trees,
@@ -46,15 +45,10 @@ from treeindex.trees import (
 
 # number of non-isomorphic trees on 1..10 vertices
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-# number of rooted trees on 1..14 vertices (OEIS A000081)
-ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
 # number of trees on 1..14 vertices with degrees at most 3 (OEIS A000672)
 # and at most 4 (OEIS A000602)
 MAX_DEGREE_3_COUNTS = [1, 1, 1, 2, 2, 4, 6, 11, 18, 37, 66, 135, 265, 552]
 MAX_DEGREE_4_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858]
-# sha256 of repr(_rooted_trees(12)), captured from the generator that built
-# each tree from an integer partition of its child sizes
-ROOTED_12_SHA256 = "cfa4685785396084808a3b5524c7044f9e5879d27f1ff4fcd1bcab15eb3a21dd"
 # sha256 over repr(t.adjacency) of every tree enumerate_trees yields for
 # the 193 classes with 3 <= n <= 15 and degrees <= 5 (10,940 trees), in
 # all_tree_degree_sequences order, captured from the recursive pendant walker
@@ -169,37 +163,6 @@ class TestDegreeBoundedFreeTrees:
     def test_negative_bound_rejected(self):
         with pytest.raises(TreeError):
             free_trees(3, -1)
-
-
-class TestRootedTrees:
-    def test_counts_match_a000081(self):
-        assert [len(_rooted_trees(k)) for k in range(1, 15)] == ROOTED_TREE_COUNTS
-
-    def test_sorted_distinct_with_sorted_children(self):
-        def sorted_children(code):
-            return list(code) == sorted(code) and all(map(sorted_children, code))
-
-        for k in range(1, 15):
-            codes = _rooted_trees(k)
-            assert list(codes) == sorted(set(codes))
-            assert all(map(sorted_children, codes))
-
-    def test_pinned_order(self):
-        digest = hashlib.sha256(repr(_rooted_trees(12)).encode()).hexdigest()
-        assert digest == ROOTED_12_SHA256
-
-    @pytest.mark.parametrize("k", range(1, 13))
-    def test_bounded_is_the_fitting_subsequence(self, k):
-        def most_children(code):
-            return max([len(code)] + [most_children(child) for child in code])
-
-        unbounded = _rooted_trees(k)
-        for bound in range(k + 1):
-            fits = tuple(
-                code for code in unbounded
-                if len(code) <= bound and all(most_children(c) <= bound - 1 for c in code)
-            )
-            assert _rooted_trees(k, bound, bound - 1) == fits
 
 
 class TestEnumerateTrees:
@@ -530,7 +493,6 @@ class TestNoCyclicGarbage:
     ], ids=["enumerate 3^14,1^16", "enumerate 5,4,3^3,2^3,1^10", "canonical_order FORK_19"])
     def test_collects_nothing(self, call):
         free_trees.cache_clear()
-        _rooted_trees.cache_clear()
         gc.collect()
         gc.disable()
         try:

@@ -15,8 +15,10 @@ search and arms by `Tree.path`.  The `reduce_json` and `witness_sha256`
 entries were captured from the implementation that rebuilt every switched
 tree from its edge list.  The `search_tied_class_stdout` and
 `tie_class_minimizers` entries were captured from the implementation that
-settled ties with a second, longdouble solve of every tie candidate.  The
-leaner code must reproduce them exactly.
+settled ties with a second, longdouble solve of every tie candidate.
+Every `free_trees` entry was captured from a generator that listed rooted
+trees and kept the rootings at a centre; free trees now come from the
+degree-class decoration loop.  The leaner code must reproduce them exactly.
 """
 
 import contextlib
@@ -225,11 +227,15 @@ class TestPinnedEnumeration:
 
     @pytest.mark.parametrize("pi", ["3^4,2^6,1^6", "4^3,3^2,2^3,1^10", "3^9,1^11", "2^3,1^2"])
     def test_one_build_per_tree_and_per_skeleton(self, monkeypatch, pi):
+        # one Tree per tree of the class and one per tree of every free_trees
+        # level the enumeration reaches: the class's skeletons, their own
+        # skeletons, and so on down
         pi = DegreeSequence.parse(pi)
         enumeration.free_trees.cache_clear()
-        enumeration._rooted_trees.cache_clear()
         builds = []
         edge_builds = []
+        levels = {}
+        cached = enumeration.free_trees
 
         def counted(adjacency):
             builds.append(len(adjacency))
@@ -239,13 +245,19 @@ class TestPinnedEnumeration:
             edge_builds.append(n)
             return tree_from_edges(n, edges)
 
+        def recorded(k, max_degree=None):
+            got = cached(k, max_degree)
+            levels[k, max_degree] = len(got)
+            return got
+
         monkeypatch.setattr(enumeration, "Tree", counted)
         monkeypatch.setattr(enumeration, "tree_from_edges", counted_edges)
+        monkeypatch.setattr(enumeration, "free_trees", recorded)
         trees = list(enumerate_trees(pi))
         monkeypatch.undo()
         internal = [x for x in pi.degrees if x >= 2]
-        skeletons = free_trees(len(internal), max(internal))
-        assert len(builds) == len(trees) + len(skeletons)
+        assert (len(internal), max(internal)) in levels
+        assert len(builds) == len(trees) + sum(levels.values())
         assert edge_builds == []
 
 
