@@ -139,13 +139,13 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
     pi = DegreeSequence.semiregular(args.d, args.n)
     trees, mus = class_spectra(pi, max_n=args.max_n)
     chosen = extremal_choice(trees, mus, tie_tol=args.tie_tol)
-    cat_code = canonical_form(make_caterpillar(args.d, args.n))
     rows = sorted(
         (float(mu), canonical_form(t).code, is_caterpillar(t)) for t, mu in zip(trees, mus)
     )
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
-    verified = len(chosen) == 1 and canonical_form(trees[chosen[0]]) == cat_code
+    # a d-semiregular class holds exactly one caterpillar
+    verified = len(chosen) == 1 and is_caterpillar(trees[chosen[0]])
     lines.append(
         "VERIFIED: unique minimizer is the caterpillar"
         if verified

@@ -13,14 +13,14 @@ The skeletons come from the same loop: a free tree on k vertices is one
 decorated skeleton of the degrees of its own internal vertices, so the
 trees on k vertices with no degree above D are the distinct codes over
 every such degree tuple, one level of skeletons smaller.  Each skeleton is
-numbered in preorder of its least rooting, the least nested tuple over all
-its roots.
+numbered in preorder of its least rooting: a rooted tree is coded "1",
+its children's codes in ascending order, then "0", and the least code is
+found among the roots with the most leaf neighbors.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -65,57 +65,39 @@ _STAGE2_TIE = 1e-12
 # ---------------------------------------------------------------------------
 # free-tree generation (internal skeletons)
 
-def _code_adjacency(code: tuple) -> tuple[tuple[int, ...], ...]:
-    """Neighbor tuples of a rooted tree code, its vertices numbered in
-    preorder: each vertex's parent, then its children, which is ascending.
-    Children go on the stack last first, so the first is numbered next."""
-    adj: list[list[int]] = [[]]
-    stack = [(child, 0) for child in reversed(code)]
-    while stack:
-        node, up = stack.pop()
-        adj[up].append(len(adj))
-        adj.append([up])
-        stack.extend((child, len(adj) - 1) for child in reversed(node))
-    return tuple(map(tuple, adj))
-
-
-def _code_tree(code: str) -> tuple:
-    """The rooted tree of a canonical code string as a nested tuple whose
-    children are in tuple order, read in one pass over the brackets."""
-    stack: list[list[tuple]] = [[]]
-    for bracket in code:
-        if bracket == "(":
-            stack.append([])
+def _least_rooting(adj) -> tuple[tuple[int, ...], ...]:
+    """The neighbor tuples of a tree on three or more vertices renumbered in
+    preorder of its least rooting.  A rooted tree is coded "1", then its
+    children's codes in ascending order, then "0"; as "0" < "1", a child
+    list that is a prefix of another sorts first and a leaf ("10") before
+    any other subtree.  So a root with fewer leaf neighbors than some other
+    vertex has a larger code, and only the vertices with the most leaf
+    neighbors are coded, each bottom-up with every leaf pre-filled.  In the
+    least code each "1" opens the next preorder vertex."""
+    leafy = [0] * len(adj)
+    for nbrs in adj:
+        if len(nbrs) == 1:
+            leafy[nbrs[0]] += 1
+    most = max(leafy)
+    rootings = []
+    for root, count in enumerate(leafy):
+        if count == most:
+            code = ["10"] * len(adj)
+            order, parent = _rooted(adj, root)
+            for v in reversed(order):
+                if len(adj[v]) > 1:
+                    code[v] = "1" + "".join(sorted([code[u] for u in adj[v] if u != parent[v]])) + "0"
+            rootings.append(code[root])
+    out: list[list[int]] = [[]]
+    above = [0]
+    for bit in min(rootings)[1:-1]:
+        if bit == "1":
+            out[above[-1]].append(len(out))
+            out.append([above[-1]])
+            above.append(len(out) - 1)
         else:
-            node = stack.pop()
-            node.sort()
-            stack[-1].append(tuple(node))
-    return stack[0][0]
-
-
-def _graft(node: tuple, branch: tuple) -> tuple:
-    """The rooted tree code node with branch as one more child, in order."""
-    at = bisect(node, branch)
-    return node[:at] + (branch,) + node[at:]
-
-
-def _least_rooting(code: tuple) -> tuple:
-    """The least nested tuple over all rootings of the tree that code roots
-    at one of its vertices.  One walk down hands each child the rest of the
-    tree seen from its parent, which the child takes as one more child."""
-    least = code
-    stack = [(code, None)]
-    while stack:
-        node, above = stack.pop()
-        for at, child in enumerate(node):
-            if at and node[at - 1] == child:
-                continue  # a twin of the last child reroots to the same tuples
-            rest = node[:at] + node[at + 1:]
-            if above is not None:
-                rest = _graft(rest, above)
-            least = min(least, _graft(child, rest))
-            stack.append((child, rest))
-    return least
+            above.pop()
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +108,10 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     degrees of its m internal vertices, which sum to k - 2 + m and are at
     most k - m each, so the trees are the union of the decoration codes
     over those degree tuples.  Every code has length 2k, so string order is
-    canonical order.  Each tree is numbered in preorder of its least
-    rooting."""
+    canonical order.  Each tree is the first decoration met of its code,
+    numbered in preorder of its least rooting by `_least_rooting`: the
+    least "1"/"0" bracket string over the roots with the most leaf
+    neighbors."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
@@ -137,16 +121,17 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     if k == 2:
         return (Tree(((1,), (0,))),) if max_degree != 0 else ()
     top = k if max_degree is None else max_degree
-    codes: set[str] = set()
+    first: dict[str, tuple[tuple[int, ...], ...]] = {}
     for m in range(1, k - 1):
         for internal in combinations_with_replacement(range(min(top, k - m), 1, -1), m):
             if sum(internal) == k - 2 + m:
-                # a plain loop, not set.update over a generator expression:
-                # each skeleton level nests these calls once more, and fewer
+                # plain loops, no helper or generator expression: each
+                # skeleton level nests these calls once more, and fewer
                 # frames per level let longer path skeletons fit the limit
-                for code, _ in _decorations(internal):
-                    codes.add(code)
-    return tuple(Tree(_code_adjacency(_least_rooting(_code_tree(code)))) for code in sorted(codes))
+                for code, (skeleton, pendants) in _decorations(internal):
+                    if code not in first:
+                        first[code] = _decorated(skeleton, pendants, k - m)
+    return tuple(Tree(_least_rooting(first[code])) for code in sorted(first))
 
 
 # ---------------------------------------------------------------------------

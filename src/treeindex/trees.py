@@ -543,14 +543,10 @@ def canonical_form(t: Tree) -> CanonicalForm:
     return CanonicalForm(_canonical_code(t.adjacency))
 
 
-def canonical_order(t: Tree) -> list[int]:
-    """Vertices in a canonical traversal order.
-
-    Corresponding positions of two isomorphic trees' orders define an
-    isomorphism between them.
-    """
-    adj = t.adjacency
-    # one pass per center records the code of every subtree hung from it
+def _canonical_walk(adj) -> tuple[str, list[int]]:
+    """The canonical code of the tree with these neighbor lists and its
+    vertices in the canonical traversal order, from one coding pass per
+    center, which records the code of every subtree hung from it."""
     tables: dict[int, dict[int, str]] = {c: {} for c in _centers(adj)}
     root = min(tables, key=lambda c: (_rooted_code(adj, c, -1, tables[c]), c))
     codes = tables[root]
@@ -562,11 +558,22 @@ def canonical_order(t: Tree) -> list[int]:
         order.append(v)
         kids = sorted((u for u in adj[v] if u != parent), key=lambda u: (codes[u], u), reverse=True)
         stack.extend((u, v) for u in kids)
-    return order
+    return codes[root], order
+
+
+def canonical_order(t: Tree) -> list[int]:
+    """Vertices in a canonical traversal order.
+
+    Corresponding positions of two isomorphic trees' orders define an
+    isomorphism between them.
+    """
+    return _canonical_walk(t.adjacency)[1]
 
 
 def isomorphism_map(a: Tree, b: Tree) -> dict[int, int] | None:
     """A vertex bijection a -> b realizing an isomorphism, or None."""
-    if canonical_form(a) != canonical_form(b):
+    code_a, order_a = _canonical_walk(a.adjacency)
+    code_b, order_b = _canonical_walk(b.adjacency)
+    if code_a != code_b:
         return None
-    return dict(zip(canonical_order(a), canonical_order(b)))
+    return dict(zip(order_a, order_b))

@@ -12,7 +12,7 @@ import pytest
 import treeindex
 from treeindex import cli, enumeration
 from treeindex.cli import main
-from treeindex.trees import make_caterpillar, tree_from_edges, tree_from_json, tree_to_json
+from treeindex.trees import is_caterpillar, make_caterpillar, tree_from_edges, tree_from_json, tree_to_json
 
 SPIDER_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
 
@@ -166,6 +166,18 @@ class TestVerifyMinCommand:
         monkeypatch.setattr(enumeration, "spectral_radii", refuse)
         code, out, _ = run(capsys, "verify-min", "--d", str(d), "--n", str(n))
         assert code == 0 and out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
+
+    @pytest.mark.parametrize("pick", ["non-caterpillar", "two trees"])
+    def test_failed_verdict_exits_1(self, capsys, monkeypatch, pick):
+        def choice(trees, mus, tie_tol):
+            cats = [i for i, t in enumerate(trees) if is_caterpillar(t)]
+            others = [i for i, t in enumerate(trees) if not is_caterpillar(t)]
+            return others[:1] if pick == "non-caterpillar" else [cats[0], others[0]]
+
+        monkeypatch.setattr(cli, "extremal_choice", choice)
+        code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "16")
+        assert code == 1
+        assert out.endswith("FAILED: caterpillar is not the unique minimizer\n")
 
     def test_single_tree_class(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "8")

@@ -4,6 +4,7 @@ free-tree counts and a brute-force labeled enumeration."""
 import gc
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +15,10 @@ from treeindex import enumeration, spectral
 from treeindex.cli import main
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
-    _code_adjacency,
     _decorated,
     _decorations,
     _exact_rayleigh,
+    _least_rooting,
     _pendant_counts,
     class_spectra,
     enumerate_semiregular,
@@ -102,6 +103,57 @@ def least_rooting(adj):
     return min(nest(root, -1) for root in range(len(adj)))
 
 
+def preorder_adjacency(code):
+    """Neighbor tuples of a nested-tuple rooted tree, its vertices numbered
+    in preorder: each vertex's parent, then its children, which is
+    ascending.  Children go on the stack last first, so the first is
+    numbered next."""
+    adj = [[]]
+    stack = [(child, 0) for child in reversed(code)]
+    while stack:
+        node, up = stack.pop()
+        adj[up].append(len(adj))
+        adj.append([up])
+        stack.extend((child, len(adj) - 1) for child in reversed(node))
+    return tuple(map(tuple, adj))
+
+
+def relabelled(n, edges, seed):
+    """The tree on n vertices with these edges under a random relabelling."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return tree_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def comb(spine):
+    """A path of spine vertices with one leaf hung from each."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return relabelled(2 * spine, edges, spine)
+
+
+def spider(*legs):
+    """Paths of the given lengths joined at one centre."""
+    edges, n = [], 1
+    for leg in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(leg)]
+        n += leg
+    return relabelled(n, edges, n)
+
+
+def random_tree(n, seed):
+    """A random labeled tree on n vertices from a seeded Prufer sequence."""
+    rng = random.Random(seed)
+    return prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+LEAST_ROOTING_SWEEP = {
+    **{f"random {n} seed {seed}": random_tree(n, seed) for n in (15, 23, 31, 47, 60) for seed in (1, 2)},
+    **{f"comb {spine}": comb(spine) for spine in (2, 3, 4, 7, 12, 30)},
+    **{f"spider {legs}": spider(*legs) for legs in ((1, 1, 1), (2, 2, 2, 2), (1, 3, 3), (2, 5, 9), (1, 1, 6, 6))},
+    **{f"path {n}": spider(n - 1) for n in (3, 4, 15, 60)},
+}
+
+
 def all_tree_degree_sequences(n):
     """Every realizable tree degree sequence on n vertices."""
     if n == 1:
@@ -144,7 +196,16 @@ class TestFreeTrees:
     def test_numbered_in_preorder_of_the_least_rooting(self, k):
         for bound in [None, *range(k + 1)]:
             for t in free_trees(k, bound):
-                assert t.adjacency == _code_adjacency(least_rooting(t.adjacency))
+                assert t.adjacency == preorder_adjacency(least_rooting(t.adjacency))
+
+
+class TestLeastRooting:
+    @pytest.mark.parametrize("name", sorted(LEAST_ROOTING_SWEEP))
+    def test_matches_the_brute_force(self, name):
+        # past the sizes free_trees reaches in these tests; every spine
+        # vertex of a comb has the most leaf neighbors, one
+        adj = LEAST_ROOTING_SWEEP[name].adjacency
+        assert _least_rooting(adj) == preorder_adjacency(least_rooting(adj))
 
 
 class TestDegreeBoundedFreeTrees:
