@@ -456,7 +456,9 @@ def extremal_report(
     band of the extreme and the trees within that band of the runner-up.
     The values the report carries are `spectral_radii` indices of those
     trees, all solved as one block, each once; tied candidates are settled
-    by `_resolve_ties`.
+    by `_resolve_ties`, whose exact quotient is the extremal value when two
+    or more survive.  The runner-up is the best solved tree not chosen, so
+    a wider band only solves more trees and never changes the report.
     """
     keyed, candidates, band = _screen(mus, tie_tol, sign)
     picked = set(candidates)
@@ -465,12 +467,13 @@ def extremal_report(
     if rest:
         runner_screen = min(keyed[i] for i in rest)
         runners = [i for i in rest if keyed[i] <= runner_screen + band]
-    solved = spectral_radii([trees[i] for i in candidates + runners])
-    ties, runner_ups = solved[: len(candidates)], solved[len(candidates) :]
-    best = min(sign * r.mu for r in ties)
-    gap = min(sign * r.mu for r in runner_ups) - best if runners else None
-    chosen, settled = _resolve_ties(trees, candidates, sign, ties)
-    extremal_value = sign * (best if settled is None else settled)
+    pool = candidates + runners
+    solved = dict(zip(pool, spectral_radii([trees[i] for i in pool])))
+    chosen, settled = _resolve_ties(trees, candidates, sign, [solved[i] for i in candidates])
+    best = min(sign * solved[i].mu for i in chosen)
+    others = [sign * r.mu for i, r in solved.items() if i not in chosen]
+    gap = min(others) - best if others else None
+    extremal_value = sign * (best if len(chosen) == 1 else settled)
     chosen_trees = tuple(trees[i] for i in chosen)
     codes = tuple(canonical_form(t) for t in chosen_trees)
     obs = tuple(_observe(t) for t in chosen_trees)

@@ -30,7 +30,8 @@ full vector, and when it alone exceeds tol, so does the maximum.  The full
 residual is taken whenever the screen does not settle it and on every
 sweep from the polish point on, so every stop, polish decision and
 reported residual is the one the full check gives.  A tree that stops
-leaves the block; the rest go on at the same iteration count.
+keeps its span, zeroed: a zero span scatters zeros and steps to zero, so
+the rest go on at the same iteration count with the bits they get alone.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -193,54 +194,18 @@ def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
     return None
 
 
-class _Member:
-    """One tree of a block: its scatter pairs and shift, its loop state, and
-    its span and views in the block's vectors."""
-
-    __slots__ = ("pos", "tree", "n", "tgt", "src", "shift", "peak", "polish", "span", "x", "y")
-
-    def __init__(self, pos: int, t: Tree, dtype):
-        eu, ev = _edge_arrays(t)
-        self.pos, self.tree, self.n = pos, t, t.vertex_count
-        # edge uv sends x[v] to u, then (second half) x[u] to v
-        self.tgt = np.concatenate((eu, ev))
-        self.src = np.concatenate((ev, eu))
-        self.shift = max(t.degrees())
-        self.peak = 0  # where the last full residual vector peaked
-        self.polish = 8  # Rayleigh steps allowed from the polish point on
-        x = np.ones(self.n, dtype=dtype)
-        x /= np.sqrt(x @ x)
-        self.x = x
-
-
-def _layout(block: list[_Member], dtype):
-    """Lay the trees of a block end to end on one flat vertex vector: the
-    scatter pairs moved to each tree's span, the shift at every vertex, the
-    iterate x (each tree's current one) and a buffer y, with each tree's
-    views of both, a buffer for the squared norms, and the index that
-    spreads one value per tree over its vertices.  A lone tree's norm is
-    taken as a scalar, which divides faster than a spread vector."""
-    sizes = [m.n for m in block]
-    starts = np.cumsum([0] + sizes).tolist()
-    tgt = np.concatenate([m.tgt + a for m, a in zip(block, starts)])
-    src = np.concatenate([m.src + a for m, a in zip(block, starts)])
-    shift = np.repeat(np.array([m.shift for m in block], dtype=dtype), sizes)
-    x = np.concatenate([m.x for m in block])
-    y = np.empty_like(x)
-    for m, a in zip(block, starts):
-        m.span = slice(a, a + m.n)
-        m.x, m.y = x[m.span], y[m.span]
-    spread = np.repeat(np.arange(len(block)), sizes) if len(block) > 1 else 0
-    return starts[-1], tgt, src, shift, x, y, [m.y for m in block], np.empty(len(block), dtype), spread
-
-
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
     """The power-iteration loop on a block of trees, as the module docstring
     describes, giving the last iterate of each tree unchecked; `_solve`
-    checks them.  Every pass adds one iteration to each tree still in the
-    block, by a power step or a polish step, so they all share one count.
-    The residual screen works on each tree's own scalars: at the block sizes
-    of a tie set that costs less than a screen over the whole block."""
+    checks them.  Every pass adds one iteration to each live tree, by a
+    power step or a polish step, so they all share one count.  The block is
+    laid out once: the scatter pairs moved to each tree's span, the shift at
+    every vertex, the iterate x and a buffer y with each tree's views of
+    both, and the index that spreads one norm per tree over its vertices.
+    A lone tree's norm is taken as a scalar, which divides faster than a
+    spread vector.  The residual screen works on each tree's own scalars:
+    at the block sizes of a tie set that costs less than a screen over the
+    whole block."""
     extended = dtype is not np.float64
     results: list = [None] * len(trees)
     block = []
@@ -251,10 +216,33 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
             r = math.sqrt(0.5)
             results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
         else:
-            block.append(_Member(pos, t, dtype))
+            block.append(pos)
     if not block:
         return results
-    size, tgt, src, shift, x, y, ys, norms, spread = _layout(block, dtype)
+    sizes = [trees[pos].vertex_count for pos in block]
+    starts = np.cumsum([0] + sizes).tolist()
+    size = starts[-1]
+    edges = [_edge_arrays(trees[pos]) for pos in block]
+    eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
+    ev = np.concatenate([v + a for (_, v), a in zip(edges, starts)])
+    # edge uv sends x[v] to u, then (second half) x[u] to v; a vertex still
+    # receives its own tree's terms in the order a block of one gives them
+    tgt, src = np.concatenate((eu, ev)), np.concatenate((ev, eu))
+    shift = np.repeat(np.array([max(trees[pos].degrees()) for pos in block], dtype=dtype), sizes)
+    x = np.ones(size, dtype=dtype)
+    y = np.empty_like(x)
+    spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    xs = [x[span] for span in spans]
+    ys = [y[span] for span in spans]
+    for xv in xs:
+        xv /= np.sqrt(xv @ xv)
+    # a stopped tree's norm keeps its last value, so its zeroed span divides
+    # to zero
+    norms = np.ones(len(block), dtype)
+    spread = np.repeat(np.arange(len(block)), sizes) if len(block) > 1 else 0
+    peaks = [0] * len(block)  # where each tree's last full residual vector peaked
+    polish = [8] * len(block)  # Rayleigh steps allowed from the polish point on
+    live = list(range(len(block)))
     fallback_at = max(1, max_iter // 2)  # never above max_iter
     iterations = 0
     while True:
@@ -267,45 +255,45 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
         done = []
         polished = []
         if iterations:
-            for m in block:
-                xv, sv, w = m.x, s[m.span], m.peak
+            for j in live:
+                xv, sv, w = xs[j], s[spans[j]], peaks[j]
                 mu = float(xv.dot(sv))
                 # before fallback_at only res <= tol ends the power steps; one
                 # residual entry above tol, rounded to float as res is, proves
                 # res > tol
                 if iterations >= fallback_at or not float(abs(mu * xv[w] - sv[w])) > tol:
                     r = np.abs(mu * xv - sv)
-                    m.peak = w = int(np.argmax(r))
+                    peaks[j] = w = int(np.argmax(r))
                     res = float(r[w])
                     if res <= tol:
-                        done.append((m, mu, res))
+                        done.append((j, mu, res))
                         continue
-                    if iterations >= fallback_at and m.polish:
-                        m.polish -= 1
-                        z = _rayleigh_step(m.tree, xv, mu)
+                    if iterations >= fallback_at and polish[j]:
+                        polish[j] -= 1
+                        z = _rayleigh_step(trees[block[j]], xv, mu)
                         if z is not None:
-                            polished.append((m, z))
+                            polished.append((j, z))
                             continue
-                        m.polish = 0
+                        polish[j] = 0
                     if iterations >= max_iter:
-                        done.append((m, mu, res))
-            if done:
-                for m, mu, res in done:
-                    results[m.pos] = SpectralResult(mu, m.x.astype(np.float64), res, iterations)
-                stopped = {m for m, _, _ in done}
-                block = [m for m in block if m not in stopped]
-                if not block:
-                    return results
+                        done.append((j, mu, res))
+            # a stopped tree's span is zeroed in x and s: it scatters zeros
+            # and steps to zero from then on
+            for j, mu, res in done:
+                results[block[j]] = SpectralResult(mu, xs[j].astype(np.float64), res, iterations)
+                xs[j][...] = 0
+                s[spans[j]] = 0
+                live.remove(j)
+            if not live:
+                return results
         np.multiply(shift, x, out=y)
         y += s  # s + c x, as addition commutes
-        for j, v in enumerate(ys):
-            norms[j] = v.dot(v)
+        for j in live:
+            norms[j] = ys[j].dot(ys[j])
         np.divide(y, np.sqrt(norms)[spread], out=x)
-        for m, z in polished:
-            m.x[...] = z
+        for j, z in polished:
+            xs[j][...] = z
         iterations += 1
-        if done:
-            size, tgt, src, shift, x, y, ys, norms, spread = _layout(block, dtype)
 
 
 def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:

@@ -236,7 +236,6 @@ def make_caterpillar(d: int, n: int) -> Tree:
 # ---------------------------------------------------------------------------
 # degree sequences
 
-@total_ordering
 @dataclass(frozen=True)
 class DegreeSequence:
     """Non-increasing degree multiset of a prospective tree."""
@@ -264,9 +263,6 @@ class DegreeSequence:
         if self.degrees == (0,):
             return True
         return self.n >= 2 and sum(self.degrees) == 2 * (self.n - 1)
-
-    def is_semiregular(self, d: int) -> bool:
-        return all(x in (d, 1) for x in self.degrees)
 
     @classmethod
     def of_tree(cls, t: Tree) -> "DegreeSequence":
@@ -301,9 +297,6 @@ class DegreeSequence:
             out.append(str(self.degrees[i]) if j - i == 1 else f"{self.degrees[i]}^{j - i}")
             i = j
         return ",".join(out)
-
-    def __lt__(self, other: "DegreeSequence") -> bool:
-        return self.degrees < other.degrees
 
 
 def _degree_tokens(text: str) -> list[tuple[int, int]]:

@@ -228,6 +228,15 @@ class TestSearchCommand:
         _, out2, _ = run(capsys, "search", "--pi", "3,3,3,3,1,1,1,1,1,1")
         assert out1 == out2
 
+    @pytest.mark.parametrize("pi", ["3^4,1^6", "4^4,3^2,2,1^12", "5,4^2,3,2^5,1^10", "3^4,2^5,1^6"])
+    def test_tie_tol_only_chooses_what_is_solved(self, capsys, pi):
+        # a wider band solves more trees; a screened candidate that loses
+        # the exact tie is still the runner-up, and a lone survivor reports
+        # its own index
+        outs = [run(capsys, "search", "--pi", pi, "--tie-tol", tol) for tol in ("1e-9", "0.05", "0.3")]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
 
 class TestGoldenOutput:
     """Exact stdout bytes; the reported floats must not move by an ulp."""

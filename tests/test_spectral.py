@@ -239,6 +239,14 @@ class TestSpectralRadii:
         assert str(info.value) == message
         assert fields(info.value.result) == fields(result)
 
+    def test_polish_beside_stopped_trees(self, mixed):
+        # the path polishes from sweep 1000 and stops at 1002; the ties stop
+        # between 104 and 1001 iterations, one of them after a polish step
+        ties = mixed[2:]
+        block = [*ties[:5], make_path(60), *ties[5:]]
+        got = spectral_radii(block, max_iter=2000)
+        assert [fields(r) for r in got] == [fields(one_by_one(t, max_iter=2000)[1]) for t in block]
+
     def test_empty_and_tiny_blocks(self):
         assert spectral_radii([]) == []
         got = spectral_radii([make_path(1), K2])
