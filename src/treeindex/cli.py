@@ -26,7 +26,6 @@ import sys
 
 from .enumeration import (
     DEFAULT_MAX_N,
-    DEFAULT_TIE_TOL,
     _require_max_n,
     class_spectra,
     extremal_choice,
@@ -65,16 +64,18 @@ JOBS_HELP = "accepted and ignored (the class scan is one batched solve)"
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ended by one newline, to stdout or to the file out; both
+    targets get the same bytes."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise TreeError(f"cannot write {out}: {exc}") from None
+        return
+    try:
+        with open(out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise TreeError(f"cannot write {out}: {exc}") from None
 
 
 def _read_tree(path: str) -> Tree:
@@ -138,7 +139,7 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
     trees, mus = class_spectra(pi, max_n=args.max_n)
-    chosen = extremal_choice(trees, mus, tie_tol=args.tie_tol)
+    chosen = extremal_choice(trees, mus)
     rows = sorted(
         (float(mu), canonical_form(t).code, is_caterpillar(t)) for t, mu in zip(trees, mus)
     )
@@ -158,7 +159,7 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     _require_max_n(sum(mult for _, mult in _degree_tokens(args.pi)), args.max_n)
     pi = DegreeSequence.parse(args.pi)
-    report = find_minimizers(pi, tie_tol=args.tie_tol, max_n=args.max_n)
+    report = find_minimizers(pi, max_n=args.max_n)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     elif args.format == "table":
@@ -273,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive index minimization for a degree sequence")
     p.add_argument("--pi", required=True, help='e.g. "4^4,3^2,2,1^12" or "3,3,1,1,1,1"')
-    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=["json", "csv", "table", "dot"], default="json")

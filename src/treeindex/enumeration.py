@@ -20,7 +20,6 @@ found among the roots with the most leaf neighbors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 22
-DEFAULT_TIE_TOL = 1e-9
+_SCREEN_BAND = 1e-9
 _STAGE2_TIE = 1e-12
 
 
@@ -386,17 +385,14 @@ def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[
     return trees, class_indices(trees)
 
 
-def _screen(mus: np.ndarray, tie_tol: float, sign: int) -> tuple[list[float], list[int], float]:
-    """The signed screened values, the candidates within the band of their
-    extreme, and the band: tie_tol, but never narrower than the exact tie
-    band _STAGE2_TIE.  The screen's own rounding is about 1e-14, so a
-    narrower band would drop trees that the exact quotients tie."""
-    if not tie_tol >= 0 or not math.isfinite(tie_tol):
-        raise ValueError(f"tie_tol must be a non-negative finite number, got {tie_tol}")
-    band = max(tie_tol, _STAGE2_TIE)
+def _screen(mus: np.ndarray, sign: int) -> tuple[list[float], list[int]]:
+    """The signed screened values and the candidates within _SCREEN_BAND of
+    their extreme.  The band is a margin on the screen's own rounding,
+    about 1e-14, and never changes the answer: it only chooses which trees
+    are solved."""
     keyed = [sign * float(m) for m in mus]
     best_screen = min(keyed)
-    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + band], band
+    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + _SCREEN_BAND]
 
 
 def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
@@ -427,46 +423,35 @@ def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int, solved) -
     return [i for i in candidates if quotients[i] <= least + _STAGE2_TIE], least
 
 
-def extremal_choice(
-    trees: list[Tree],
-    mus: np.ndarray,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    sign: int = +1,
-) -> list[int]:
+def extremal_choice(trees: list[Tree], mus: np.ndarray, sign: int = +1) -> list[int]:
     """Positions of the extremal trees of a `class_spectra` scan, the same
     trees `extremal_report` reports, without the index values it carries.
     Two or more candidates are solved as one block; a lone one is not."""
-    candidates = _screen(mus, tie_tol, sign)[1]
+    candidates = _screen(mus, sign)[1]
     if len(candidates) == 1:
         return candidates
     return _resolve_ties(trees, candidates, sign, spectral_radii([trees[i] for i in candidates]))[0]
 
 
-def extremal_report(
-    pi: DegreeSequence,
-    trees: list[Tree],
-    mus: np.ndarray,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    sign: int = +1,
-) -> SearchReport:
+def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, sign: int = +1) -> SearchReport:
     """Extremal selection over a `class_spectra` scan; sign=+1 minimizes,
     sign=-1 maximizes.
 
-    The screened values `mus` only pick the candidates within the `_screen`
-    band of the extreme and the trees within that band of the runner-up.
+    The screened values `mus` only pick the candidates within
+    `_SCREEN_BAND` of the extreme and the trees within it of the runner-up.
     The values the report carries are `spectral_radii` indices of those
     trees, all solved as one block, each once; tied candidates are settled
     by `_resolve_ties`, whose exact quotient is the extremal value when two
     or more survive.  The runner-up is the best solved tree not chosen, so
-    a wider band only solves more trees and never changes the report.
+    the band only chooses which trees are solved, never the report.
     """
-    keyed, candidates, band = _screen(mus, tie_tol, sign)
+    keyed, candidates = _screen(mus, sign)
     picked = set(candidates)
     rest = [i for i in range(len(trees)) if i not in picked]
     runners = []
     if rest:
         runner_screen = min(keyed[i] for i in rest)
-        runners = [i for i in rest if keyed[i] <= runner_screen + band]
+        runners = [i for i in rest if keyed[i] <= runner_screen + _SCREEN_BAND]
     pool = candidates + runners
     solved = dict(zip(pool, spectral_radii([trees[i] for i in pool])))
     chosen, settled = _resolve_ties(trees, candidates, sign, [solved[i] for i in candidates])
@@ -490,33 +475,24 @@ def extremal_report(
     )
 
 
-def find_minimizers(
-    pi: DegreeSequence,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    max_n: int = DEFAULT_MAX_N,
-    jobs: int = 1,
-) -> SearchReport:
+def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> SearchReport:
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    Trees within tie_tol (at least 1e-12, the exact tie band) of the
-    screened minimum are settled by the exact Rayleigh quotients of their
-    Perron vectors; survivors are reported as tied minimizers.
+    Trees within the fixed screen band of the screened minimum are settled
+    by the exact Rayleigh quotients of their Perron vectors; survivors are
+    reported as tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
-    return extremal_report(pi, *class_spectra(pi, max_n), tie_tol, sign=+1)
+    return extremal_report(pi, *class_spectra(pi, max_n), sign=+1)
 
 
-def find_maximizers(
-    pi: DegreeSequence,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> tuple[Tree, ...]:
+def find_maximizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[Tree, ...]:
     """Index-maximizing trees of the class, for cross-checking the search
     machinery from the opposite extreme."""
     trees, mus = class_spectra(pi, max_n)
-    return tuple(trees[i] for i in extremal_choice(trees, mus, tie_tol, sign=-1))
+    return tuple(trees[i] for i in extremal_choice(trees, mus, sign=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,10 @@ class SwitchMove:
 
 
 def validate_switch(t: Tree, m: SwitchMove) -> None:
+    n = t.vertex_count
+    for name, v in (("u1", m.u1_pendant), ("v1", m.v1), ("u2", m.u2), ("v2", m.v2)):
+        if not 0 <= v < n:
+            raise SwitchError(f"{name}={v} out of range for n={n}")
     if t.degree(m.u1_pendant) != 1:
         raise SwitchError(f"u1={m.u1_pendant} must be a pendant vertex")
     if t.neighbors(m.u1_pendant)[0] != m.v1:

@@ -56,7 +56,7 @@ def report(number, ok, text):
 
 def test_criterion_1_tied_minimizer_class_reproduction():
     started = time.time()
-    result = find_minimizers(TIED_MINIMIZER_CLASS, tie_tol=1e-9)
+    result = find_minimizers(TIED_MINIMIZER_CLASS)
     elapsed = time.time() - started
     ok = abs(result.min_mu**2 - 6.0) <= 1e-9
     reference_codes = {canonical_form(t) for t in tied_minimizer_examples()}

@@ -150,11 +150,11 @@ class TestVerifyMinCommand:
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "16")
         assert code == 0 and "VERIFIED" in out
         assert calls["enumerate_trees"] == 1
-        # the sole minimizer, plus every tree within tie_tol of the screened
-        # runner-up
+        # the sole minimizer, plus every tree within the screen band of the
+        # screened runner-up
         monkeypatch.undo()
         mus = sorted(enumeration.class_spectra(DegreeSequence.semiregular(3, 16))[1])
-        band = sum(1 for mu in mus[1:] if mu <= mus[1] + 1e-9)
+        band = sum(1 for mu in mus[1:] if mu <= mus[1] + enumeration._SCREEN_BAND)
         assert calls["spectral_radius"] <= 1 + band
 
     @pytest.mark.parametrize("d, n", [(3, 16), (4, 14), (5, 22)])
@@ -169,7 +169,7 @@ class TestVerifyMinCommand:
 
     @pytest.mark.parametrize("pick", ["non-caterpillar", "two trees"])
     def test_failed_verdict_exits_1(self, capsys, monkeypatch, pick):
-        def choice(trees, mus, tie_tol):
+        def choice(trees, mus):
             cats = [i for i, t in enumerate(trees) if is_caterpillar(t)]
             others = [i for i, t in enumerate(trees) if not is_caterpillar(t)]
             return others[:1] if pick == "non-caterpillar" else [cats[0], others[0]]
@@ -229,13 +229,19 @@ class TestSearchCommand:
         assert out1 == out2
 
     @pytest.mark.parametrize("pi", ["3^4,1^6", "4^4,3^2,2,1^12", "5,4^2,3,2^5,1^10", "3^4,2^5,1^6"])
-    def test_tie_tol_only_chooses_what_is_solved(self, capsys, pi):
+    def test_screen_band_only_chooses_what_is_solved(self, capsys, monkeypatch, pi):
         # a wider band solves more trees; a screened candidate that loses
         # the exact tie is still the runner-up, and a lone survivor reports
         # its own index
-        outs = [run(capsys, "search", "--pi", pi, "--tie-tol", tol) for tol in ("1e-9", "0.05", "0.3")]
-        assert outs[0][0] == 0 and outs[0][1]
-        assert outs[1] == outs[0] and outs[2] == outs[0]
+        narrow = run(capsys, "search", "--pi", pi)
+        monkeypatch.setattr(enumeration, "_SCREEN_BAND", 0.05)
+        wide = run(capsys, "search", "--pi", pi)
+        assert narrow[0] == 0 and narrow[1]
+        assert wide == narrow
+
+    def test_retired_tie_tol_flag_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "search", "--pi", "3^4,1^6", "--tie-tol", "0.05")
+        assert code == 2 and out == "" and "--tie-tol" in err
 
 
 class TestGoldenOutput:
@@ -395,20 +401,6 @@ class TestNumericOptions:
         code, out, err = run(capsys, "mu", str(path), *flags)
         assert code == 2 and out == "" and name in err
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["search", "--pi", "3^2,2^2,1^4"], ["verify-min", "--d", "3", "--n", "10"]],
-        ids=["search", "verify-min"],
-    )
-    def test_tie_tol(self, capsys, argv, value):
-        code, out, err = run(capsys, *argv, "--tie-tol", value)
-        assert code == 2 and out == "" and "tie_tol" in err
-
-    def test_zero_tie_tol_is_allowed(self, capsys):
-        code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "10", "--tie-tol", "0")
-        assert code == 0 and "VERIFIED" in out
-
 
 class TestClosedStdout:
     def test_search_into_a_closed_pipe_ends_quietly(self):
@@ -476,3 +468,26 @@ class TestUnwritableOut:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {out_path}: ")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutMatchesStdout:
+    """--out writes exactly the bytes the command prints to stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["caterpillar", "--d", "3", "--n", "8", "--format", fmt] for fmt in ("json", "dot", "table")]
+        + [["mu", "{tree}", "--format", fmt] for fmt in ("json", "table")]
+        + [["verify-min", "--d", "3", "--n", "10"]]
+        + [["search", "--pi", "3^4,1^6", "--format", fmt] for fmt in ("json", "csv", "table", "dot")]
+        + [["reduce", "{tree}", "--format", fmt] for fmt in ("json", "table")],
+        ids=lambda argv: "-".join([argv[0], argv[-1] if "--format" in argv else "text"]),
+    )
+    def test_out_file_equals_stdout(self, tmp_path, capsys, argv):
+        tree = tmp_path / "spider.json"
+        tree.write_text(tree_to_json(tree_from_edges(10, SPIDER_EDGES)))
+        argv = [str(tree) if a == "{tree}" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n")
+        target = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()

@@ -406,26 +406,6 @@ class TestFindMinimizers:
         assert serial.minimizer_codes == parallel.minimizer_codes
         assert serial.min_mu == pytest.approx(parallel.min_mu, abs=1e-14)
 
-    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, float("nan")])
-    def test_bad_tie_tol_rejected(self, tie_tol):
-        pi = DegreeSequence.semiregular(3, 10)
-        with pytest.raises(ValueError, match="tie_tol"):
-            extremal_report(pi, *class_spectra(pi), tie_tol=tie_tol)
-        with pytest.raises(ValueError, match="tie_tol"):
-            extremal_choice(*class_spectra(pi), tie_tol=tie_tol)
-        with pytest.raises(ValueError, match="tie_tol"):
-            find_minimizers(pi, tie_tol=tie_tol)
-
-    @pytest.mark.parametrize("tie_tol", [0.0, 1e-15])
-    @pytest.mark.parametrize("text", ["4^4,3^2,2,1^12", "4^3,3,1^9", "5^2,3^2,2,1^10"])
-    def test_tie_tol_below_screen_rounding_keeps_ties(self, text, tie_tol):
-        # the screened values of trees tied at the same index differ by
-        # about 1e-14, so the screen band never narrows below the exact
-        # tie band: the report is the default's, ties and gap included
-        pi = DegreeSequence.parse(text)
-        assert find_minimizers(pi, tie_tol=tie_tol).to_json() == find_minimizers(pi).to_json()
-        assert find_maximizers(pi, tie_tol=tie_tol) == find_maximizers(pi)
-
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize(
         "pi",
@@ -494,13 +474,15 @@ class TestOneSolvePerTieCandidate:
         assert len(find_minimizers(TIED_MINIMIZER_CLASS).minimizers) == 11
         self.assert_one_float64_solve_each(calls)
 
-    def test_find_maximizers(self, calls):
+    def test_find_maximizers(self, calls, monkeypatch):
         # a wide band makes many candidates tie on the maximizing side
-        assert len(find_maximizers(TIED_MINIMIZER_CLASS, tie_tol=1.0)) == 1
+        monkeypatch.setattr(enumeration, "_SCREEN_BAND", 1.0)
+        assert len(find_maximizers(TIED_MINIMIZER_CLASS)) == 1
         self.assert_one_float64_solve_each(calls)
 
-    def test_verify_min(self, calls, capsys):
-        rc = main(["verify-min", "--d", "3", "--n", "14", "--tie-tol", "1"])
+    def test_verify_min(self, calls, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "_SCREEN_BAND", 1.0)
+        rc = main(["verify-min", "--d", "3", "--n", "14"])
         assert rc == 0
         assert capsys.readouterr().out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
         self.assert_one_float64_solve_each(calls)

@@ -9,7 +9,6 @@ import pytest
 
 from test_pinned import BUDGET_EXITS
 from treeindex.enumeration import (
-    DEFAULT_TIE_TOL,
     TIED_MINIMIZER_CLASS,
     _screen,
     class_spectra,
@@ -204,7 +203,7 @@ def fields(r):
 
 def tie_candidates():
     trees, mus = class_spectra(TIED_MINIMIZER_CLASS)
-    return [trees[i] for i in _screen(mus, DEFAULT_TIE_TOL, +1)[1]]
+    return [trees[i] for i in _screen(mus, +1)[1]]
 
 
 class TestSpectralRadii:

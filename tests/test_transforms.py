@@ -1,6 +1,7 @@
 """Switches, valuation transport, branch reductions, the spiral
 rearrangement, and the full certified replay."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -117,6 +118,23 @@ class TestApplySwitch:
         c = make_caterpillar(3, 10)
         with pytest.raises(SwitchError):
             validate_switch(c, SwitchMove(6, 1, 9, 3))
+
+    @pytest.mark.parametrize("field", ["u1_pendant", "v1", "u2", "v2"])
+    @pytest.mark.parametrize("vertex", [10, 100, -1], ids=["n", "n+90", "-1"])
+    def test_rejects_out_of_range_ids(self, field, vertex):
+        # every id is checked before the tree is indexed by it; the other
+        # three fields stay those of a valid move on n = 10 vertices
+        c = make_caterpillar(3, 10)
+        m = dataclasses.replace(spider_move(), **{field: vertex})
+        name = field.partition("_")[0]
+        with pytest.raises(SwitchError, match=f"^{name}={vertex} out of range for n=10$"):
+            validate_switch(c, m)
+        with pytest.raises(SwitchError, match="out of range"):
+            apply_switch(c, m)
+        with pytest.raises(SwitchError, match="out of range"):
+            transport_valuation(c, np.ones(c.vertex_count), m)
+        with pytest.raises(SwitchError, match="out of range"):
+            switch_certificate(c, np.ones(c.vertex_count), m)
 
     def test_rejects_wrong_path(self):
         c = make_caterpillar(3, 10)
