@@ -9,6 +9,10 @@ coded bottom-up on the skeleton from the pendant count of each of its
 vertices, with each distinct subtree coded once per call.  Duplicate
 decorations are dropped by that code, and only the first-met decoration of
 each class is expanded to sorted neighbor lists and becomes a `Tree`.
+Each distinct neighbor row is one tuple per class, shared by every tree
+that holds it through a dict that lives as long as the generator, and
+`Tree` is slotted, so a listed class holds its distinct rows once plus one
+tuple of rows and one small `Tree` per tree.
 The skeletons come from the same loop: a free tree on k vertices is one
 decorated skeleton of the degrees of its own internal vertices, so the
 trees on k vertices with no degree above D are the distinct codes over
@@ -110,7 +114,7 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     canonical order.  Each tree is the first decoration met of its code,
     numbered in preorder of its least rooting by `_least_rooting`: the
     least "1"/"0" bracket string over the roots with the most leaf
-    neighbors."""
+    neighbors.  Equal rows of the trees share one tuple."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
@@ -121,6 +125,7 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
         return (Tree(((1,), (0,))),) if max_degree != 0 else ()
     top = k if max_degree is None else max_degree
     first: dict[str, tuple[tuple[int, ...], ...]] = {}
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for m in range(1, k - 1):
         for internal in combinations_with_replacement(range(min(top, k - m), 1, -1), m):
             if sum(internal) == k - 2 + m:
@@ -129,8 +134,9 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
                 # frames per level let longer path skeletons fit the limit
                 for code, (skeleton, pendants) in _decorations(internal):
                     if code not in first:
-                        first[code] = _decorated(skeleton, pendants, k - m)
-    return tuple(Tree(_least_rooting(first[code])) for code in sorted(first))
+                        first[code] = _decorated(skeleton, pendants, k - m, rows)
+    return tuple(Tree(tuple([rows.setdefault(row, row) for row in _least_rooting(first[code])]))
+                 for code in sorted(first))
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +240,20 @@ def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
             yield min(codes[label[first]], codes[label[last]]), (skeleton, pendants)
 
 
-def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int) -> tuple[tuple[int, ...], ...]:
+def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int, rows: dict) -> tuple[tuple[int, ...], ...]:
     """Neighbor lists of the skeleton with pendants[v] pendant vertices at
-    each v, numbered on from k, skeleton vertex by skeleton vertex."""
+    each v, numbered on from k, skeleton vertex by skeleton vertex.  Each
+    row that gains pendants, and each pendant's row (v,), is the one tuple
+    of its value in rows, so the trees built from one dict share their
+    equal rows; the rows left as they are belong to the skeleton."""
     adj = list(skeleton.adjacency)
     for v, extra in enumerate(pendants):
         if extra:
             n = len(adj)
-            adj[v] += tuple(range(n, n + extra))
-            adj += [(v,)] * extra
+            row = adj[v] + tuple(range(n, n + extra))
+            leaf = (v,)
+            adj[v] = rows.setdefault(row, row)
+            adj += [rows.setdefault(leaf, leaf)] * extra
     assert len(adj) == skeleton.vertex_count + leaves
     return tuple(adj)
 
@@ -265,8 +276,9 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
     first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
     for code, item in _decorations(internal):
         first.setdefault(code, item)
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for code in sorted(first):
-        yield Tree(_decorated(*first[code], leaves))
+        yield Tree(_decorated(*first[code], leaves, rows))
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:

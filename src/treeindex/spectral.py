@@ -410,8 +410,11 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
 
 def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     """True iff every pendant vertex is a strict local minimum of the
-    Perron vector.  K_2 fails by symmetry: both entries are equal."""
+    Perron vector.  K_2 fails by symmetry: both entries are equal.  A
+    result of the wrong length raises ValueError."""
     f = result.perron
+    if f.shape != (t.vertex_count,):
+        raise ValueError(f"valuation must have length {t.vertex_count}")
     for v in t.vertices():
         if t.degree(v) == 1:
             u = t.neighbors(v)[0]
@@ -469,9 +472,12 @@ def symmetrize_caterpillar(t: Tree, f) -> np.ndarray:
 
     The true Perron vector is exactly mirror-symmetric; averaging removes
     the last-bit numerical asymmetry so that mirror entries compare equal
-    under the exact float comparisons used by valuation transport.
+    under the exact float comparisons used by valuation transport.  A
+    valuation of the wrong length raises ValueError.
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.shape != (t.vertex_count,):
+        raise ValueError(f"valuation must have length {t.vertex_count}")
     out = f.copy()
     for orbit in _caterpillar_mirror_orbits(t):
         out[orbit] = float(np.mean(f[orbit]))

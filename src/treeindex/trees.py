@@ -47,7 +47,7 @@ class TreeError(ValueError):
     """Invalid tree structure or impossible construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
     """A tree on vertices 0..n-1 stored as sorted neighbor tuples.
 
@@ -59,7 +59,9 @@ class Tree:
     A walk that meets all n vertices thus sees n-1 child entries and at
     most one parent entry per vertex.  Those must be all 2(n-1) entries, so
     every vertex but 0 lists its parent and the lists are symmetric: the
-    n-1 edges connect all n vertices, which makes a tree.
+    n-1 edges connect all n vertices, which makes a tree.  The class is
+    slotted, with no per-instance dict, and equal rows may be one shared
+    tuple: they are immutable.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -327,7 +329,10 @@ def nonpendant_vertices(t: Tree) -> tuple[int, ...]:
 
 def nonpendant_degree(t: Tree, v: int) -> int:
     """Number of non-pendant neighbors of v."""
-    return sum(1 for u in t.neighbors(v) if t.degree(u) >= 2)
+    adj = t.adjacency
+    if not 0 <= v < len(adj):
+        raise TreeError(f"vertex {v} out of range for n={len(adj)}")
+    return sum(1 for u in adj[v] if len(adj[u]) >= 2)
 
 
 def branching_points(t: Tree) -> tuple[int, ...]:

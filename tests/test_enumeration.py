@@ -296,6 +296,20 @@ class TestEnumerateTrees:
             )
             assert total == FREE_TREE_COUNTS[n - 1]
 
+    def test_equal_rows_of_a_class_are_one_tuple(self):
+        trees = enumerate_trees(DegreeSequence.parse("3^6,2^4,1^8"))
+        rows = [row for t in trees for row in t.adjacency]
+        assert len(rows) == 30762
+        assert len({id(row) for row in rows}) == len(set(rows)) == 196
+
+    def test_trees_are_slotted_and_compare_by_value(self):
+        a, b = list(enumerate_trees(DegreeSequence.parse("3,2,2,1,1,1")))
+        again = tree_from_edges(a.vertex_count, a.edges())
+        assert not hasattr(a, "__dict__")
+        assert a.adjacency is not again.adjacency
+        assert a == again and hash(a) == hash(again)
+        assert a != b and len({a, b, again}) == 2
+
 
 # every decoration of these classes is coded on its skeleton and checked
 # against the code of its full neighbor lists
@@ -312,7 +326,7 @@ class TestDecorationCodes:
         internal = tuple(x for x in pi.degrees if x >= 2)
         codes = set()
         for code, (skeleton, pendants) in _decorations(internal):
-            adj = _decorated(skeleton, pendants, pi.n - len(internal))
+            adj = _decorated(skeleton, pendants, pi.n - len(internal), {})
             assert _centers(skeleton.adjacency) == _centers(adj)
             assert code == _canonical_code(adj)
             codes.add(code)

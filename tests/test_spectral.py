@@ -364,6 +364,10 @@ class TestPendantMinima:
     def test_reference_tree(self):
         assert pendant_minima_check(FORK_19, spectral_radius(FORK_19))
 
+    def test_result_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="valuation must have length 10"):
+            pendant_minima_check(make_caterpillar(3, 10), spectral_radius(make_path(4)))
+
 
 class TestCaterpillarSymmetry:
     def test_odd_trunk(self):
@@ -394,6 +398,10 @@ class TestCaterpillarSymmetry:
         assert abs(float(f @ f) - 1.0) <= 1e-12
         # rayleigh quotient unchanged at the residual level
         assert rayleigh_quotient(t, f) == pytest.approx(r.mu, abs=1e-11)
+
+    def test_symmetrize_rejects_a_valuation_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="valuation must have length 10"):
+            symmetrize_caterpillar(make_caterpillar(3, 10), np.ones(5))
 
 
 class TestTrunkRecurrence:

@@ -137,6 +137,12 @@ class TestPendantStructure:
     def test_nonpendant_degree_at_branching(self):
         assert nonpendant_degree(FORK_19, 0) == 3
 
+    @pytest.mark.parametrize("v", [99, 10, -1])
+    def test_nonpendant_degree_rejects_out_of_range_vertex(self, v):
+        # -1 would otherwise read vertex 9's row by wrap-around indexing
+        with pytest.raises(TreeError, match=f"vertex {v} out of range for n=10"):
+            nonpendant_degree(make_caterpillar(3, 10), v)
+
     def test_caterpillar_has_no_branching_points(self):
         t = make_caterpillar(3, 12)
         assert branching_points(t) == ()
