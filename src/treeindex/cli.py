@@ -42,7 +42,6 @@ from .trees import (
     Tree,
     TreeError,
     _degree_tokens,
-    canonical_form,
     is_caterpillar,
     make_caterpillar,
     semiregular_degree,
@@ -138,11 +137,9 @@ def cmd_mu(args: argparse.Namespace) -> int:
 def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
-    trees, mus = class_spectra(pi, max_n=args.max_n)
+    trees, mus, codes = class_spectra(pi, max_n=args.max_n)
     chosen = extremal_choice(trees, mus)
-    rows = sorted(
-        (float(mu), canonical_form(t).code, is_caterpillar(t)) for t, mu in zip(trees, mus)
-    )
+    rows = sorted((float(mu), code, is_caterpillar(t)) for t, mu, code in zip(trees, mus, codes))
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
     # a d-semiregular class holds exactly one caterpillar

@@ -8,7 +8,10 @@ decoration loop lists a class: each skeleton with each degree assignment,
 coded bottom-up on the skeleton from the pendant count of each of its
 vertices, with each distinct subtree coded once per call.  Duplicate
 decorations are dropped by that code, and only the first-met decoration of
-each class is expanded to sorted neighbor lists and becomes a `Tree`.
+each class is expanded to sorted neighbor lists and becomes a `Tree`.  The
+listing yields each tree beside that code, which is its canonical form, so
+a caller that prints codes does not code the trees again;
+`enumerate_trees` is the listing without the codes.
 Each distinct neighbor row is one tuple per class, shared by every tree
 that holds it through a dict that lives as long as the generator, and
 `Tree` is slotted, so a listed class holds its distinct rows once plus one
@@ -258,18 +261,20 @@ def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int, rows: dic
     return tuple(adj)
 
 
-def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
+def _listing(pi: DegreeSequence) -> Iterator[tuple[str, Tree]]:
     """Every tree with degree sequence pi exactly once up to isomorphism,
-    in ascending canonical-code order: the first decoration met of each
-    code, built as a `Tree`.  The codes all have the same length, so plain
-    string order is canonical order."""
+    with its canonical code, in ascending code order: the first decoration
+    met of each code, built as a `Tree`.  The code is the one the
+    decoration loop deduplicates by, equal to `canonical_form(t).code`; the
+    codes all have the same length, so plain string order is canonical
+    order."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     if pi.degrees == (0,):
-        yield tree_from_edges(1, [])
+        yield "()", tree_from_edges(1, [])
         return
     if pi.n == 2:
-        yield tree_from_edges(2, [(0, 1)])
+        yield "(())", tree_from_edges(2, [(0, 1)])
         return
     internal = tuple(x for x in pi.degrees if x >= 2)
     leaves = pi.n - len(internal)
@@ -278,7 +283,15 @@ def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
         first.setdefault(code, item)
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for code in sorted(first):
-        yield Tree(_decorated(*first[code], leaves, rows))
+        yield code, Tree(_decorated(*first[code], leaves, rows))
+
+
+def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
+    """Every tree with degree sequence pi exactly once up to isomorphism,
+    in ascending canonical-code order: the trees of `_listing` without
+    their codes."""
+    for _, t in _listing(pi):
+        yield t
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:
@@ -387,14 +400,15 @@ def _require_max_n(n: int, max_n: int) -> None:
         raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
 
 
-def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray]:
+def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray, list[str]]:
     """Every tree of the class in enumeration order, with the screened index
-    of each from one batched `class_indices` scan."""
+    of each from one batched `class_indices` scan and the canonical code of
+    each from the listing."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     _require_max_n(pi.n, max_n)
-    trees = list(enumerate_trees(pi))
-    return trees, class_indices(trees)
+    codes, trees = map(list, zip(*_listing(pi)))
+    return trees, class_indices(trees), codes
 
 
 def _screen(mus: np.ndarray, sign: int) -> tuple[list[float], list[int]]:
@@ -497,13 +511,14 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
-    return extremal_report(pi, *class_spectra(pi, max_n), sign=+1)
+    trees, mus, _ = class_spectra(pi, max_n)
+    return extremal_report(pi, trees, mus, sign=+1)
 
 
 def find_maximizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[Tree, ...]:
     """Index-maximizing trees of the class, for cross-checking the search
     machinery from the opposite extreme."""
-    trees, mus = class_spectra(pi, max_n)
+    trees, mus, _ = class_spectra(pi, max_n)
     return tuple(trees[i] for i in extremal_choice(trees, mus, sign=-1))
 
 

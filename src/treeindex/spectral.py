@@ -3,9 +3,10 @@ checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
 Whole classes of same-order trees are screened by `class_indices`, which
-stacks the dense adjacency matrices and calls `np.linalg.eigvalsh` once per
-chunk; its values rank trees, while reported indices come from
-`spectral_radius` or, for several trees at once, `spectral_radii`.
+stacks the dense adjacency matrices, each stack filled by one index
+assignment, and calls `np.linalg.eigvalsh` once per chunk; its values rank
+trees, while reported indices come from `spectral_radius` or, for several
+trees at once, `spectral_radii`.
 
 The index of a tree is computed matrix-free by shifted power iteration.
 Trees are bipartite, so -mu is also an eigenvalue; iterating on A + cI with
@@ -16,14 +17,17 @@ measured by the eigenvalue-equation residual
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
 There is one loop, and it runs on a block of trees laid end to end on one
-flat vertex vector; `spectral_radius` is a block of one.  Each sweep
-computes s = A x once for the whole block, as one scatter over the edges
-taken in both directions (`np.bincount` in float64; `np.add.at` in extended
-precision, since bincount casts its weights to float64), and uses s both
-to check x and for the power step from x.  Each vertex receives its own
-tree's terms in the order a block of one gives them, the power step is
-elementwise, and mu = x.s and the norm y.y are dots on each tree's views,
-so every tree gets the bits it would get alone.  The check is screened
+flat vertex vector, grouped by size; `spectral_radius` is a block of one.
+Each sweep computes s = A x once for the whole block, as one scatter over
+the edges taken in both directions (`np.bincount` in float64; `np.add.at`
+in extended precision, since bincount casts its weights to float64), and
+uses s both to check x and for the power step from x.  Each vertex
+receives its own tree's terms in the order a block of one gives them, the
+power step is elementwise, and mu = x.s and the norm y.y are taken for
+each run of equal-size trees by one `np.matmul` of (k, 1, n) and (k, n, 1)
+views, which numpy computes row by row with the kernel of `ndarray.dot`
+(a block of one calls `ndarray.dot` itself), so every tree gets the bits
+it would get alone.  The check is screened
 exactly: the residual entry at the vertex where the tree's last full
 residual vector peaked is computed with the same IEEE operations as in the
 full vector, and when it alone exceeds tol, so does the maximum.  The full
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -126,9 +131,11 @@ def class_indices(trees: Sequence[Tree]) -> np.ndarray:
     """Index of every tree in `trees`, all of one order, as a float64 array.
 
     The adjacency matrices are stacked CLASS_CHUNK at a time and each stack
-    goes through one dense `np.linalg.eigvalsh` call.  The values agree
-    with `spectral_radius(t).mu` to a few ulps, which is enough to rank a
-    class but not to report its extremal value byte-for-byte.
+    goes through one dense `np.linalg.eigvalsh` call.  Each stack is filled
+    by one index assignment at the flat positions of its ones, read off the
+    trees' neighbor lists row by row.  The values agree with
+    `spectral_radius(t).mu` to a few ulps, which is enough to rank a class
+    but not to report its extremal value byte-for-byte.
     """
     trees = list(trees)
     if not trees:
@@ -138,7 +145,12 @@ def class_indices(trees: Sequence[Tree]) -> np.ndarray:
         raise ValueError("class_indices needs trees of one order")
     out = np.empty(len(trees))
     for start in range(0, len(trees), CLASS_CHUNK):
-        stack = np.stack([adjacency_matrix(t) for t in trees[start : start + CLASS_CHUNK]])
+        rows = [t.adjacency for t in trees[start : start + CLASS_CHUNK]]
+        degrees = np.fromiter(map(len, chain.from_iterable(rows)), np.intp, len(rows) * n)
+        cols = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.intp, len(rows) * 2 * (n - 1))
+        stack = np.zeros((len(rows), n, n))
+        # row r of the stack, taken flat, is row r % n of its tree r // n
+        stack.reshape(-1)[np.repeat(np.arange(0, stack.size, n), degrees) + cols] = 1
         out[start : start + len(stack)] = np.linalg.eigvalsh(stack)[:, -1]
     return out
 
@@ -199,13 +211,14 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
     describes, giving the last iterate of each tree unchecked; `_solve`
     checks them.  Every pass adds one iteration to each live tree, by a
     power step or a polish step, so they all share one count.  The block is
-    laid out once: the scatter pairs moved to each tree's span, the shift at
-    every vertex, the iterate x and a buffer y with each tree's views of
-    both, and the index that spreads one norm per tree over its vertices.
-    A lone tree's norm is taken as a scalar, which divides faster than a
-    spread vector.  The residual screen works on each tree's own scalars:
-    at the block sizes of a tie set that costs less than a screen over the
-    whole block."""
+    laid out once, its trees in order of size: the scatter pairs moved to
+    each tree's span, the shift at every vertex, the iterate x and a buffer
+    y with each tree's views of both, the matmul views of each run of
+    equal-size trees, and the index that spreads one norm per tree over its
+    vertices.  A lone tree's norm is taken as a scalar, which divides
+    faster than a spread vector.  The residual screen works on each tree's
+    own scalars: at the block sizes of a tie set that costs less than a
+    screen over the whole block."""
     extended = dtype is not np.float64
     results: list = [None] * len(trees)
     block = []
@@ -219,6 +232,7 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
             block.append(pos)
     if not block:
         return results
+    block.sort(key=lambda pos: trees[pos].vertex_count)
     sizes = [trees[pos].vertex_count for pos in block]
     starts = np.cumsum([0] + sizes).tolist()
     size = starts[-1]
@@ -233,16 +247,28 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
     y = np.empty_like(x)
     spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
     xs = [x[span] for span in spans]
-    ys = [y[span] for span in spans]
     for xv in xs:
         xv /= np.sqrt(xv @ xv)
-    # a stopped tree's norm keeps its last value, so its zeroed span divides
-    # to zero
-    norms = np.ones(len(block), dtype)
-    spread = np.repeat(np.arange(len(block)), sizes) if len(block) > 1 else 0
+    lone = len(block) == 1
+    mus = np.empty(len(block), dtype)
+    norms = np.empty(len(block), dtype)
+    # each run of k equal-size trees is a (k, n) array in x, y and s; one
+    # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots with
+    # the kernel of ndarray.dot, bit for bit.  A lone tree takes its dots
+    # with ndarray.dot, which costs less than one matmul call.
+    mu_runs, norm_runs = [], []
+    j0 = 0
+    for n, group in groupby(sizes):
+        j1 = j0 + len(list(group))
+        span = slice(starts[j0], starts[j1])
+        mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
+        norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
+        j0 = j1
+    spread = 0 if lone else np.repeat(np.arange(len(block)), sizes)
     peaks = [0] * len(block)  # where each tree's last full residual vector peaked
     polish = [8] * len(block)  # Rayleigh steps allowed from the polish point on
     live = list(range(len(block)))
+    stopped: list[int] = []
     fallback_at = max(1, max_iter // 2)  # never above max_iter
     iterations = 0
     while True:
@@ -255,9 +281,12 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
         done = []
         polished = []
         if iterations:
+            if not lone:
+                for span, n, xr, out in mu_runs:
+                    np.matmul(xr, s[span].reshape(-1, n, 1), out=out)
             for j in live:
                 xv, sv, w = xs[j], s[spans[j]], peaks[j]
-                mu = float(xv.dot(sv))
+                mu = float(xv.dot(sv) if lone else mus[j])
                 # before fallback_at only res <= tol ends the power steps; one
                 # residual entry above tol, rounded to float as res is, proves
                 # res > tol
@@ -284,12 +313,18 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
                 xs[j][...] = 0
                 s[spans[j]] = 0
                 live.remove(j)
+                stopped.append(j)
             if not live:
                 return results
         np.multiply(shift, x, out=y)
         y += s  # s + c x, as addition commutes
-        for j in live:
-            norms[j] = ys[j].dot(ys[j])
+        if lone:
+            norms[0] = y.dot(y)
+        else:
+            for yr, yc, out in norm_runs:
+                np.matmul(yr, yc, out=out)
+            # a stopped tree's zeroed span divides to zero
+            norms[stopped] = 1
         np.divide(y, np.sqrt(norms)[spread], out=x)
         for j, z in polished:
             xs[j][...] = z
@@ -408,13 +443,20 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
     return True
 
 
+def _perron_of(t: Tree, result: SpectralResult) -> np.ndarray:
+    """The Perron vector of result, which must have one entry per vertex of
+    t: ValueError otherwise."""
+    f = result.perron
+    if f.shape != (t.vertex_count,):
+        raise ValueError(f"valuation must have length {t.vertex_count}")
+    return f
+
+
 def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     """True iff every pendant vertex is a strict local minimum of the
     Perron vector.  K_2 fails by symmetry: both entries are equal.  A
     result of the wrong length raises ValueError."""
-    f = result.perron
-    if f.shape != (t.vertex_count,):
-        raise ValueError(f"valuation must have length {t.vertex_count}")
+    f = _perron_of(t, result)
     for v in t.vertices():
         if t.degree(v) == 1:
             u = t.neighbors(v)[0]
@@ -447,8 +489,9 @@ def caterpillar_symmetry_check(t: Tree, result: SpectralResult, tol: float = 1e-
     """True iff the Perron values are invariant under reversing the trunk.
 
     Pendant values are compared pod against mirrored pod as sorted lists.
+    A result of the wrong length raises ValueError.
     """
-    f = result.perron
+    f = _perron_of(t, result)
     trunk = trunk_path(t)  # raises if not a caterpillar
     k = len(trunk)
     for i in range(k // 2 + 1):
@@ -493,15 +536,16 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
     where v_0 and v_{k+1} are pendant neighbors of the trunk ends.  The
     recurrence follows from eliminating pendant values (mu*f(p) = f(v_i))
     from the eigenvalue equation; it holds at every trunk vertex of a
-    caterpillar whose non-pendant vertices share the degree d.
+    caterpillar whose non-pendant vertices share the degree d.  A result
+    of the wrong length raises ValueError.
     """
+    f = _perron_of(t, result)
     trunk = trunk_path(t)
     if not trunk:
         return 0.0
     d = t.degree(trunk[0])
     if any(t.degree(v) != d for v in trunk):
         raise TreeError("trunk degrees are not constant")
-    f = result.perron
     mu = result.mu
     coef = mu - (d - 2) / mu
     ends = [min(u for u in t.neighbors(v) if t.degree(u) == 1) for v in (trunk[0], trunk[-1])]

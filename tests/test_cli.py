@@ -133,7 +133,7 @@ class TestVerifyMinCommand:
         from treeindex import cli, enumeration, spectral
         from treeindex.trees import DegreeSequence
 
-        calls = {"enumerate_trees": 0, "spectral_radius": 0}
+        calls = {"_listing": 0, "enumerate_trees": 0, "spectral_radius": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -142,14 +142,16 @@ class TestVerifyMinCommand:
 
             return wrapper
 
-        for name, fn in (("enumerate_trees", enumeration.enumerate_trees),
+        for name, fn in (("_listing", enumeration._listing),
+                         ("enumerate_trees", enumeration.enumerate_trees),
                          ("spectral_radius", spectral.spectral_radius)):
             for mod in (cli, enumeration, spectral):
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "16")
         assert code == 0 and "VERIFIED" in out
-        assert calls["enumerate_trees"] == 1
+        # one listing gives the trees and their printed codes
+        assert calls["_listing"] == 1 and calls["enumerate_trees"] == 0
         # the sole minimizer, plus every tree within the screen band of the
         # screened runner-up
         monkeypatch.undo()

@@ -19,6 +19,7 @@ from treeindex.enumeration import (
     _decorations,
     _exact_rayleigh,
     _least_rooting,
+    _listing,
     _pendant_counts,
     class_spectra,
     enumerate_semiregular,
@@ -55,6 +56,8 @@ MAX_DEGREE_4_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858]
 # all_tree_degree_sequences order, captured from the recursive pendant walker
 # and the sorted-label coding that the decoration loop had before
 ENUMERATION_15_SHA256 = "fbb7ede366d529a44922f2353513075b2782cd3a1fee58dadbbf2b56c14a1a11"
+# trees of the classes with 1 <= n <= 14 and degrees <= 5
+COUNT_14 = 4589
 
 
 def prufer_tree(seq, n):
@@ -332,6 +335,19 @@ class TestDecorationCodes:
             codes.add(code)
         assert codes == {canonical_form(t).code for t in enumerate_trees(pi)}
 
+    def test_listing_codes_are_canonical_forms_through_n_14(self):
+        # verify-min prints these codes in place of canonical_form's
+        count = 0
+        for n in range(1, 15):
+            for pi in all_tree_degree_sequences(n):
+                if max(pi.degrees) <= 5:
+                    listing = list(_listing(pi))
+                    assert [t for _, t in listing] == list(enumerate_trees(pi))
+                    for code, t in listing:
+                        assert code == canonical_form(t).code
+                    count += len(listing)
+        assert count == COUNT_14
+
     def test_pinned_output_through_n_15(self):
         digest = hashlib.sha256()
         count = 0
@@ -427,7 +443,7 @@ class TestFindMinimizers:
         ids=lambda pi: pi.compact(),
     )
     def test_choice_is_the_reported_extremal_trees(self, pi, sign):
-        trees, mus = class_spectra(pi)
+        trees, mus, _ = class_spectra(pi)
         chosen = extremal_choice(trees, mus, sign=sign)
         assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, sign=sign).minimizers
 

@@ -16,6 +16,9 @@ entries were captured from the implementation that rebuilt every switched
 tree from its edge list.  The `search_tied_class_stdout` and
 `tie_class_minimizers` entries were captured from the implementation that
 settled ties with a second, longdouble solve of every tie candidate.
+The `verify_min_stdout_sha256` entries were captured from the
+implementation that coded every tree of the class again with
+`canonical_form` for its row.
 Every `free_trees` entry was captured from a generator that listed rooted
 trees and kept the rootings at a centre; free trees now come from the
 degree-class decoration loop.  The leaner code must reproduce them exactly.
@@ -320,6 +323,20 @@ class TestPinnedTies:
             for t in report.minimizers
         )
         assert report.min_mu == float(reference)
+
+
+class TestPinnedVerifyMin:
+    """The whole stdout of `verify-min`, one row per tree of the class, for
+    the 21 semiregular classes with d = 3..5 and n <= 22."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED["verify_min_stdout_sha256"]))
+    def test_stdout(self, key):
+        d, n = key.split(",")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["verify-min", "--d", d, "--n", n])
+        assert rc == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED["verify_min_stdout_sha256"][key]
 
 
 class TestPinnedReplay:

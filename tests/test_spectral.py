@@ -202,7 +202,7 @@ def fields(r):
 
 
 def tie_candidates():
-    trees, mus = class_spectra(TIED_MINIMIZER_CLASS)
+    trees, mus, _ = class_spectra(TIED_MINIMIZER_CLASS)
     return [trees[i] for i in _screen(mus, +1)[1]]
 
 
@@ -245,6 +245,33 @@ class TestSpectralRadii:
         block = [*ties[:5], make_path(60), *ties[5:]]
         got = spectral_radii(block, max_iter=2000)
         assert [fields(r) for r in got] == [fields(one_by_one(t, max_iter=2000)[1]) for t in block]
+
+    @pytest.mark.parametrize("k, n", [(1, 19), (2, 19), (12, 19), (100, 26), (2, 150), (12, 1200)])
+    def test_row_dots_by_matmul_equal_ndarray_dot(self, k, n):
+        # the block takes each run's k dots x.s and y.y with one matmul of
+        # (k, 1, n) @ (k, n, 1) views; a tree alone takes them with ndarray.dot
+        rng = np.random.default_rng(k * n)
+        x, s = rng.random((2, k * n))
+        for a, b in ((x, s), (x, x)):
+            got = np.empty(k)
+            np.matmul(a.reshape(k, 1, n), b.reshape(k, n, 1), out=got.reshape(k, 1, 1))
+            want = np.array([a[i * n : (i + 1) * n].dot(b[i * n : (i + 1) * n]) for i in range(k)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_wide_block_of_one_size(self):
+        # 40 trees of 19 vertices spread over the screened order of a
+        # 6,895-tree class; they stop between 258 and 3,482 iterations
+        trees, mus, _ = class_spectra(DegreeSequence.parse("5,4^2,3,2^5,1^10"))
+        block = [trees[i] for i in np.argsort(mus, kind="stable")[:: len(trees) // 40][:40]]
+        got = spectral_radii(block)
+        assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
+
+    def test_block_of_interleaved_sizes(self, mixed):
+        # the layout groups equal sizes; results come back in input order
+        block = [make_caterpillar(3, 10), mixed[2], make_path(7), make_caterpillar(4, 11),
+                 make_path(7), mixed[3], make_star(5), make_caterpillar(3, 10), mixed[4]]
+        got = spectral_radii(block)
+        assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
 
     def test_empty_and_tiny_blocks(self):
         assert spectral_radii([]) == []
@@ -403,12 +430,22 @@ class TestCaterpillarSymmetry:
         with pytest.raises(ValueError, match="valuation must have length 10"):
             symmetrize_caterpillar(make_caterpillar(3, 10), np.ones(5))
 
+    @pytest.mark.parametrize("other", [make_path(5), make_caterpillar(3, 14)], ids=["shorter", "longer"])
+    def test_result_of_the_wrong_length_rejected(self, other):
+        with pytest.raises(ValueError, match="valuation must have length 10"):
+            caterpillar_symmetry_check(make_caterpillar(3, 10), spectral_radius(other))
+
 
 class TestTrunkRecurrence:
     def test_small_caterpillars(self):
         for d, n in ((3, 8), (3, 12), (4, 14), (5, 10)):
             t = make_caterpillar(d, n)
             assert caterpillar_trunk_residual(t, spectral_radius(t)) <= 1e-9
+
+    @pytest.mark.parametrize("other", [make_path(5), make_caterpillar(3, 14)], ids=["shorter", "longer"])
+    def test_result_of_the_wrong_length_rejected(self, other):
+        with pytest.raises(ValueError, match="valuation must have length 10"):
+            caterpillar_trunk_residual(make_caterpillar(3, 10), spectral_radius(other))
 
     def test_damping_coefficient_below_two(self):
         # the trunk recurrence coefficient mu - (d-2)/mu stays below 2
