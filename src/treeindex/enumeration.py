@@ -1,5 +1,7 @@
-"""Isomorph-free generation of trees with a prescribed degree sequence and
-exhaustive extremal search over such classes.
+"""Isomorph-free generation of trees with a prescribed degree sequence,
+exhaustive index minimization over such classes, and the index maximizer
+of a class, which needs no search: it is built breadth first
+(`find_maximizers`).
 
 Every tree with the given degrees is a free tree on k vertices, k the
 number of degrees >= 2 (the internal skeleton), whose vertices receive
@@ -43,7 +45,6 @@ from .trees import (
     _centers,
     _rooted,
     arms,
-    canonical_form,
     is_caterpillar,
     tree_from_edges,
 )
@@ -411,14 +412,14 @@ def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[
     return trees, class_indices(trees), codes
 
 
-def _screen(mus: np.ndarray, sign: int) -> tuple[list[float], list[int]]:
-    """The signed screened values and the candidates within _SCREEN_BAND of
-    their extreme.  The band is a margin on the screen's own rounding,
-    about 1e-14, and never changes the answer: it only chooses which trees
-    are solved."""
-    keyed = [sign * float(m) for m in mus]
-    best_screen = min(keyed)
-    return keyed, [i for i, m in enumerate(keyed) if m <= best_screen + _SCREEN_BAND]
+def _screen(mus: np.ndarray) -> tuple[list[float], list[int]]:
+    """The screened values and the candidates within _SCREEN_BAND of their
+    minimum.  The band is a margin on the screen's own rounding, about
+    1e-14, and never changes the answer: it only chooses which trees are
+    solved."""
+    screened = [float(m) for m in mus]
+    best_screen = min(screened)
+    return screened, [i for i, m in enumerate(screened) if m <= best_screen + _SCREEN_BAND]
 
 
 def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
@@ -437,63 +438,62 @@ def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
     return ax_x / sum(v * v for v in m)
 
 
-def _resolve_ties(trees: list[Tree], candidates: list[int], sign: int, solved) -> tuple[list[int], float | None]:
-    """The candidates that stay extremal when tied ones are settled by the
+def _resolve_ties(trees: list[Tree], candidates: list[int], solved) -> tuple[list[int], float | None]:
+    """The candidates that stay minimal when tied ones are settled by the
     exact Rayleigh quotients of their Perron vectors, from `solved`, their
-    `spectral_radii` results in candidate order, with their signed value; a
+    `spectral_radii` results in candidate order, with the least quotient; a
     lone candidate stands without one."""
     if len(candidates) == 1:
         return candidates, None
-    quotients = {i: sign * _exact_rayleigh(trees[i], r.perron) for i, r in zip(candidates, solved)}
+    quotients = {i: _exact_rayleigh(trees[i], r.perron) for i, r in zip(candidates, solved)}
     least = min(quotients.values())
     return [i for i in candidates if quotients[i] <= least + _STAGE2_TIE], least
 
 
-def extremal_choice(trees: list[Tree], mus: np.ndarray, sign: int = +1) -> list[int]:
-    """Positions of the extremal trees of a `class_spectra` scan, the same
-    trees `extremal_report` reports, without the index values it carries.
-    Two or more candidates are solved as one block; a lone one is not."""
-    candidates = _screen(mus, sign)[1]
+def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:
+    """Positions of the minimizers of a `class_spectra` scan, the same trees
+    `extremal_report` reports, without the index values it carries.  Two or
+    more candidates are solved as one block; a lone one is not."""
+    candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
-    return _resolve_ties(trees, candidates, sign, spectral_radii([trees[i] for i in candidates]))[0]
+    return _resolve_ties(trees, candidates, spectral_radii([trees[i] for i in candidates]))[0]
 
 
-def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, sign: int = +1) -> SearchReport:
-    """Extremal selection over a `class_spectra` scan; sign=+1 minimizes,
-    sign=-1 maximizes.
+def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
+    """Index minimization over a `class_spectra` scan: its trees, screened
+    values and listing codes.
 
     The screened values `mus` only pick the candidates within
-    `_SCREEN_BAND` of the extreme and the trees within it of the runner-up.
+    `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
     The values the report carries are `spectral_radii` indices of those
     trees, all solved as one block, each once; tied candidates are settled
-    by `_resolve_ties`, whose exact quotient is the extremal value when two
-    or more survive.  The runner-up is the best solved tree not chosen, so
-    the band only chooses which trees are solved, never the report.
+    by `_resolve_ties`, whose exact quotient is the minimum when two or
+    more survive.  The runner-up is the least solved tree not chosen, so
+    the band only chooses which trees are solved, never the report.  Each
+    minimizer's canonical form is its listing code, not coded again.
     """
-    keyed, candidates = _screen(mus, sign)
+    screened, candidates = _screen(mus)
     picked = set(candidates)
     rest = [i for i in range(len(trees)) if i not in picked]
     runners = []
     if rest:
-        runner_screen = min(keyed[i] for i in rest)
-        runners = [i for i in rest if keyed[i] <= runner_screen + _SCREEN_BAND]
+        runner_screen = min(screened[i] for i in rest)
+        runners = [i for i in rest if screened[i] <= runner_screen + _SCREEN_BAND]
     pool = candidates + runners
     solved = dict(zip(pool, spectral_radii([trees[i] for i in pool])))
-    chosen, settled = _resolve_ties(trees, candidates, sign, [solved[i] for i in candidates])
-    best = min(sign * solved[i].mu for i in chosen)
-    others = [sign * r.mu for i, r in solved.items() if i not in chosen]
+    chosen, settled = _resolve_ties(trees, candidates, [solved[i] for i in candidates])
+    best = min(solved[i].mu for i in chosen)
+    others = [r.mu for i, r in solved.items() if i not in chosen]
     gap = min(others) - best if others else None
-    extremal_value = sign * (best if len(chosen) == 1 else settled)
     chosen_trees = tuple(trees[i] for i in chosen)
-    codes = tuple(canonical_form(t) for t in chosen_trees)
     obs = tuple(_observe(t) for t in chosen_trees)
     return SearchReport(
         pi=pi,
         tree_count=len(trees),
-        min_mu=float(extremal_value),
+        min_mu=float(best if len(chosen) == 1 else settled),
         minimizers=chosen_trees,
-        minimizer_codes=codes,
+        minimizer_codes=tuple(CanonicalForm(codes[i]) for i in chosen),
         all_caterpillars=all(o.is_caterpillar for o in obs),
         unique=len(chosen_trees) == 1,
         observations=obs,
@@ -511,15 +511,26 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
-    trees, mus, _ = class_spectra(pi, max_n)
-    return extremal_report(pi, trees, mus, sign=+1)
+    trees, mus, codes = class_spectra(pi, max_n)
+    return extremal_report(pi, trees, mus, codes)
 
 
-def find_maximizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[Tree, ...]:
-    """Index-maximizing trees of the class, for cross-checking the search
-    machinery from the opposite extreme."""
-    trees, mus, _ = class_spectra(pi, max_n)
-    return tuple(trees[i] for i in extremal_choice(trees, mus, sign=-1))
+def find_maximizers(pi: DegreeSequence) -> tuple[Tree, ...]:
+    """The index maximizer of the class, built without a search: by
+    Biyikoglu and Leydold, Electron. J. Combin. 15 (2008), the unique
+    maximizer of a tree class is the breadth-first tree that hands out the
+    degrees in non-increasing order.  Vertex 0 takes pi.degrees[0]
+    children, and each later vertex v, in breadth-first order, takes
+    pi.degrees[v] - 1 new children, so vertex v has the v-th largest
+    degree.  Returned as a one-tuple."""
+    if not pi.is_tree_realizable():
+        raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
+    edges: list[tuple[int, int]] = []
+    for v, d in enumerate(pi.degrees):
+        children = d if v == 0 else d - 1
+        first = len(edges) + 1
+        edges += [(v, u) for u in range(first, first + children)]
+    return (tree_from_edges(pi.n, edges),)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from treeindex import enumeration, spectral
+from treeindex import trees as trees_module
 from treeindex.cli import main
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
@@ -31,7 +32,7 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import adjacency_matrix, spectral_radius
+from treeindex.spectral import adjacency_matrix, class_indices, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     TreeError,
@@ -436,16 +437,30 @@ class TestFindMinimizers:
         assert serial.minimizer_codes == parallel.minimizer_codes
         assert serial.min_mu == pytest.approx(parallel.min_mu, abs=1e-14)
 
-    @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize(
         "pi",
         [TIED_MINIMIZER_CLASS, DegreeSequence.parse("4^3,3^3,2,1^11"), DegreeSequence.semiregular(3, 16)],
         ids=lambda pi: pi.compact(),
     )
-    def test_choice_is_the_reported_extremal_trees(self, pi, sign):
-        trees, mus, _ = class_spectra(pi)
-        chosen = extremal_choice(trees, mus, sign=sign)
-        assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, sign=sign).minimizers
+    def test_choice_is_the_reported_extremal_trees(self, pi):
+        trees, mus, codes = class_spectra(pi)
+        chosen = extremal_choice(trees, mus)
+        assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, codes).minimizers
+
+    def test_minimizer_codes_are_the_listing_codes(self, monkeypatch):
+        coded = canonical_form
+
+        def refuse(t):
+            raise AssertionError("a minimizer was coded again")
+
+        # whether it would come from the trees module or be imported by name
+        monkeypatch.setattr(trees_module, "canonical_form", refuse)
+        monkeypatch.setattr(enumeration, "canonical_form", refuse, raising=False)
+        report = find_minimizers(TIED_MINIMIZER_CLASS)
+        monkeypatch.undo()
+        assert len(report.minimizers) == 11
+        for t, code in zip(report.minimizers, report.minimizer_codes):
+            assert code == coded(t)
 
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))
@@ -504,12 +519,6 @@ class TestOneSolvePerTieCandidate:
         assert len(find_minimizers(TIED_MINIMIZER_CLASS).minimizers) == 11
         self.assert_one_float64_solve_each(calls)
 
-    def test_find_maximizers(self, calls, monkeypatch):
-        # a wide band makes many candidates tie on the maximizing side
-        monkeypatch.setattr(enumeration, "_SCREEN_BAND", 1.0)
-        assert len(find_maximizers(TIED_MINIMIZER_CLASS)) == 1
-        self.assert_one_float64_solve_each(calls)
-
     def test_verify_min(self, calls, capsys, monkeypatch):
         monkeypatch.setattr(enumeration, "_SCREEN_BAND", 1.0)
         rc = main(["verify-min", "--d", "3", "--n", "14"])
@@ -533,6 +542,53 @@ class TestFindMaximizers:
     def test_single_edge(self):
         maxis = find_maximizers(DegreeSequence.parse("1,1"))
         assert len(maxis) == 1 and maxis[0].vertex_count == 2
+
+    def test_single_vertex(self):
+        maxis = find_maximizers(DegreeSequence.parse("0"))
+        assert len(maxis) == 1 and maxis[0].vertex_count == 1
+
+    def test_unrealizable_rejected(self):
+        with pytest.raises(TreeError):
+            find_maximizers(DegreeSequence.parse("3,3,1"))
+
+    def test_matches_the_enumeration_oracle(self):
+        # every class with n <= 16 and degrees <= 5, `0` and `1,1` among
+        # them; the oracle is the screened argmax over the listed class,
+        # and a gap of more than 1e-9 between its two largest values (the
+        # least over this range is about 5e-5) means eigvalsh cannot
+        # misrank them
+        checked = 0
+        for n in range(1, 17):
+            for pi in all_tree_degree_sequences(n):
+                if max(pi.degrees) > 5:
+                    continue
+                trees = list(enumerate_trees(pi))
+                mus = class_indices(trees)
+                if len(trees) > 1:
+                    top, second = np.sort(mus)[-1:-3:-1]
+                    assert top - second > 1e-9, pi.compact()
+                (built,) = find_maximizers(pi)
+                assert canonical_form(built) == canonical_form(trees[int(np.argmax(mus))]), pi.compact()
+                checked += 1
+        assert checked == 242
+
+    @pytest.mark.parametrize(
+        "pi",
+        [DegreeSequence.parse("2^20000,1^2"), DegreeSequence.semiregular(3, 20002)],
+        ids=["path", "semiregular"],
+    )
+    def test_past_the_enumeration_horizon(self, pi):
+        (built,) = find_maximizers(pi)
+        assert DegreeSequence.of_tree(built) == pi
+
+    def test_builds_without_the_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the maximizer was searched for")
+
+        for name in ("class_indices", "spectral_radii", "_listing"):
+            monkeypatch.setattr(enumeration, name, refuse)
+        (built,) = find_maximizers(TIED_MINIMIZER_CLASS)
+        assert DegreeSequence.of_tree(built) == TIED_MINIMIZER_CLASS
 
 
 class TestTiedMinimizerExamples:

@@ -203,7 +203,7 @@ def fields(r):
 
 def tie_candidates():
     trees, mus, _ = class_spectra(TIED_MINIMIZER_CLASS)
-    return [trees[i] for i in _screen(mus, +1)[1]]
+    return [trees[i] for i in _screen(mus)[1]]
 
 
 class TestSpectralRadii:
