@@ -18,16 +18,36 @@ measured by the eigenvalue-equation residual
 
 There is one loop, and it runs on a block of trees laid end to end on one
 flat vertex vector, grouped by size; `spectral_radius` is a block of one.
-Each sweep computes s = A x once for the whole block, as one scatter over
-the edges taken in both directions (`np.bincount` in float64; `np.add.at`
-in extended precision, since bincount casts its weights to float64), and
-uses s both to check x and for the power step from x.  Each vertex
-receives its own tree's terms in the order a block of one gives them, the
-power step is elementwise, and mu = x.s and the norm y.y are taken for
-each run of equal-size trees by one `np.matmul` of (k, 1, n) and (k, n, 1)
-views, which numpy computes row by row with the kernel of `ndarray.dot`
-(a block of one calls `ndarray.dot` itself), so every tree gets the bits
-it would get alone.  The check is screened
+Each sweep computes s = A x once for the whole block and uses s both to
+check x and for the power step from x.  There are two kernels for s:
+
+- the scatter, over the edges taken in both directions (`np.bincount` in
+  float64; `np.add.at` in extended precision, since bincount casts its
+  weights to float64), which starts each vertex at +0.0 and adds its
+  terms in the order the edges list them;
+- on a block in which no vertex has degree above 2, that is a block of
+  paths, two neighbor columns: s = x[first] + x[second], two gathers and
+  one add, where a leaf's second term is one +0.0 kept past x.  It costs
+  less than the scatter's gather, range pass and zeroed array; once one
+  vertex has three terms the scatter is cheaper, so every other block
+  takes the scatter.
+
+Both give every vertex (0 + t1) + t2 bit for bit.  Addition commutes, and
+0 + t equals t unless t is -0.0; so the sums can differ only where both
+terms are -0.0.  The start is positive, and a power step maps a
+nonnegative x with no -0.0 to another (a nonnegative matrix applied to
+it, divided by a positive norm; a stopped tree's span is zeroed to +0.0),
+so only a polish step can bring -0.0 into x.  From the first one on, the
+column sum adds +0, as (t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
+
+Each vertex receives its own tree's terms in the order a block of one
+gives them, the power step is elementwise, and mu = x.s and the norm y.y
+are taken for each run of equal-size trees by one `np.matmul` of
+(k, 1, n) and (k, n, 1) views, which numpy computes row by row with the
+kernel of `ndarray.dot`, so every tree gets the bits it would get alone.
+A block of one calls `ndarray.dot` itself and keeps its shift and its
+norm as scalars, whose products and quotients are those of the spread
+vectors, element by element.  The check is screened
 exactly: the residual entry at the vertex where the tree's last full
 residual vector peaked is computed with the same IEEE operations as in the
 full vector, and when it alone exceeds tol, so does the maximum.  The full
@@ -206,19 +226,36 @@ def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
     return None
 
 
+def _neighbor_columns(tgt: np.ndarray, src: np.ndarray, size: int) -> np.ndarray:
+    """For a block whose every vertex has one or two neighbor terms in the
+    scatter pairs `tgt`/`src`: the rows `first` and `second` that give
+    vertex v its terms x[first[v]] and x[second[v]] in the order the pairs
+    list them.  A leaf's second term is index `size`, which the iterate's
+    buffer keeps at +0.0 just past x."""
+    first, second = [size] * size, [size] * size
+    for v, u in zip(tgt.tolist(), src.tolist()):
+        if first[v] == size:
+            first[v] = u
+        else:
+            second[v] = u
+    return np.array((first, second))
+
+
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
     """The power-iteration loop on a block of trees, as the module docstring
     describes, giving the last iterate of each tree unchecked; `_solve`
     checks them.  Every pass adds one iteration to each live tree, by a
     power step or a polish step, so they all share one count.  The block is
     laid out once, its trees in order of size: the scatter pairs moved to
-    each tree's span, the shift at every vertex, the iterate x and a buffer
-    y with each tree's views of both, the matmul views of each run of
-    equal-size trees, and the index that spreads one norm per tree over its
-    vertices.  A lone tree's norm is taken as a scalar, which divides
-    faster than a spread vector.  The residual screen works on each tree's
-    own scalars: at the block sizes of a tie set that costs less than a
-    screen over the whole block."""
+    each tree's span, and on a block of paths the two neighbor columns
+    read off them; the shift at every vertex; the iterate x, a view of a
+    buffer that keeps one +0.0 past it, and a buffer y, with each tree's
+    views of both; and, for more than one tree, the matmul views of each
+    run of equal-size trees and the index that spreads one norm per tree
+    over its vertices.  A lone tree keeps its shift and its norm as
+    scalars, which multiply and divide faster than spread vectors.  The
+    residual screen works on each tree's own scalars: at the block sizes
+    of a tie set that costs less than a screen over the whole block."""
     extended = dtype is not np.float64
     results: list = [None] * len(trees)
     block = []
@@ -242,38 +279,50 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
     # edge uv sends x[v] to u, then (second half) x[u] to v; a vertex still
     # receives its own tree's terms in the order a block of one gives them
     tgt, src = np.concatenate((eu, ev)), np.concatenate((ev, eu))
-    shift = np.repeat(np.array([max(trees[pos].degrees()) for pos in block], dtype=dtype), sizes)
-    x = np.ones(size, dtype=dtype)
+    degrees = [max(trees[pos].degrees()) for pos in block]
+    paths = max(degrees) <= 2
+    if paths:
+        first, second = _neighbor_columns(tgt, src, size)
+    lone = len(block) == 1
+    shift = dtype(degrees[0]) if lone else np.repeat(np.array(degrees, dtype=dtype), sizes)
+    xe = np.zeros(size + 1, dtype=dtype)
+    x = xe[:size]
+    x[...] = 1
     y = np.empty_like(x)
     spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
     xs = [x[span] for span in spans]
     for xv in xs:
         xv /= np.sqrt(xv @ xv)
-    lone = len(block) == 1
-    mus = np.empty(len(block), dtype)
-    norms = np.empty(len(block), dtype)
-    # each run of k equal-size trees is a (k, n) array in x, y and s; one
-    # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots with
-    # the kernel of ndarray.dot, bit for bit.  A lone tree takes its dots
-    # with ndarray.dot, which costs less than one matmul call.
-    mu_runs, norm_runs = [], []
-    j0 = 0
-    for n, group in groupby(sizes):
-        j1 = j0 + len(list(group))
-        span = slice(starts[j0], starts[j1])
-        mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
-        norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
-        j0 = j1
-    spread = 0 if lone else np.repeat(np.arange(len(block)), sizes)
+    if not lone:
+        mus = np.empty(len(block), dtype)
+        norms = np.empty(len(block), dtype)
+        # each run of k equal-size trees is a (k, n) array in x, y and s; one
+        # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots
+        # with the kernel of ndarray.dot, bit for bit.  A lone tree takes its
+        # dots with ndarray.dot, which costs less than one matmul call.
+        mu_runs, norm_runs = [], []
+        j0 = 0
+        for n, group in groupby(sizes):
+            j1 = j0 + len(list(group))
+            span = slice(starts[j0], starts[j1])
+            mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
+            norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
+            j0 = j1
+        spread = np.repeat(np.arange(len(block)), sizes)
     peaks = [0] * len(block)  # where each tree's last full residual vector peaked
     polish = [8] * len(block)  # Rayleigh steps allowed from the polish point on
     live = list(range(len(block)))
     stopped: list[int] = []
     fallback_at = max(1, max_iter // 2)  # never above max_iter
+    signed = False  # whether a polish step has written x, which may put -0.0 in it
     iterations = 0
     while True:
         # s = A x serves both the check of x and the next step from x
-        if extended:
+        if paths:
+            s = xe[first] + xe[second]
+            if signed:
+                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
+        elif extended:
             s = np.zeros(size, dtype=dtype)
             np.add.at(s, tgt, x[src])
         else:
@@ -319,15 +368,16 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
         np.multiply(shift, x, out=y)
         y += s  # s + c x, as addition commutes
         if lone:
-            norms[0] = y.dot(y)
+            np.divide(y, np.sqrt(y.dot(y)), out=x)
         else:
             for yr, yc, out in norm_runs:
                 np.matmul(yr, yc, out=out)
             # a stopped tree's zeroed span divides to zero
             norms[stopped] = 1
-        np.divide(y, np.sqrt(norms)[spread], out=x)
+            np.divide(y, np.sqrt(norms)[spread], out=x)
         for j, z in polished:
             xs[j][...] = z
+            signed = True
         iterations += 1
 
 

@@ -249,6 +249,8 @@ class DegreeSequence:
         object.__setattr__(self, "degrees", degs)
         if len(degs) == 0:
             raise TreeError("degree sequence must be non-empty")
+        if not all(map(_is_json_int, degs)):
+            raise TreeError(f"degrees must be integers, got {degs!r}")
         if list(degs) != sorted(degs, reverse=True):
             raise TreeError("degree sequence must be non-increasing")
         if degs == (0,):

@@ -19,6 +19,8 @@ settled ties with a second, longdouble solve of every tie candidate.
 The `verify_min_stdout_sha256` entries were captured from the
 implementation that coded every tree of the class again with
 `canonical_form` for its row.
+The 600- and 1200-vertex path entries of `spectral_sha256` were captured
+from the sweep that scattered A x with `np.bincount` on every block.
 Every `free_trees` entry was captured from a generator that listed rooted
 trees and kept the rootings at a centre; free trees now come from the
 degree-class decoration loop.  The leaner code must reproduce them exactly.
@@ -100,10 +102,13 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# trees whose full spectral_radius JSON is pinned by its sha256; the path
+# trees whose full spectral_radius JSON is pinned by its sha256; each path
 # runs 50,000 sweeps before the Rayleigh polish finishes it
 SHA_TREES = {
-    "path_300_relabelled_seed_300": lambda: relabelled(make_path(300), random.Random(300)),
+    **{
+        f"path_{n}_relabelled_seed_{n}": lambda n=n: relabelled(make_path(n), random.Random(n))
+        for n in (300, 600, 1200)
+    },
     "caterpillar_4_302": lambda: make_caterpillar(4, 302),
     "semiregular_3_60_seed_1": lambda: random_semiregular(3, 60, 1),
     "semiregular_4_80_seed_2": lambda: random_semiregular(4, 80, 2),
@@ -196,6 +201,17 @@ class TestOneMatvecPerSweep:
         scatter, other = ("add.at", "bincount") if extended else ("bincount", "add.at")
         assert counting.calls[scatter] == r.iterations + 1
         assert counting.calls[other] == 0
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_paths_sum_two_columns(self, monkeypatch, extended):
+        # no vertex of a path has more than two neighbor terms, so A x is the
+        # sum of two gathered columns of x and never a scatter; 1000 sweeps,
+        # then polish steps
+        counting = self.CountingNumpy()
+        monkeypatch.setattr(spectral, "np", counting)
+        r = spectral_radius(relabelled(make_path(60), random.Random(60)), max_iter=2000, extended=extended)
+        assert r.iterations == 1002
+        assert counting.calls == {"bincount": 0, "add.at": 0}
 
 
 class TestPinnedEnumeration:

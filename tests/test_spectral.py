@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from test_pinned import BUDGET_EXITS
+from test_pinned import BUDGET_EXITS, relabelled
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
     _screen,
@@ -17,6 +17,8 @@ from treeindex.enumeration import (
 from treeindex.spectral import (
     CLASS_CHUNK,
     ConvergenceError,
+    _edge_arrays,
+    _neighbor_columns,
     adjacency_matrix,
     class_indices,
     caterpillar_symmetry_check,
@@ -273,10 +275,88 @@ class TestSpectralRadii:
         got = spectral_radii(block)
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
 
+    @pytest.mark.parametrize("sizes", [(3, 7, 150, 301), (301, 7, 3, 150, 7)])
+    def test_block_of_paths(self, sizes):
+        # the paths' two-column sum serves the whole block; the 301-vertex
+        # path polishes after 50,000 sweeps, the others stop before that
+        block = [relabelled(make_path(n), random.Random(n)) for n in sizes]
+        got = spectral_radii(block)
+        assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
+
+    def test_path_beside_a_fork(self):
+        # one vertex of degree 3 sends the whole block back to the scatter
+        block = [relabelled(make_path(60), random.Random(60)), FORK_19, make_path(19)]
+        got = spectral_radii(block, max_iter=2000)
+        assert [fields(r) for r in got] == [fields(spectral_radius(t, max_iter=2000)) for t in block]
+
     def test_empty_and_tiny_blocks(self):
         assert spectral_radii([]) == []
         got = spectral_radii([make_path(1), K2])
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in (make_path(1), K2)]
+
+
+def scatter_pairs(trees):
+    """The scatter pairs (tgt, src) of trees laid end to end, as a block
+    solve lays them out."""
+    edges = [_edge_arrays(t) for t in trees]
+    starts = np.cumsum([0] + [t.vertex_count for t in trees])
+    eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
+    ev = np.concatenate([v + a for (_, v), a in zip(edges, starts)])
+    return np.concatenate((eu, ev)), np.concatenate((ev, eu))
+
+
+def same_bits(a, b):
+    # equal values with equal sign bits: -0.0 == 0.0 would pass alone, and
+    # longdouble bytes carry padding
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestNeighborColumns:
+    """On a block of paths, A x is the sum of two gathered columns of x, the
+    iterate's buffer keeping one +0.0 past x for a leaf's second term.  It
+    must be the scatter's sum (0 + t1) + t2 bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("sizes", [(3,), (4,), (7,), (301,), (3, 7, 150, 301)])
+    def test_column_sum_is_the_scatter(self, dtype, sizes):
+        rng = random.Random(sum(sizes))
+        trees = [relabelled(make_path(n), rng) for n in sizes]
+        tgt, src = scatter_pairs(trees)
+        size = sum(sizes)
+        first, second = _neighbor_columns(tgt, src, size)
+        xe = np.zeros(size + 1, dtype)
+        x = xe[:size]
+        x[...] = [rng.choice((0.0, -0.0, 0.75, -1.5, rng.random(), -rng.random())) for _ in range(size)]
+
+        def scatter():
+            if dtype is np.float64:
+                return np.bincount(tgt, weights=x[src], minlength=size)
+            out = np.zeros(size, dtype)
+            np.add.at(out, tgt, x[src])
+            return out
+
+        want = scatter()
+        plain = xe[first] + xe[second]
+        signed = plain + 0
+        assert same_bits(signed, want)
+        # the plain sum gives -0.0 where both terms are -0.0, and the scatter
+        # +0.0; nowhere else do they differ
+        both = np.signbit(xe[first]) & (xe[first] == 0) & np.signbit(xe[second]) & (xe[second] == 0)
+        assert list(np.flatnonzero(np.signbit(plain) != np.signbit(want))) == list(np.flatnonzero(both))
+        assert both.any() or size < 100  # the larger inputs hold such vertices
+        # with no -0.0 in x, as before any polish step, the plain sum is exact
+        x[x == 0] = 0.0
+        assert same_bits(xe[first] + xe[second], scatter())
+
+    def test_columns_follow_the_pairs(self):
+        # each vertex's terms in the order the pairs list them; leaves take
+        # the +0.0 slot at index size
+        t = relabelled(make_path(9), random.Random(9))
+        tgt, src = scatter_pairs([t])
+        first, second = _neighbor_columns(tgt, src, 9)
+        for v in range(9):
+            terms = list(src[tgt == v]) + [9]
+            assert (first[v], second[v]) == tuple(terms[:2])
 
 
 class TestAdjacencyMatrix:

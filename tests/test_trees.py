@@ -244,6 +244,23 @@ class TestDegreeSequence:
         with pytest.raises(TreeError):
             DegreeSequence((1, 2))
 
+    @pytest.mark.parametrize("degrees", [(3.0, 1, 1, 1), (True, True), (2, "1", 1), (1.5, 0.5)])
+    def test_rejects_degrees_that_are_not_integers(self, degrees):
+        # a float degree once read as realizable and failed in enumeration
+        # with a bare TypeError; two bools built K2 and compacted to "True^2"
+        with pytest.raises(TreeError, match="degrees must be integers"):
+            DegreeSequence(degrees)
+
+    @pytest.mark.parametrize(
+        "text, degrees",
+        [("3,1^3", (3, 1, 1, 1)), ("1,3,1,1", (3, 1, 1, 1)), ("2^3,1^2", (2, 2, 2, 1, 1)),
+         ("1,1", (1, 1)), ("0", (0,)), (" 4 ^2, 1^6 ", (4, 4, 1, 1, 1, 1, 1, 1))],
+    )
+    def test_parse_still_accepts_integer_tokens(self, text, degrees):
+        pi = DegreeSequence.parse(text)
+        assert pi.degrees == degrees
+        assert all(type(x) is int for x in pi.degrees)
+
 
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
