@@ -16,21 +16,26 @@ measured by the eigenvalue-equation residual
 
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
-There is one loop, and it runs on a block of trees laid end to end on one
-flat vertex vector, grouped by size; `spectral_radius` is a block of one.
-Each sweep computes s = A x once for the whole block and uses s both to
-check x and for the power step from x.  There are two kernels for s:
+There are two loops with the same sweeps and checks.  The lone loop runs
+one tree, for `spectral_radius` and for a `spectral_radii` call left with
+one tree of three or more vertices, in float64 or in extended precision.
+Its state is plain locals: no per-sweep views or lists, and the screen's
+two scalar reads picked once per dtype.  The block loop runs two or more
+trees laid end to end on one flat vertex vector, grouped by size, in
+float64 only, as `spectral_radii` solves them.  Each sweep computes s = A x
+once, for the tree or for the whole block, and uses s both to check x and
+for the power step from x.  There are two kernels for s:
 
 - the scatter, over the edges taken in both directions (`np.bincount` in
-  float64; `np.add.at` in extended precision, since bincount casts its
-  weights to float64), which starts each vertex at +0.0 and adds its
-  terms in the order the edges list them;
-- on a block in which no vertex has degree above 2, that is a block of
-  paths, two neighbor columns: s = x[first] + x[second], two gathers and
+  float64; `np.add.at` in the lone loop's extended precision, since
+  bincount casts its weights to float64), which starts each vertex at
+  +0.0 and adds its terms in the order the edges list them;
+- when no vertex has degree above 2, that is a path or a block of paths,
+  two neighbor columns: s = x[first], then s += x[second], two gathers and
   one add, where a leaf's second term is one +0.0 kept past x.  It costs
   less than the scatter's gather, range pass and zeroed array; once one
-  vertex has three terms the scatter is cheaper, so every other block
-  takes the scatter.
+  vertex has three terms the scatter is cheaper, so every other tree or
+  block takes the scatter.
 
 Both give every vertex (0 + t1) + t2 bit for bit.  Addition commutes, and
 0 + t equals t unless t is -0.0; so the sums can differ only where both
@@ -40,22 +45,25 @@ it, divided by a positive norm; a stopped tree's span is zeroed to +0.0),
 so only a polish step can bring -0.0 into x.  From the first one on, the
 column sum adds +0, as (t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
 
-Each vertex receives its own tree's terms in the order a block of one
-gives them, the power step is elementwise, and mu = x.s and the norm y.y
-are taken for each run of equal-size trees by one `np.matmul` of
-(k, 1, n) and (k, n, 1) views, which numpy computes row by row with the
-kernel of `ndarray.dot`, so every tree gets the bits it would get alone.
-A block of one calls `ndarray.dot` itself and keeps its shift and its
-norm as scalars, whose products and quotients are those of the spread
-vectors, element by element.  The check is screened
+The two loops give a tree the same bits.  In a block each vertex receives
+its own tree's terms in the order the tree alone gives them, the power
+step is elementwise, and mu = x.s and the norm y.y are taken for each run
+of equal-size trees by one `np.matmul` of (k, 1, n) and (k, n, 1) views,
+which numpy computes row by row with the kernel of `ndarray.dot`, the
+call the lone loop makes.  The lone loop keeps its shift and its norm as
+scalars, whose products and quotients are those of the block's spread
+vectors, element by element; in float64 it reads the screen's entries as
+Python floats and takes the norm's root with `math.sqrt`, both the IEEE
+operations numpy applies to its float64 scalars.  The check is screened
 exactly: the residual entry at the vertex where the tree's last full
 residual vector peaked is computed with the same IEEE operations as in the
 full vector, and when it alone exceeds tol, so does the maximum.  The full
 residual is taken whenever the screen does not settle it and on every
 sweep from the polish point on, so every stop, polish decision and
-reported residual is the one the full check gives.  A tree that stops
-keeps its span, zeroed: a zero span scatters zeros and steps to zero, so
-the rest go on at the same iteration count with the bits they get alone.
+reported residual is the one the full check gives.  A tree that stops in
+a block keeps its span, zeroed: a zero span scatters zeros and steps to
+zero, so the rest go on at the same iteration count with the bits they
+get alone.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -241,22 +249,202 @@ def _neighbor_columns(tgt: np.ndarray, src: np.ndarray, size: int) -> np.ndarray
     return np.array((first, second))
 
 
+def _scatter_layout(trees: list[Tree], starts: list[int]):
+    """The scatter pairs `tgt`/`src` of `trees` laid end to end, tree i
+    from vertex starts[i] on, with each tree's largest degree and, when no
+    vertex has degree above 2, the two neighbor columns read off the pairs
+    (None otherwise).  Edge uv sends x[v] to u, then (second half) x[u] to
+    v, so in a block a vertex receives its own tree's terms in the order a
+    lone tree gives them."""
+    edges = [_edge_arrays(t) for t in trees]
+    eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
+    ev = np.concatenate([v + a for (_, v), a in zip(edges, starts)])
+    tgt, src = np.concatenate((eu, ev)), np.concatenate((ev, eu))
+    degrees = [max(t.degrees()) for t in trees]
+    columns = _neighbor_columns(tgt, src, starts[-1]) if max(degrees) <= 2 else None
+    return tgt, src, degrees, columns
+
+
+def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult:
+    """The power-iteration loop on one tree of three or more vertices, in
+    float64 or longdouble, as the module docstring describes: the last
+    iterate, unchecked.  Its state is plain locals: the shift, the screen
+    entry w, the polish count, and the iterate x, a view of a buffer that
+    keeps one +0.0 past it.  The scalar reads are chosen once: in float64
+    the screen reads its two entries as Python floats with `ndarray.item`
+    and the norm's root is `math.sqrt`, the same IEEE operations as on
+    numpy float64 scalars; in longdouble the screen keeps numpy scalars and
+    `np.sqrt`, so it computes what the full residual vector computes.  A
+    polish step replaces x outright, with no power step from it."""
+    n = t.vertex_count
+    tgt, src, (degree,), columns = _scatter_layout([t], [0, n])
+    if columns is not None:
+        first, second = columns
+    float64 = dtype is np.float64
+    entry, root = (np.ndarray.item, math.sqrt) if float64 else (np.ndarray.__getitem__, np.sqrt)
+    shift = dtype(degree)
+    xe = np.zeros(n + 1, dtype=dtype)
+    x = xe[:n]
+    x[...] = 1
+    x /= np.sqrt(x @ x)
+    y = np.empty_like(x)
+    w = 0  # where the last full residual vector peaked
+    polish = 8  # Rayleigh steps allowed from the polish point on
+    fallback_at = max(1, max_iter // 2)  # never above max_iter
+    signed = False  # whether a polish step has written x, which may put -0.0 in it
+    iterations = 0
+    while True:
+        # s = A x serves both the check of x and the next step from x
+        if columns is not None:
+            s = xe[first]
+            s += xe[second]
+            if signed:
+                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
+        elif float64:
+            s = np.bincount(tgt, weights=x[src], minlength=n)
+        else:
+            s = np.zeros(n, dtype=dtype)
+            np.add.at(s, tgt, x[src])
+        if iterations:
+            mu = float(x.dot(s))
+            # before fallback_at only res <= tol ends the power steps; one
+            # residual entry above tol, rounded to float as res is, proves
+            # res > tol
+            if iterations >= fallback_at or not float(abs(mu * entry(x, w) - entry(s, w))) > tol:
+                r = np.abs(mu * x - s)
+                w = int(np.argmax(r))
+                res = float(r[w])
+                if res > tol and iterations >= fallback_at and polish:
+                    polish -= 1
+                    z = _rayleigh_step(t, x, mu)
+                    if z is not None:
+                        x[...] = z
+                        signed = True
+                        iterations += 1
+                        continue
+                    polish = 0
+                if res <= tol or iterations >= max_iter:
+                    return SpectralResult(mu, x.astype(np.float64), res, iterations)
+        np.multiply(shift, x, out=y)
+        y += s  # s + c x, as addition commutes
+        np.divide(y, root(y.dot(y)), out=x)
+        iterations += 1
+
+
+def _block_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
+    """The power-iteration loop on a block of two or more trees of three or
+    more vertices, in order of size and in float64, as the module docstring
+    describes: the last iterate of each tree, unchecked.  Every pass adds
+    one iteration to each live tree, by a power step or a polish step, so
+    they all share one count.  The block is laid out once: the scatter
+    pairs moved to each tree's span, and on a block of paths the two
+    neighbor columns read off them; the shift at every vertex; the iterate
+    x, a view of a buffer that keeps one +0.0 past it, and a buffer y, with
+    each tree's views of both; the matmul views of each run of equal-size
+    trees; and the index that spreads one norm per tree over its vertices.
+    The residual screen works on each tree's own scalars: at the block
+    sizes of a tie set that costs less than a screen over the whole
+    block."""
+    sizes = [t.vertex_count for t in trees]
+    starts = np.cumsum([0] + sizes).tolist()
+    size = starts[-1]
+    tgt, src, degrees, columns = _scatter_layout(trees, starts)
+    if columns is not None:
+        first, second = columns
+    shift = np.repeat(np.array(degrees, dtype=np.float64), sizes)
+    xe = np.zeros(size + 1)
+    x = xe[:size]
+    x[...] = 1
+    y = np.empty_like(x)
+    spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    xs = [x[span] for span in spans]
+    for xv in xs:
+        xv /= np.sqrt(xv @ xv)
+    mus = np.empty(len(trees))
+    norms = np.empty(len(trees))
+    # each run of k equal-size trees is a (k, n) array in x, y and s; one
+    # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots with
+    # the kernel of ndarray.dot, bit for bit
+    mu_runs, norm_runs = [], []
+    j0 = 0
+    for n, group in groupby(sizes):
+        j1 = j0 + len(list(group))
+        span = slice(starts[j0], starts[j1])
+        mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
+        norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
+        j0 = j1
+    spread = np.repeat(np.arange(len(trees)), sizes)
+    results: list = [None] * len(trees)
+    peaks = [0] * len(trees)  # where each tree's last full residual vector peaked
+    polish = [8] * len(trees)  # Rayleigh steps allowed from the polish point on
+    live = list(range(len(trees)))
+    stopped: list[int] = []
+    fallback_at = max(1, max_iter // 2)  # never above max_iter
+    signed = False  # whether a polish step has written x, which may put -0.0 in it
+    iterations = 0
+    while True:
+        # s = A x serves both the check of x and the next step from x
+        if columns is not None:
+            s = xe[first]
+            s += xe[second]
+            if signed:
+                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
+        else:
+            s = np.bincount(tgt, weights=x[src], minlength=size)
+        done = []
+        polished = []
+        if iterations:
+            for span, n, xr, out in mu_runs:
+                np.matmul(xr, s[span].reshape(-1, n, 1), out=out)
+            for j in live:
+                xv, sv, w = xs[j], s[spans[j]], peaks[j]
+                mu = mus.item(j)
+                # before fallback_at only res <= tol ends the power steps; one
+                # residual entry above tol proves res > tol
+                if iterations >= fallback_at or not abs(mu * xv.item(w) - sv.item(w)) > tol:
+                    r = np.abs(mu * xv - sv)
+                    peaks[j] = w = int(np.argmax(r))
+                    res = float(r[w])
+                    if res <= tol:
+                        done.append((j, mu, res))
+                        continue
+                    if iterations >= fallback_at and polish[j]:
+                        polish[j] -= 1
+                        z = _rayleigh_step(trees[j], xv, mu)
+                        if z is not None:
+                            polished.append((j, z))
+                            continue
+                        polish[j] = 0
+                    if iterations >= max_iter:
+                        done.append((j, mu, res))
+            # a stopped tree's span is zeroed in x and s: it scatters zeros
+            # and steps to zero from then on
+            for j, mu, res in done:
+                results[j] = SpectralResult(mu, xs[j].copy(), res, iterations)
+                xs[j][...] = 0
+                s[spans[j]] = 0
+                live.remove(j)
+                stopped.append(j)
+            if not live:
+                return results
+        np.multiply(shift, x, out=y)
+        y += s  # s + c x, as addition commutes
+        for yr, yc, out in norm_runs:
+            np.matmul(yr, yc, out=out)
+        # a stopped tree's zeroed span divides to zero
+        norms[stopped] = 1
+        np.divide(y, np.sqrt(norms)[spread], out=x)
+        for j, z in polished:
+            xs[j][...] = z
+            signed = True
+        iterations += 1
+
+
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
-    """The power-iteration loop on a block of trees, as the module docstring
-    describes, giving the last iterate of each tree unchecked; `_solve`
-    checks them.  Every pass adds one iteration to each live tree, by a
-    power step or a polish step, so they all share one count.  The block is
-    laid out once, its trees in order of size: the scatter pairs moved to
-    each tree's span, and on a block of paths the two neighbor columns
-    read off them; the shift at every vertex; the iterate x, a view of a
-    buffer that keeps one +0.0 past it, and a buffer y, with each tree's
-    views of both; and, for more than one tree, the matmul views of each
-    run of equal-size trees and the index that spreads one norm per tree
-    over its vertices.  A lone tree keeps its shift and its norm as
-    scalars, which multiply and divide faster than spread vectors.  The
-    residual screen works on each tree's own scalars: at the block sizes
-    of a tie set that costs less than a screen over the whole block."""
-    extended = dtype is not np.float64
+    """The last iterate of each tree, unchecked; `_solve` checks them.
+    Trees of one and two vertices take their closed forms.  When one tree
+    is left it runs the lone loop in `dtype`; two or more run the block
+    loop in float64, the only dtype `spectral_radii` passes."""
     results: list = [None] * len(trees)
     block = []
     for pos, t in enumerate(trees):
@@ -267,126 +455,21 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
             results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
         else:
             block.append(pos)
-    if not block:
-        return results
-    block.sort(key=lambda pos: trees[pos].vertex_count)
-    sizes = [trees[pos].vertex_count for pos in block]
-    starts = np.cumsum([0] + sizes).tolist()
-    size = starts[-1]
-    edges = [_edge_arrays(trees[pos]) for pos in block]
-    eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
-    ev = np.concatenate([v + a for (_, v), a in zip(edges, starts)])
-    # edge uv sends x[v] to u, then (second half) x[u] to v; a vertex still
-    # receives its own tree's terms in the order a block of one gives them
-    tgt, src = np.concatenate((eu, ev)), np.concatenate((ev, eu))
-    degrees = [max(trees[pos].degrees()) for pos in block]
-    paths = max(degrees) <= 2
-    if paths:
-        first, second = _neighbor_columns(tgt, src, size)
-    lone = len(block) == 1
-    shift = dtype(degrees[0]) if lone else np.repeat(np.array(degrees, dtype=dtype), sizes)
-    xe = np.zeros(size + 1, dtype=dtype)
-    x = xe[:size]
-    x[...] = 1
-    y = np.empty_like(x)
-    spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    xs = [x[span] for span in spans]
-    for xv in xs:
-        xv /= np.sqrt(xv @ xv)
-    if not lone:
-        mus = np.empty(len(block), dtype)
-        norms = np.empty(len(block), dtype)
-        # each run of k equal-size trees is a (k, n) array in x, y and s; one
-        # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots
-        # with the kernel of ndarray.dot, bit for bit.  A lone tree takes its
-        # dots with ndarray.dot, which costs less than one matmul call.
-        mu_runs, norm_runs = [], []
-        j0 = 0
-        for n, group in groupby(sizes):
-            j1 = j0 + len(list(group))
-            span = slice(starts[j0], starts[j1])
-            mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
-            norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
-            j0 = j1
-        spread = np.repeat(np.arange(len(block)), sizes)
-    peaks = [0] * len(block)  # where each tree's last full residual vector peaked
-    polish = [8] * len(block)  # Rayleigh steps allowed from the polish point on
-    live = list(range(len(block)))
-    stopped: list[int] = []
-    fallback_at = max(1, max_iter // 2)  # never above max_iter
-    signed = False  # whether a polish step has written x, which may put -0.0 in it
-    iterations = 0
-    while True:
-        # s = A x serves both the check of x and the next step from x
-        if paths:
-            s = xe[first] + xe[second]
-            if signed:
-                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
-        elif extended:
-            s = np.zeros(size, dtype=dtype)
-            np.add.at(s, tgt, x[src])
-        else:
-            s = np.bincount(tgt, weights=x[src], minlength=size)
-        done = []
-        polished = []
-        if iterations:
-            if not lone:
-                for span, n, xr, out in mu_runs:
-                    np.matmul(xr, s[span].reshape(-1, n, 1), out=out)
-            for j in live:
-                xv, sv, w = xs[j], s[spans[j]], peaks[j]
-                mu = float(xv.dot(sv) if lone else mus[j])
-                # before fallback_at only res <= tol ends the power steps; one
-                # residual entry above tol, rounded to float as res is, proves
-                # res > tol
-                if iterations >= fallback_at or not float(abs(mu * xv[w] - sv[w])) > tol:
-                    r = np.abs(mu * xv - sv)
-                    peaks[j] = w = int(np.argmax(r))
-                    res = float(r[w])
-                    if res <= tol:
-                        done.append((j, mu, res))
-                        continue
-                    if iterations >= fallback_at and polish[j]:
-                        polish[j] -= 1
-                        z = _rayleigh_step(trees[block[j]], xv, mu)
-                        if z is not None:
-                            polished.append((j, z))
-                            continue
-                        polish[j] = 0
-                    if iterations >= max_iter:
-                        done.append((j, mu, res))
-            # a stopped tree's span is zeroed in x and s: it scatters zeros
-            # and steps to zero from then on
-            for j, mu, res in done:
-                results[block[j]] = SpectralResult(mu, xs[j].astype(np.float64), res, iterations)
-                xs[j][...] = 0
-                s[spans[j]] = 0
-                live.remove(j)
-                stopped.append(j)
-            if not live:
-                return results
-        np.multiply(shift, x, out=y)
-        y += s  # s + c x, as addition commutes
-        if lone:
-            np.divide(y, np.sqrt(y.dot(y)), out=x)
-        else:
-            for yr, yc, out in norm_runs:
-                np.matmul(yr, yc, out=out)
-            # a stopped tree's zeroed span divides to zero
-            norms[stopped] = 1
-            np.divide(y, np.sqrt(norms)[spread], out=x)
-        for j, z in polished:
-            xs[j][...] = z
-            signed = True
-        iterations += 1
+    if len(block) == 1:
+        results[block[0]] = _lone_iteration(trees[block[0]], tol, max_iter, dtype)
+    elif block:
+        block.sort(key=lambda pos: trees[pos].vertex_count)
+        for pos, r in zip(block, _block_iteration([trees[pos] for pos in block], tol, max_iter)):
+            results[pos] = r
+    return results
 
 
 def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
     """Validate the budget, run the block, and raise the ConvergenceError of
     the first tree in order whose last iterate misses tol or is not
     entrywise positive."""
-    if not tol > 0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
@@ -421,8 +504,8 @@ def spectral_radius(
     max_iter: int = DEFAULT_MAX_ITER,
     extended: bool = False,
 ) -> SpectralResult:
-    """Index mu(t) with its positive unit eigenvector: the power iteration
-    on a block of one.
+    """Index mu(t) with its positive unit eigenvector: the lone loop of the
+    power iteration.
 
     `extended=True` runs the whole iteration in numpy longdouble, which
     is 80-bit on x86 and plain float64 on some platforms.  No code in the
@@ -471,11 +554,14 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
     rooted at v_hat.  `tol` widens the equality band; the default compares
     floats exactly, which is the right mode for transported valuations
     whose entries are literal copies of each other.  A valuation of the
-    wrong length or a v_hat outside 0..n-1 raises ValueError.
+    wrong length, or a v_hat that is a bool, not an integer or outside
+    0..n-1, raises ValueError.
     """
     f = np.asarray(f)
     if f.shape != (t.vertex_count,):
         raise ValueError(f"valuation must have length {t.vertex_count}")
+    if isinstance(v_hat, bool) or not isinstance(v_hat, numbers.Integral):
+        raise ValueError(f"vertex must be an integer, got {v_hat!r}")
     if not 0 <= v_hat < t.vertex_count:
         raise ValueError(f"vertex {v_hat} out of range for n={t.vertex_count}")
     if not np.all(f > 0.0):
@@ -566,7 +652,8 @@ def symmetrize_caterpillar(t: Tree, f) -> np.ndarray:
     The true Perron vector is exactly mirror-symmetric; averaging removes
     the last-bit numerical asymmetry so that mirror entries compare equal
     under the exact float comparisons used by valuation transport.  A
-    valuation of the wrong length raises ValueError.
+    valuation of the wrong length, or one that averages to the zero
+    vector, raises ValueError.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (t.vertex_count,):
@@ -574,7 +661,10 @@ def symmetrize_caterpillar(t: Tree, f) -> np.ndarray:
     out = f.copy()
     for orbit in _caterpillar_mirror_orbits(t):
         out[orbit] = float(np.mean(f[orbit]))
-    out /= np.sqrt(out @ out)
+    norm2 = float(out @ out)
+    if norm2 == 0.0:
+        raise ValueError("the symmetrized valuation is the zero vector and has no direction")
+    out /= np.sqrt(norm2)
     return out
 
 

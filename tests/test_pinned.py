@@ -20,7 +20,9 @@ The `verify_min_stdout_sha256` entries were captured from the
 implementation that coded every tree of the class again with
 `canonical_form` for its row.
 The 600- and 1200-vertex path entries of `spectral_sha256` were captured
-from the sweep that scattered A x with `np.bincount` on every block.
+from the sweep that scattered A x with `np.bincount` on every block, and
+its relabelled (4, 302) caterpillar entry from the loop that ran a tree
+alone as a block of one.
 Every `free_trees` entry was captured from a generator that listed rooted
 trees and kept the rootings at a centre; free trees now come from the
 degree-class decoration loop.  The leaner code must reproduce them exactly.
@@ -103,13 +105,15 @@ def sha256(text):
 
 
 # trees whose full spectral_radius JSON is pinned by its sha256; each path
-# runs 50,000 sweeps before the Rayleigh polish finishes it
+# runs 50,000 sweeps before the Rayleigh polish finishes it, and the
+# relabelled caterpillar 21,816 sweeps of the scatter
 SHA_TREES = {
     **{
         f"path_{n}_relabelled_seed_{n}": lambda n=n: relabelled(make_path(n), random.Random(n))
         for n in (300, 600, 1200)
     },
     "caterpillar_4_302": lambda: make_caterpillar(4, 302),
+    "caterpillar_4_302_relabelled_seed_302": lambda: relabelled(make_caterpillar(4, 302), random.Random(302)),
     "semiregular_3_60_seed_1": lambda: random_semiregular(3, 60, 1),
     "semiregular_4_80_seed_2": lambda: random_semiregular(4, 80, 2),
     "semiregular_5_50_seed_3": lambda: random_semiregular(5, 50, 3),

@@ -155,7 +155,9 @@ class TestSpectralRadius:
         [({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
          ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
          ({"tol": float("inf")}, "tol"), ({"max_iter": True}, "max_iter"),
-         ({"max_iter": 2.5}, "max_iter"), ({"max_iter": "3"}, "max_iter")],
+         ({"max_iter": 2.5}, "max_iter"), ({"max_iter": "3"}, "max_iter"),
+         ({"tol": "1e-12"}, "tol"), ({"tol": None}, "tol"), ({"tol": True}, "tol"),
+         ({"tol": [1e-12]}, "tol")],
     )
     def test_bad_numeric_arguments_rejected(self, kwargs, name):
         # checked before the one- and two-vertex shortcuts, too
@@ -164,6 +166,10 @@ class TestSpectralRadius:
                 spectral_radius(t, **kwargs)
         with pytest.raises(ValueError, match=name):
             spectral_radii([make_path(1), make_path(6)], **kwargs)
+
+    def test_numpy_tol_accepted(self):
+        t = make_path(6)
+        assert spectral_radius(t, tol=np.float64(1e-12)).to_json() == spectral_radius(t).to_json()
 
     def test_infinite_tolerance_is_not_a_converged_index(self):
         # tol=inf once stopped P5 after one sweep at mu = 1.697, not sqrt(3)
@@ -293,6 +299,34 @@ class TestSpectralRadii:
         assert spectral_radii([]) == []
         got = spectral_radii([make_path(1), K2])
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in (make_path(1), K2)]
+
+
+class TestLoneLoop:
+    """A tree alone runs the lone loop and a tree in a block the block loop,
+    which share no sweep code: each must give the other's result field for
+    field, whichever kernel the block sums A x with."""
+
+    @staticmethod
+    def assert_lone_is_block(t, others, **budget):
+        lone = spectral_radius(t, **budget)
+        for other in others:
+            got = spectral_radii([t, other], **budget)[0]
+            assert got.to_json() == lone.to_json()
+            assert fields(got) == fields(lone)
+        return lone
+
+    @pytest.mark.parametrize("budget", [{}, {"max_iter": 2000}], ids=["converges", "polishes"])
+    def test_relabelled_path(self, budget):
+        # beside a path the block sums two columns, beside a fork it
+        # scatters; under max_iter=2000 the path polishes from sweep 1000
+        t = relabelled(make_path(150), random.Random(150))
+        r = self.assert_lone_is_block(t, [make_path(40), FORK_19], **budget)
+        assert r.iterations == (1003 if budget else 21602)
+
+    def test_relabelled_caterpillar_takes_the_scatter(self):
+        t = relabelled(make_caterpillar(4, 302), random.Random(302))
+        r = self.assert_lone_is_block(t, [FORK_19])
+        assert r.iterations == 21816
 
 
 def scatter_pairs(trees):
@@ -458,6 +492,19 @@ class TestUnimodality:
     def test_negative_values_rejected(self):
         assert not is_unimodal(make_path(3), [1.0, -1.0, 0.5], 0)
 
+    @pytest.mark.parametrize("v_hat", [1.0, True, False, "1", None], ids=repr)
+    def test_vertex_of_the_wrong_type_rejected(self, v_hat):
+        # 1.0 once failed indexing a list, and True with an unrelated TypeError
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            is_unimodal(make_path(4), [0.4, 1.0, 1.0, 0.5], v_hat)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.intp, np.uint8])
+    def test_numpy_integer_vertex(self, kind):
+        t = make_caterpillar(4, 14)
+        f = spectral_radius(t).perron
+        for v in t.vertices():
+            assert is_unimodal(t, f, kind(v), tol=1e-12) == is_unimodal(t, f, v, tol=1e-12)
+
 
 class TestPendantMinima:
     def test_caterpillars(self):
@@ -509,6 +556,11 @@ class TestCaterpillarSymmetry:
     def test_symmetrize_rejects_a_valuation_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="valuation must have length 10"):
             symmetrize_caterpillar(make_caterpillar(3, 10), np.ones(5))
+
+    def test_symmetrize_rejects_the_zero_valuation(self):
+        # once a vector of NaNs and a RuntimeWarning
+        with pytest.raises(ValueError, match="zero vector"):
+            symmetrize_caterpillar(make_caterpillar(3, 10), np.zeros(10))
 
     @pytest.mark.parametrize("other", [make_path(5), make_caterpillar(3, 14)], ids=["shorter", "longer"])
     def test_result_of_the_wrong_length_rejected(self, other):
