@@ -16,54 +16,52 @@ measured by the eigenvalue-equation residual
 
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
-There are two loops with the same sweeps and checks.  The lone loop runs
-one tree, for `spectral_radius` and for a `spectral_radii` call left with
-one tree of three or more vertices, in float64 or in extended precision.
-Its state is plain locals: no per-sweep views or lists, and the screen's
-two scalar reads picked once per dtype.  The block loop runs two or more
-trees laid end to end on one flat vertex vector, grouped by size, in
-float64 only, as `spectral_radii` solves them.  Each sweep computes s = A x
-once, for the tree or for the whole block, and uses s both to check x and
-for the power step from x.  There are two kernels for s:
+Each sweep computes s = A x once and uses s both to check x and for the
+power step from x.  Two loops run the sweeps, each with one job.  The lone
+loop runs one tree from start to finish, in float64 or in extended
+precision: the sweeps, the polish and the budget exit.  Its state is plain
+locals: no per-sweep views or lists, and the screen's two scalar reads
+picked once per dtype.  The block loop only sweeps: `spectral_radii` groups
+its trees of three or more vertices by order, and each group of two or
+more runs as one float64 block up to the polish point.  Every tree
+that reaches tol there is done; every other tree, and every tree alone in
+its order, runs the lone loop from the start.
 
-- the scatter, over the edges taken in both directions (`np.bincount` in
-  float64; `np.add.at` in the lone loop's extended precision, since
-  bincount casts its weights to float64), which starts each vertex at
-  +0.0 and adds its terms in the order the edges list them;
-- when no vertex has degree above 2, that is a path or a block of paths,
-  two neighbor columns: s = x[first], then s += x[second], two gathers and
-  one add, where a leaf's second term is one +0.0 kept past x.  It costs
-  less than the scatter's gather, range pass and zeroed array; once one
-  vertex has three terms the scatter is cheaper, so every other tree or
-  block takes the scatter.
+The block's s is one scatter over the edges taken in both directions,
+`np.bincount`, which starts each vertex at +0.0 and adds its terms in the
+order the edges list them.  The lone loop scatters the same way in
+float64, and with `np.add.at` in extended precision since bincount casts
+its weights to float64, except on a path: there s is two neighbor columns, s = x[first], then
+s += x[second], two gathers and one add, where a leaf's second term is one
++0.0 kept past x.  It costs less than the scatter's gather, range pass and
+zeroed array; once one vertex has three terms the scatter is cheaper.  The
+column sum gives every vertex the scatter's (0 + t1) + t2 bit for bit.
+Addition commutes, and 0 + t equals t unless t is -0.0; so the sums can
+differ only where both terms are -0.0.  The start is positive, and a power
+step maps a nonnegative x with no -0.0 to another (a nonnegative matrix
+applied to it, divided by a positive norm), so only a polish step can
+bring -0.0 into x.  From the first one on, the column sum adds +0, as
+(t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
 
-Both give every vertex (0 + t1) + t2 bit for bit.  Addition commutes, and
-0 + t equals t unless t is -0.0; so the sums can differ only where both
-terms are -0.0.  The start is positive, and a power step maps a
-nonnegative x with no -0.0 to another (a nonnegative matrix applied to
-it, divided by a positive norm; a stopped tree's span is zeroed to +0.0),
-so only a polish step can bring -0.0 into x.  From the first one on, the
-column sum adds +0, as (t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
-
-The two loops give a tree the same bits.  In a block each vertex receives
-its own tree's terms in the order the tree alone gives them, the power
-step is elementwise, and mu = x.s and the norm y.y are taken for each run
-of equal-size trees by one `np.matmul` of (k, 1, n) and (k, n, 1) views,
-which numpy computes row by row with the kernel of `ndarray.dot`, the
-call the lone loop makes.  The lone loop keeps its shift and its norm as
-scalars, whose products and quotients are those of the block's spread
-vectors, element by element; in float64 it reads the screen's entries as
-Python floats and takes the norm's root with `math.sqrt`, both the IEEE
+The two loops give a tree the same bits sweep for sweep, so a tree the
+block hands off replays its block sweeps exactly in the lone loop.  In a
+block each vertex receives its own tree's terms in the order the tree
+alone gives them, the power step is elementwise, and mu = x.s and the norm
+y.y are taken by one `np.matmul` of (k, 1, n) and (k, n, 1) views, which
+numpy computes row by row with the kernel of `ndarray.dot`, the call the
+lone loop makes.  The lone loop keeps its shift and its norm as scalars,
+whose products and quotients are those of the block's spread vectors,
+element by element; in float64 it reads the screen's entries as Python
+floats and takes the norm's root with `math.sqrt`, both the IEEE
 operations numpy applies to its float64 scalars.  The check is screened
 exactly: the residual entry at the vertex where the tree's last full
 residual vector peaked is computed with the same IEEE operations as in the
 full vector, and when it alone exceeds tol, so does the maximum.  The full
-residual is taken whenever the screen does not settle it and on every
-sweep from the polish point on, so every stop, polish decision and
-reported residual is the one the full check gives.  A tree that stops in
-a block keeps its span, zeroed: a zero span scatters zeros and steps to
-zero, so the rest go on at the same iteration count with the bits they
-get alone.
+residual is taken whenever the screen does not settle it and, in the lone
+loop, on every sweep from the polish point on, so every stop, polish
+decision and reported residual is the one the full check gives.  A tree
+that stops in a block keeps stepping on its own entries, which no other
+tree reads, and its result is the copy taken when it stopped.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -77,7 +75,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -235,11 +233,11 @@ def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
 
 
 def _neighbor_columns(tgt: np.ndarray, src: np.ndarray, size: int) -> np.ndarray:
-    """For a block whose every vertex has one or two neighbor terms in the
-    scatter pairs `tgt`/`src`: the rows `first` and `second` that give
-    vertex v its terms x[first[v]] and x[second[v]] in the order the pairs
-    list them.  A leaf's second term is index `size`, which the iterate's
-    buffer keeps at +0.0 just past x."""
+    """For a path of `size` vertices, whose every vertex has one or two
+    neighbor terms in the scatter pairs `tgt`/`src`: the rows `first` and
+    `second` that give vertex v its terms x[first[v]] and x[second[v]] in
+    the order the pairs list them.  A leaf's second term is index `size`,
+    which the iterate's buffer keeps at +0.0 just past x."""
     first, second = [size] * size, [size] * size
     for v, u in zip(tgt.tolist(), src.tolist()):
         if first[v] == size:
@@ -249,20 +247,16 @@ def _neighbor_columns(tgt: np.ndarray, src: np.ndarray, size: int) -> np.ndarray
     return np.array((first, second))
 
 
-def _scatter_layout(trees: list[Tree], starts: list[int]):
-    """The scatter pairs `tgt`/`src` of `trees` laid end to end, tree i
-    from vertex starts[i] on, with each tree's largest degree and, when no
-    vertex has degree above 2, the two neighbor columns read off the pairs
-    (None otherwise).  Edge uv sends x[v] to u, then (second half) x[u] to
-    v, so in a block a vertex receives its own tree's terms in the order a
-    lone tree gives them."""
+def _scatter_pairs(trees: list[Tree]) -> tuple[np.ndarray, np.ndarray]:
+    """The scatter pairs `tgt`/`src` of k trees of one order n laid end to
+    end, tree i on vertices i*n to i*n + n - 1.  Edge uv sends x[v] to u,
+    then (second half) x[u] to v, so in a block a vertex receives its own
+    tree's terms in the order a lone tree gives them."""
+    n = trees[0].vertex_count
     edges = [_edge_arrays(t) for t in trees]
-    eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
-    ev = np.concatenate([v + a for (_, v), a in zip(edges, starts)])
-    tgt, src = np.concatenate((eu, ev)), np.concatenate((ev, eu))
-    degrees = [max(t.degrees()) for t in trees]
-    columns = _neighbor_columns(tgt, src, starts[-1]) if max(degrees) <= 2 else None
-    return tgt, src, degrees, columns
+    eu = np.concatenate([u + i * n for i, (u, _) in enumerate(edges)])
+    ev = np.concatenate([v + i * n for i, (_, v) in enumerate(edges)])
+    return np.concatenate((eu, ev)), np.concatenate((ev, eu))
 
 
 def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult:
@@ -277,7 +271,9 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult
     `np.sqrt`, so it computes what the full residual vector computes.  A
     polish step replaces x outright, with no power step from it."""
     n = t.vertex_count
-    tgt, src, (degree,), columns = _scatter_layout([t], [0, n])
+    tgt, src = _scatter_pairs([t])
+    degree = max(t.degrees())
+    columns = _neighbor_columns(tgt, src, n) if degree <= 2 else None
     if columns is not None:
         first, second = columns
     float64 = dtype is np.float64
@@ -331,122 +327,66 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult
         iterations += 1
 
 
-def _block_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
-    """The power-iteration loop on a block of two or more trees of three or
-    more vertices, in order of size and in float64, as the module docstring
-    describes: the last iterate of each tree, unchecked.  Every pass adds
-    one iteration to each live tree, by a power step or a polish step, so
-    they all share one count.  The block is laid out once: the scatter
-    pairs moved to each tree's span, and on a block of paths the two
-    neighbor columns read off them; the shift at every vertex; the iterate
-    x, a view of a buffer that keeps one +0.0 past it, and a buffer y, with
-    each tree's views of both; the matmul views of each run of equal-size
-    trees; and the index that spreads one norm per tree over its vertices.
-    The residual screen works on each tree's own scalars: at the block
-    sizes of a tie set that costs less than a screen over the whole
-    block."""
-    sizes = [t.vertex_count for t in trees]
-    starts = np.cumsum([0] + sizes).tolist()
-    size = starts[-1]
-    tgt, src, degrees, columns = _scatter_layout(trees, starts)
-    if columns is not None:
-        first, second = columns
-    shift = np.repeat(np.array(degrees, dtype=np.float64), sizes)
-    xe = np.zeros(size + 1)
-    x = xe[:size]
-    x[...] = 1
+def _block_sweeps(trees: list[Tree], tol: float, fallback_at: int) -> list[SpectralResult | None]:
+    """The power sweeps of two or more trees of one order n >= 3, in
+    float64, as the module docstring describes: the last iterate of each
+    tree whose residual reaches tol by sweep `fallback_at`, unchecked, and
+    None for each tree still running there.  The block lays the k trees
+    end to end on flat vectors x, y and s, tree i on entries i*n to
+    i*n + n - 1; one matmul of their (k, 1, n) and (k, n, 1) views takes
+    the k dots x.s or y.y, and each tree's shift and norm are spread over
+    its n entries.  The residual screen works on each tree's own scalars:
+    at the block sizes of a tie set that costs less than a screen over the
+    whole block."""
+    k, n = len(trees), trees[0].vertex_count
+    tgt, src = _scatter_pairs(trees)
+    shift = np.repeat(np.array([max(t.degrees()) for t in trees], dtype=np.float64), n)
+    x = np.ones(k * n) / np.sqrt(n)  # the lone loop's start for every tree
     y = np.empty_like(x)
-    spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    xs = [x[span] for span in spans]
-    for xv in xs:
-        xv /= np.sqrt(xv @ xv)
-    mus = np.empty(len(trees))
-    norms = np.empty(len(trees))
-    # each run of k equal-size trees is a (k, n) array in x, y and s; one
-    # matmul of its (k, 1, n) and (k, n, 1) views takes the k row dots with
-    # the kernel of ndarray.dot, bit for bit
-    mu_runs, norm_runs = [], []
-    j0 = 0
-    for n, group in groupby(sizes):
-        j1 = j0 + len(list(group))
-        span = slice(starts[j0], starts[j1])
-        mu_runs.append((span, n, x[span].reshape(-1, 1, n), mus[j0:j1].reshape(-1, 1, 1)))
-        norm_runs.append((y[span].reshape(-1, 1, n), y[span].reshape(-1, n, 1), norms[j0:j1].reshape(-1, 1, 1)))
-        j0 = j1
-    spread = np.repeat(np.arange(len(trees)), sizes)
-    results: list = [None] * len(trees)
-    peaks = [0] * len(trees)  # where each tree's last full residual vector peaked
-    polish = [8] * len(trees)  # Rayleigh steps allowed from the polish point on
-    live = list(range(len(trees)))
-    stopped: list[int] = []
-    fallback_at = max(1, max_iter // 2)  # never above max_iter
-    signed = False  # whether a polish step has written x, which may put -0.0 in it
+    rows = list(x.reshape(k, n))
+    xr, yr, yc = x.reshape(k, 1, n), y.reshape(k, 1, n), y.reshape(k, n, 1)
+    mus = np.empty((k, 1, 1))
+    norms = np.empty((k, 1, 1))
+    results: list = [None] * k
+    peaks = [0] * k  # where each tree's last full residual vector peaked
+    live = list(range(k))
     iterations = 0
     while True:
         # s = A x serves both the check of x and the next step from x
-        if columns is not None:
-            s = xe[first]
-            s += xe[second]
-            if signed:
-                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
-        else:
-            s = np.bincount(tgt, weights=x[src], minlength=size)
-        done = []
-        polished = []
+        s = np.bincount(tgt, weights=x[src], minlength=k * n)
         if iterations:
-            for span, n, xr, out in mu_runs:
-                np.matmul(xr, s[span].reshape(-1, n, 1), out=out)
-            for j in live:
-                xv, sv, w = xs[j], s[spans[j]], peaks[j]
+            np.matmul(xr, s.reshape(k, n, 1), out=mus)
+            s_rows = s.reshape(k, n)
+            for j in live[:]:
+                xv, sv, w = rows[j], s_rows[j], peaks[j]
                 mu = mus.item(j)
-                # before fallback_at only res <= tol ends the power steps; one
-                # residual entry above tol proves res > tol
-                if iterations >= fallback_at or not abs(mu * xv.item(w) - sv.item(w)) > tol:
+                # one residual entry above tol proves res > tol
+                if not abs(mu * xv.item(w) - sv.item(w)) > tol:
                     r = np.abs(mu * xv - sv)
                     peaks[j] = w = int(np.argmax(r))
                     res = float(r[w])
                     if res <= tol:
-                        done.append((j, mu, res))
-                        continue
-                    if iterations >= fallback_at and polish[j]:
-                        polish[j] -= 1
-                        z = _rayleigh_step(trees[j], xv, mu)
-                        if z is not None:
-                            polished.append((j, z))
-                            continue
-                        polish[j] = 0
-                    if iterations >= max_iter:
-                        done.append((j, mu, res))
-            # a stopped tree's span is zeroed in x and s: it scatters zeros
-            # and steps to zero from then on
-            for j, mu, res in done:
-                results[j] = SpectralResult(mu, xs[j].copy(), res, iterations)
-                xs[j][...] = 0
-                s[spans[j]] = 0
-                live.remove(j)
-                stopped.append(j)
-            if not live:
+                        results[j] = SpectralResult(mu, xv.copy(), res, iterations)
+                        live.remove(j)
+            if not live or iterations >= fallback_at:
                 return results
+        # a stopped tree steps on beside the others and is never read again
         np.multiply(shift, x, out=y)
         y += s  # s + c x, as addition commutes
-        for yr, yc, out in norm_runs:
-            np.matmul(yr, yc, out=out)
-        # a stopped tree's zeroed span divides to zero
-        norms[stopped] = 1
-        np.divide(y, np.sqrt(norms)[spread], out=x)
-        for j, z in polished:
-            xs[j][...] = z
-            signed = True
+        np.matmul(yr, yc, out=norms)
+        np.divide(y, np.sqrt(norms).repeat(n), out=x)
         iterations += 1
 
 
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
     """The last iterate of each tree, unchecked; `_solve` checks them.
-    Trees of one and two vertices take their closed forms.  When one tree
-    is left it runs the lone loop in `dtype`; two or more run the block
-    loop in float64, the only dtype `spectral_radii` passes."""
+    Trees of one and two vertices take their closed forms.  The others are
+    grouped by order: each group of two or more runs the block sweeps in
+    float64, the only dtype `spectral_radii` passes, up to the lone loop's
+    polish point, and every tree alone in its order or left running there
+    runs the lone loop in `dtype` from the start."""
     results: list = [None] * len(trees)
-    block = []
+    orders: dict[int, list[int]] = {}
     for pos, t in enumerate(trees):
         if t.vertex_count == 1:
             results[pos] = SpectralResult(0.0, np.ones(1), 0.0, 0)
@@ -454,14 +394,13 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
             r = math.sqrt(0.5)
             results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
         else:
-            block.append(pos)
-    if len(block) == 1:
-        results[block[0]] = _lone_iteration(trees[block[0]], tol, max_iter, dtype)
-    elif block:
-        block.sort(key=lambda pos: trees[pos].vertex_count)
-        for pos, r in zip(block, _block_iteration([trees[pos] for pos in block], tol, max_iter)):
-            results[pos] = r
-    return results
+            orders.setdefault(t.vertex_count, []).append(pos)
+    fallback_at = max(1, max_iter // 2)  # the lone loop's polish point
+    for group in orders.values():
+        if len(group) > 1:
+            for pos, r in zip(group, _block_sweeps([trees[pos] for pos in group], tol, fallback_at)):
+                results[pos] = r
+    return [_lone_iteration(t, tol, max_iter, dtype) if r is None else r for t, r in zip(trees, results)]
 
 
 def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:

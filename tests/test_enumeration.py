@@ -526,6 +526,27 @@ class TestOneSolvePerTieCandidate:
         assert capsys.readouterr().out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
         self.assert_one_float64_solve_each(calls)
 
+    @pytest.mark.parametrize("pi", ["4^4,3^2,2,1^12", "4^3,3^3,2,1^11", "5,4^2,3,2^5,1^10"])
+    def test_served_pools_never_hand_off(self, monkeypatch, pi):
+        # a search's tie pool holds trees of one order, which the block
+        # sweeps to tol long before the polish point: none runs the lone loop
+        blocks, lone = [], []
+        sweeps, loop = spectral._block_sweeps, spectral._lone_iteration
+
+        def recorded_block(trees, *args):
+            blocks.append(len(trees))
+            return sweeps(trees, *args)
+
+        def recorded_lone(t, *args):
+            lone.append(t)
+            return loop(t, *args)
+
+        monkeypatch.setattr(spectral, "_block_sweeps", recorded_block)
+        monkeypatch.setattr(spectral, "_lone_iteration", recorded_lone)
+        find_minimizers(DegreeSequence.parse(pi))
+        assert len(blocks) == 1 and blocks[0] >= 2
+        assert lone == []
+
 
 class TestFindMaximizers:
     def test_star_class(self):

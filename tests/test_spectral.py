@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from test_pinned import BUDGET_EXITS, relabelled
+from treeindex import spectral
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
     _screen,
@@ -246,17 +247,47 @@ class TestSpectralRadii:
         assert str(info.value) == message
         assert fields(info.value.result) == fields(result)
 
-    def test_polish_beside_stopped_trees(self, mixed):
-        # the path polishes from sweep 1000 and stops at 1002; the ties stop
-        # between 104 and 1001 iterations, one of them after a polish step
+    @pytest.fixture
+    def lone_solves(self, monkeypatch):
+        """The trees `_lone_iteration` runs, in order."""
+        solved = []
+        loop = spectral._lone_iteration
+
+        def recorded(t, *args):
+            solved.append(t)
+            return loop(t, *args)
+
+        monkeypatch.setattr(spectral, "_lone_iteration", recorded)
+        return solved
+
+    def test_polish_beside_stopped_trees(self, mixed, lone_solves):
+        # under max_iter=1000 the block sweeps to 500: three ties stop in it,
+        # at 104, 205 and 253 iterations, and the lone loop runs the other
+        # eight again from the start, each through one polish step to 501
         ties = mixed[2:]
-        block = [*ties[:5], make_path(60), *ties[5:]]
-        got = spectral_radii(block, max_iter=2000)
-        assert [fields(r) for r in got] == [fields(one_by_one(t, max_iter=2000)[1]) for t in block]
+        got = spectral_radii(ties, max_iter=1000)
+        assert sorted(r.iterations for r in got) == [104, 205, 253] + [501] * 8
+        assert lone_solves == [t for t, r in zip(ties, got) if r.iterations == 501]
+        assert [fields(r) for r in got] == [fields(one_by_one(t, max_iter=1000)[1]) for t in ties]
+
+    def test_handed_off_tree_raises_as_alone(self, mixed, lone_solves):
+        # under tol=3e-16 one tie stops in the block at 137 iterations; the
+        # sixth, handed off at 500 with the other nine, is the first in
+        # order to miss tol by max_iter
+        budget = dict(tol=3e-16, max_iter=1000)
+        ties = mixed[2:]
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radii(ties, **budget)
+        assert len(lone_solves) == 10
+        expected = [one_by_one(t, **budget) for t in ties]
+        assert [message for message, _ in expected[:5]] == [None] * 5
+        message, result = expected[5]
+        assert str(info.value) == message
+        assert fields(info.value.result) == fields(result)
 
     @pytest.mark.parametrize("k, n", [(1, 19), (2, 19), (12, 19), (100, 26), (2, 150), (12, 1200)])
     def test_row_dots_by_matmul_equal_ndarray_dot(self, k, n):
-        # the block takes each run's k dots x.s and y.y with one matmul of
+        # the block takes its k dots x.s and y.y with one matmul of
         # (k, 1, n) @ (k, n, 1) views; a tree alone takes them with ndarray.dot
         rng = np.random.default_rng(k * n)
         x, s = rng.random((2, k * n))
@@ -275,7 +306,8 @@ class TestSpectralRadii:
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
 
     def test_block_of_interleaved_sizes(self, mixed):
-        # the layout groups equal sizes; results come back in input order
+        # equal orders share a block, a tree alone in its order runs the
+        # lone loop; results come back in input order
         block = [make_caterpillar(3, 10), mixed[2], make_path(7), make_caterpillar(4, 11),
                  make_path(7), mixed[3], make_star(5), make_caterpillar(3, 10), mixed[4]]
         got = spectral_radii(block)
@@ -283,14 +315,15 @@ class TestSpectralRadii:
 
     @pytest.mark.parametrize("sizes", [(3, 7, 150, 301), (301, 7, 3, 150, 7)])
     def test_block_of_paths(self, sizes):
-        # the paths' two-column sum serves the whole block; the 301-vertex
-        # path polishes after 50,000 sweeps, the others stop before that
+        # each path is alone in its order and sums two neighbor columns;
+        # the 301-vertex path polishes after 50,000 sweeps
         block = [relabelled(make_path(n), random.Random(n)) for n in sizes]
         got = spectral_radii(block)
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
 
     def test_path_beside_a_fork(self):
-        # one vertex of degree 3 sends the whole block back to the scatter
+        # the 19-vertex fork and path share a block and its scatter; the
+        # relabelled path runs alone and sums two neighbor columns
         block = [relabelled(make_path(60), random.Random(60)), FORK_19, make_path(19)]
         got = spectral_radii(block, max_iter=2000)
         assert [fields(r) for r in got] == [fields(spectral_radius(t, max_iter=2000)) for t in block]
@@ -302,14 +335,16 @@ class TestSpectralRadii:
 
 
 class TestLoneLoop:
-    """A tree alone runs the lone loop and a tree in a block the block loop,
-    which share no sweep code: each must give the other's result field for
-    field, whichever kernel the block sums A x with."""
+    """A tree alone in its order runs the lone loop and a tree beside
+    another of its order the block sweeps, which share no sweep code: each
+    must give the other's result field for field, whichever kernel the lone
+    loop sums A x with."""
 
     @staticmethod
     def assert_lone_is_block(t, others, **budget):
         lone = spectral_radius(t, **budget)
         for other in others:
+            assert other.vertex_count == t.vertex_count
             got = spectral_radii([t, other], **budget)[0]
             assert got.to_json() == lone.to_json()
             assert fields(got) == fields(lone)
@@ -317,21 +352,23 @@ class TestLoneLoop:
 
     @pytest.mark.parametrize("budget", [{}, {"max_iter": 2000}], ids=["converges", "polishes"])
     def test_relabelled_path(self, budget):
-        # beside a path the block sums two columns, beside a fork it
-        # scatters; under max_iter=2000 the path polishes from sweep 1000
+        # alone the path sums two neighbor columns, in a block it scatters;
+        # under max_iter=2000 the block hands it off at sweep 1000 and the
+        # lone loop polishes it
         t = relabelled(make_path(150), random.Random(150))
-        r = self.assert_lone_is_block(t, [make_path(40), FORK_19], **budget)
+        partners = [make_path(150), relabelled(make_caterpillar(3, 150), random.Random(3))]
+        r = self.assert_lone_is_block(t, partners, **budget)
         assert r.iterations == (1003 if budget else 21602)
 
     def test_relabelled_caterpillar_takes_the_scatter(self):
         t = relabelled(make_caterpillar(4, 302), random.Random(302))
-        r = self.assert_lone_is_block(t, [FORK_19])
+        r = self.assert_lone_is_block(t, [make_caterpillar(4, 302)])
         assert r.iterations == 21816
 
 
 def scatter_pairs(trees):
-    """The scatter pairs (tgt, src) of trees laid end to end, as a block
-    solve lays them out."""
+    """The scatter pairs (tgt, src) of trees laid end to end, tree by tree:
+    each vertex receives its terms in the order its tree alone lists them."""
     edges = [_edge_arrays(t) for t in trees]
     starts = np.cumsum([0] + [t.vertex_count for t in trees])
     eu = np.concatenate([u + a for (u, _), a in zip(edges, starts)])
@@ -346,9 +383,9 @@ def same_bits(a, b):
 
 
 class TestNeighborColumns:
-    """On a block of paths, A x is the sum of two gathered columns of x, the
-    iterate's buffer keeping one +0.0 past x for a leaf's second term.  It
-    must be the scatter's sum (0 + t1) + t2 bit for bit."""
+    """On a path, or paths laid end to end, A x is the sum of two gathered
+    columns of x, the iterate's buffer keeping one +0.0 past x for a leaf's
+    second term.  It must be the scatter's sum (0 + t1) + t2 bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("sizes", [(3,), (4,), (7,), (301,), (3, 7, 150, 301)])
