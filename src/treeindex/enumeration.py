@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import class_indices, spectral_radii
+from .spectral import _bipartite_indices, class_indices, spectral_radii
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -401,14 +401,23 @@ def _require_max_n(n: int, max_n: int) -> None:
         raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
 
 
-def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray, list[str]]:
-    """Every tree of the class in enumeration order, with the screened index
-    of each from one batched `class_indices` scan and the canonical code of
-    each from the listing."""
+def _listed(pi: DegreeSequence, max_n: int) -> tuple[list[Tree], list[str]]:
+    """Every tree of the class in enumeration order, with the canonical code
+    of each from the listing."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     _require_max_n(pi.n, max_n)
     codes, trees = map(list, zip(*_listing(pi)))
+    return trees, codes
+
+
+def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray, list[str]]:
+    """Every tree of the class in enumeration order, with the screened index
+    of each from one batched `class_indices` scan of the adjacency matrices
+    and the canonical code of each from the listing.  `verify-min` prints
+    and sorts these values; `find_minimizers` screens with the half-size
+    Gram stack instead, whose last bits differ."""
+    trees, codes = _listed(pi, max_n)
     return trees, class_indices(trees), codes
 
 
@@ -461,8 +470,10 @@ def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:
 
 
 def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
-    """Index minimization over a `class_spectra` scan: its trees, screened
-    values and listing codes.
+    """Index minimization over a screened listing of the class: its trees,
+    their screened values and their listing codes.  `find_minimizers`
+    screens with `_bipartite_indices`; a `class_spectra` scan, screened by
+    `class_indices`, serves as well.
 
     The screened values `mus` only pick the candidates within
     `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
@@ -505,14 +516,16 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    Trees within the fixed screen band of the screened minimum are settled
-    by the exact Rayleigh quotients of their Perron vectors; survivors are
-    reported as tied minimizers.
+    The class is listed once and screened by `_bipartite_indices`, one
+    top eigenvalue of each tree's half-size Gram matrix B B^T, never by
+    `class_indices`.  Trees within the fixed screen band of the screened
+    minimum are settled by the exact Rayleigh quotients of their Perron
+    vectors; survivors are reported as tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
-    trees, mus, codes = class_spectra(pi, max_n)
-    return extremal_report(pi, trees, mus, codes)
+    trees, codes = _listed(pi, max_n)
+    return extremal_report(pi, trees, _bipartite_indices(trees), codes)
 
 
 def find_maximizers(pi: DegreeSequence) -> tuple[Tree, ...]:

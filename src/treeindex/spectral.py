@@ -2,11 +2,15 @@
 checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
-Whole classes of same-order trees are screened by `class_indices`, which
-stacks the dense adjacency matrices, each stack filled by one index
-assignment, and calls `np.linalg.eigvalsh` once per chunk; its values rank
-trees, while reported indices come from `spectral_radius` or, for several
-trees at once, `spectral_radii`.
+Whole classes of same-order trees are screened by one `np.linalg.eigvalsh`
+call per chunk of stacked matrices, each stack filled by one index
+assignment.  The class search screens with `_bipartite_indices`: a tree
+is bipartite, so its index is the root of the top eigenvalue of B B^T, B
+the biadjacency with the smaller side on its rows, at most n/2 square.
+`verify-min` prints and sorts `class_indices`, the top eigenvalues of the
+n x n adjacency matrices.  Screened values rank trees, while reported
+indices come from `spectral_radius` or, for several trees at once,
+`spectral_radii`.
 
 The index of a tree is computed matrix-free by shifted power iteration.
 Trees are bipartite, so -mu is also an eigenvalue; iterating on A + cI with
@@ -76,6 +80,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +107,9 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 # trees per stacked eigvalsh call in class_indices; bounds the stack to
-# CLASS_CHUNK * n * n floats however large the class is
+# CLASS_CHUNK * n * n floats however large the class is.
+# _bipartite_indices takes 4 * CLASS_CHUNK, its Gram matrices being at most
+# n/2 square
 CLASS_CHUNK = 32
 
 
@@ -178,6 +185,65 @@ def class_indices(trees: Sequence[Tree]) -> np.ndarray:
         # row r of the stack, taken flat, is row r % n of its tree r // n
         stack.reshape(-1)[np.repeat(np.arange(0, stack.size, n), degrees) + cols] = 1
         out[start : start + len(stack)] = np.linalg.eigvalsh(stack)[:, -1]
+    return out
+
+
+def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
+    """Index of every tree in `trees`, all of one order n and each in the
+    listing's layout: every vertex v > 0 has its parent at
+    `adjacency[v][0] < v`.  A tree that breaks the layout raises
+    ValueError.
+
+    A tree is bipartite, A = [[0, B], [B^T, 0]], so its index is the root
+    of the top eigenvalue of the Gram matrix B B^T, where the biadjacency B
+    has the tree's smaller side, p <= n/2 vertices, on its rows (Cvetkovic,
+    Doob and Sachs, Spectra of Graphs, 1980).  A chunk of 4 * CLASS_CHUNK
+    trees is coloured by depth parity, read down its parent column one
+    vertex at a time for the whole chunk.  Its biadjacency stack, each B
+    zero-padded to the chunk's largest sides, is filled by one index
+    assignment at the flat positions of the parent edges, and the Gram
+    stack, of small integers and so exact, goes through one
+    `np.linalg.eigvalsh` call.  A Gram matrix is at most n/2 square, so
+    the chunk's stacks stay within twice the CLASS_CHUNK * n * n floats of
+    `class_indices`.  The values agree with `class_indices` to within about
+    1e-14: enough to screen a class, not to print.
+    """
+    trees = list(trees)
+    if not trees:
+        return np.zeros(0)
+    n = trees[0].vertex_count
+    if any(t.vertex_count != n for t in trees):
+        raise ValueError("_bipartite_indices needs trees of one order")
+    chunk = 4 * CLASS_CHUNK
+    out = np.empty(len(trees))
+    for start in range(0, len(trees), chunk):
+        rows = [t.adjacency for t in trees[start : start + chunk]]
+        k = len(rows)
+        parent = np.fromiter(map(itemgetter(0), chain.from_iterable(r[1:] for r in rows)), np.intp, k * (n - 1))
+        parent = parent.reshape(k, n - 1)
+        if np.max(parent - np.arange(1, n), initial=-1) >= 0:
+            raise ValueError("_bipartite_indices needs each vertex v > 0 to have its parent at adjacency[v][0] < v")
+        # tree i on flat entries i*n to i*n + n - 1
+        base = np.arange(0, k * n, n).reshape(k, 1)
+        child, up = base + np.arange(1, n), base + parent
+        odd = np.zeros(k * n, dtype=np.intp)
+        for v in range(1, n):
+            odd[v::n] = 1 - odd[up[:, v - 1]]
+        # the rows take each tree's odd side where it is no larger than the even one
+        on_rows = odd == np.where(2 * odd.reshape(k, n).sum(axis=1) <= n, 1, 0).repeat(n)
+        # rank[v]: the row-side vertices of v's tree up to and including v
+        rank = np.cumsum(on_rows.reshape(k, n), axis=1).reshape(-1)
+        sides = rank[n - 1 :: n]
+        p, q = max(int(sides.max()), 1), n - int(sides.min())
+        # each edge joins one row-side vertex, rank - 1 on the rows, to one
+        # column-side vertex, v - rank on the columns
+        row_end = np.where(on_rows[child], child, up)
+        col_end = child + up - row_end
+        at = np.arange(0, k * p * q, p * q).reshape(k, 1) + (rank[row_end] - 1) * q + (col_end - base) - rank[col_end]
+        stack = np.zeros((k, p, q))
+        stack.reshape(-1)[at] = 1
+        gram = np.matmul(stack, stack.transpose(0, 2, 1))
+        out[start : start + k] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     return out
 
 

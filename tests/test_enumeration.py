@@ -22,6 +22,7 @@ from treeindex.enumeration import (
     _least_rooting,
     _listing,
     _pendant_counts,
+    _screen,
     class_spectra,
     enumerate_semiregular,
     enumerate_trees,
@@ -32,7 +33,7 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import adjacency_matrix, class_indices, spectral_radius
+from treeindex.spectral import _bipartite_indices, adjacency_matrix, class_indices, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     TreeError,
@@ -462,6 +463,15 @@ class TestFindMinimizers:
         for t, code in zip(report.minimizers, report.minimizer_codes):
             assert code == coded(t)
 
+    def test_never_screens_by_the_adjacency_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search screened by class_indices")
+
+        for module in (enumeration, spectral):
+            monkeypatch.setattr(module, "class_indices", refuse)
+        for pi in (TIED_MINIMIZER_CLASS, DegreeSequence.parse("4^3,3^3,2,1^11"), DegreeSequence.parse("0")):
+            find_minimizers(pi)
+
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))
         text = report.to_json()
@@ -469,6 +479,59 @@ class TestFindMinimizers:
         csv = report.to_csv()
         assert csv.splitlines()[0] == "canonical_code,mu,is_caterpillar,buds_max_degree,trunk_monotone"
         assert len(csv.splitlines()) == 2
+
+
+def screened_pool(mus):
+    """The candidates and the runner-up band a search solves, from the
+    values of either screen."""
+    screened, candidates = _screen(mus)
+    rest = [i for i in range(len(screened)) if i not in candidates]
+    if not rest:
+        return candidates, []
+    runner = min(screened[i] for i in rest)
+    return candidates, [i for i in rest if screened[i] <= runner + enumeration._SCREEN_BAND]
+
+
+class TestBipartiteScreen:
+    """The class search screens by the half-size Gram stack of the trees in
+    the listing's layout, and picks the trees the adjacency screen picks."""
+
+    @pytest.fixture(scope="class")
+    def listed(self):
+        # every class with n <= 16 and degrees <= 5: "0", "1,1", "2,1,1"
+        # and the 239 classes above them
+        return [(pi, [t for _, t in _listing(pi)])
+                for n in range(1, 17) for pi in all_tree_degree_sequences(n) if max(pi.degrees) <= 5]
+
+    def test_same_pool_as_the_adjacency_screen(self, listed):
+        assert len(listed) == 242
+        for pi, trees in listed:
+            half, full = _bipartite_indices(trees), class_indices(trees)
+            assert np.max(np.abs(half - full)) <= 1e-13, pi.compact()
+            assert screened_pool(half) == screened_pool(full), pi.compact()
+
+    def test_listing_layout(self, listed):
+        # each vertex but 0 has one smaller neighbor, its parent, listed first
+        for pi, trees in listed:
+            for t in trees:
+                for v, nbrs in enumerate(t.adjacency[1:], 1):
+                    assert nbrs[0] < v and all(u > v for u in nbrs[1:]), pi.compact()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 2), (1, 2)],  # a path 0 - 2 - 1: vertex 1 has no smaller neighbor
+        [(0, 3), (1, 3), (2, 3)],  # a star centred at its last vertex
+        [(0, 3), (3, 1), (1, 4), (4, 2)],  # the path 0 - 3 - 1 - 4 - 2
+    ], ids=["path", "star", "relabelled path"])
+    def test_a_tree_out_of_layout_is_refused(self, edges):
+        n = len(edges) + 1
+        good = [t for _, t in _listing(DegreeSequence.of_tree(tree_from_edges(n, edges)))]
+        with pytest.raises(ValueError):
+            _bipartite_indices(good + [tree_from_edges(n, edges)])
+
+    def test_empty_and_mixed_orders(self):
+        assert _bipartite_indices([]).shape == (0,)
+        with pytest.raises(ValueError):
+            _bipartite_indices([tree_from_edges(3, [(0, 1), (1, 2)]), tree_from_edges(2, [(0, 1)])])
 
 
 class TestExactRayleigh:
@@ -640,7 +703,9 @@ class TestNoCyclicGarbage:
         lambda: list(enumerate_trees(DegreeSequence.parse("3^14,1^16"))),
         lambda: list(enumerate_trees(DegreeSequence.parse("5,4,3^3,2^3,1^10"))),
         lambda: canonical_order(tied_minimizer_examples()[0]),
-    ], ids=["enumerate 3^14,1^16", "enumerate 5,4,3^3,2^3,1^10", "canonical_order FORK_19"])
+        lambda: find_minimizers(TIED_MINIMIZER_CLASS),
+    ], ids=["enumerate 3^14,1^16", "enumerate 5,4,3^3,2^3,1^10", "canonical_order FORK_19",
+            "find_minimizers 4^4,3^2,2,1^12"])
     def test_collects_nothing(self, call):
         free_trees.cache_clear()
         gc.collect()
