@@ -25,11 +25,12 @@ power step from x.  Two loops run the sweeps, each with one job.  The lone
 loop runs one tree from start to finish, in float64 or in extended
 precision: the sweeps, the polish and the budget exit.  Its state is plain
 locals: no per-sweep views or lists, and the screen's two scalar reads
-picked once per dtype.  The block loop only sweeps: `spectral_radii` groups
-its trees of three or more vertices by order, and each group of two or
-more runs as one float64 block up to the polish point.  Every tree
-that reaches tol there is done; every other tree, and every tree alone in
-its order, runs the lone loop from the start.
+picked once per dtype.  The block loop only sweeps, and checks once per
+chunk of sweeps: `spectral_radii` groups its trees of three or more
+vertices by order, and each group of two or more runs as one float64 block
+up to the polish point.  Every tree that reaches tol there is done; every
+other tree, and every tree alone in its order, runs the lone loop from the
+start.
 
 The block's s is one scatter over the edges taken in both directions,
 `np.bincount`, which starts each vertex at +0.0 and adds its terms in the
@@ -50,22 +51,25 @@ bring -0.0 into x.  From the first one on, the column sum adds +0, as
 The two loops give a tree the same bits sweep for sweep, so a tree the
 block hands off replays its block sweeps exactly in the lone loop.  In a
 block each vertex receives its own tree's terms in the order the tree
-alone gives them, the power step is elementwise, and mu = x.s and the norm
-y.y are taken by one `np.matmul` of (k, 1, n) and (k, n, 1) views, which
-numpy computes row by row with the kernel of `ndarray.dot`, the call the
-lone loop makes.  The lone loop keeps its shift and its norm as scalars,
-whose products and quotients are those of the block's spread vectors,
-element by element; in float64 it reads the screen's entries as Python
-floats and takes the norm's root with `math.sqrt`, both the IEEE
-operations numpy applies to its float64 scalars.  The check is screened
-exactly: the residual entry at the vertex where the tree's last full
-residual vector peaked is computed with the same IEEE operations as in the
-full vector, and when it alone exceeds tol, so does the maximum.  The full
-residual is taken whenever the screen does not settle it and, in the lone
-loop, on every sweep from the polish point on, so every stop, polish
-decision and reported residual is the one the full check gives.  A tree
-that stops in a block keeps stepping on its own entries, which no other
-tree reads, and its result is the copy taken when it stopped.
+alone gives them, the power step is elementwise, and the dots mu = x.s and
+y.y are taken by `np.matmul` of (r, 1, n) and (r, n, 1) views, which numpy
+computes row by row with the kernel of `ndarray.dot`, the call the lone
+loop makes.  The lone loop keeps its shift and its norm as scalars, whose
+products and quotients are those of the block's spread vectors, element by
+element; in float64 it reads the screen's entries as Python floats and
+takes the norm's root with `math.sqrt`, both the IEEE operations numpy
+applies to its float64 scalars.  The lone loop's check is screened
+exactly: the residual entry at the vertex where the last full residual
+vector peaked is computed with the same IEEE operations as in the full
+vector, and when it alone exceeds tol, so does the maximum.  The full
+residual is taken whenever the screen does not settle it and on every
+sweep from the polish point on, so every stop, polish decision and
+reported residual is the one the full check gives.  The block has no
+screen, since checking never changes a sweep: it sweeps a chunk of
+iterates unchecked, keeping each x and s, then takes the full residual of
+every tree at every iterate of the chunk at once, and each tree stops at
+its first iterate at tol.  A tree that stops keeps stepping on its own
+entries, which no other tree reads.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -111,6 +115,10 @@ DEFAULT_MAX_ITER = 100_000
 # _bipartite_indices takes 4 * CLASS_CHUNK, its Gram matrices being at most
 # n/2 square
 CLASS_CHUNK = 32
+# iterates per check of a block solve, fewer where they or their A x would
+# pass _CHUNK_FLOATS floats, however many trees the block holds
+_CHUNK_SWEEPS = 32
+_CHUNK_FLOATS = 1 << 14
 
 
 class ConvergenceError(RuntimeError):
@@ -395,53 +403,52 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult
 
 def _block_sweeps(trees: list[Tree], tol: float, fallback_at: int) -> list[SpectralResult | None]:
     """The power sweeps of two or more trees of one order n >= 3, in
-    float64, as the module docstring describes: the last iterate of each
-    tree whose residual reaches tol by sweep `fallback_at`, unchecked, and
-    None for each tree still running there.  The block lays the k trees
-    end to end on flat vectors x, y and s, tree i on entries i*n to
-    i*n + n - 1; one matmul of their (k, 1, n) and (k, n, 1) views takes
-    the k dots x.s or y.y, and each tree's shift and norm are spread over
-    its n entries.  The residual screen works on each tree's own scalars:
-    at the block sizes of a tie set that costs less than a screen over the
-    whole block."""
+    float64, as the module docstring describes: the iterate of each tree
+    where its residual first reaches tol, by sweep `fallback_at`, unchecked,
+    and None for each tree still running there.  The block lays the k trees
+    end to end on flat vectors, tree i on entries i*n to i*n + n - 1, and
+    spreads each tree's shift and norm over its n entries.  Each sweep takes
+    the k norms y.y by one matmul of (k, 1, n) and (k, n, 1) views; each
+    chunk of sweeps takes all its dots x.s by one matmul and all its full
+    residuals by one pass."""
     k, n = len(trees), trees[0].vertex_count
     tgt, src = _scatter_pairs(trees)
     shift = np.repeat(np.array([max(t.degrees()) for t in trees], dtype=np.float64), n)
-    x = np.ones(k * n) / np.sqrt(n)  # the lone loop's start for every tree
-    y = np.empty_like(x)
-    rows = list(x.reshape(k, n))
-    xr, yr, yc = x.reshape(k, 1, n), y.reshape(k, 1, n), y.reshape(k, n, 1)
-    mus = np.empty((k, 1, 1))
+    rows = max(1, min(_CHUNK_SWEEPS, _CHUNK_FLOATS // (k * n)))
+    xs = np.empty((rows + 1, k * n))  # row j: iterate done + j; row m starts the next chunk
+    ss = np.empty((rows, k * n))
+    xs[0] = 1 / np.sqrt(n)  # the lone loop's start for every tree
+    y = np.empty(k * n)
+    yr, yc = y.reshape(k, 1, n), y.reshape(k, n, 1)
     norms = np.empty((k, 1, 1))
     results: list = [None] * k
-    peaks = [0] * k  # where each tree's last full residual vector peaked
-    live = list(range(k))
-    iterations = 0
+    live = np.ones(k, dtype=bool)
+    done = 0  # sweeps before the chunk
     while True:
-        # s = A x serves both the check of x and the next step from x
-        s = np.bincount(tgt, weights=x[src], minlength=k * n)
-        if iterations:
-            np.matmul(xr, s.reshape(k, n, 1), out=mus)
-            s_rows = s.reshape(k, n)
-            for j in live[:]:
-                xv, sv, w = rows[j], s_rows[j], peaks[j]
-                mu = mus.item(j)
-                # one residual entry above tol proves res > tol
-                if not abs(mu * xv.item(w) - sv.item(w)) > tol:
-                    r = np.abs(mu * xv - sv)
-                    peaks[j] = w = int(np.argmax(r))
-                    res = float(r[w])
-                    if res <= tol:
-                        results[j] = SpectralResult(mu, xv.copy(), res, iterations)
-                        live.remove(j)
-            if not live or iterations >= fallback_at:
-                return results
-        # a stopped tree steps on beside the others and is never read again
-        np.multiply(shift, x, out=y)
-        y += s  # s + c x, as addition commutes
-        np.matmul(yr, yc, out=norms)
-        np.divide(y, np.sqrt(norms).repeat(n), out=x)
-        iterations += 1
+        m = min(rows, fallback_at + 1 - done)  # the last chunk ends at fallback_at
+        for j in range(m):
+            # s = A x serves both the check of x and the next step from x
+            ss[j] = np.bincount(tgt, weights=xs[j][src], minlength=k * n)
+            # a stopped tree steps on beside the others and is never read again
+            np.multiply(shift, xs[j], out=y)
+            y += ss[j]  # s + c x, as addition commutes
+            np.matmul(yr, yc, out=norms)
+            np.divide(y, np.sqrt(norms, out=norms).repeat(n), out=xs[j + 1])
+        first = 0 if done else 1  # iterate 0 is never checked
+        # row r: tree r % k at iterate done + first + r // k
+        x, s = xs[first:m].reshape(-1, n), ss[first:m].reshape(-1, n)
+        mus = np.matmul(x.reshape(-1, 1, n), s.reshape(-1, n, 1)).reshape(-1)
+        r = np.abs(mus.repeat(n) * x.reshape(-1) - s.reshape(-1))
+        res = np.maximum.reduceat(r, np.arange(0, r.size, n))
+        reached = (res <= tol).reshape(-1, k)
+        for i in np.flatnonzero(live & reached.any(axis=0)).tolist():
+            row = int(np.argmax(reached[:, i])) * k + i
+            results[i] = SpectralResult(mus.item(row), x[row].copy(), res.item(row), done + first + row // k)
+            live[i] = False
+        if not live.any() or done + m - 1 >= fallback_at:
+            return results
+        xs[0] = xs[m]
+        done += m
 
 
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
@@ -449,8 +456,9 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
     Trees of one and two vertices take their closed forms.  The others are
     grouped by order: each group of two or more runs the block sweeps in
     float64, the only dtype `spectral_radii` passes, up to the lone loop's
-    polish point, and every tree alone in its order or left running there
-    runs the lone loop in `dtype` from the start."""
+    polish point, checked once per chunk of sweeps, and every tree alone in
+    its order or left running there runs the lone loop in `dtype` from the
+    start.  A block of two trees already costs less than two lone solves."""
     results: list = [None] * len(trees)
     orders: dict[int, list[int]] = {}
     for pos, t in enumerate(trees):

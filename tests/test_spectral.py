@@ -14,6 +14,7 @@ from treeindex.enumeration import (
     _screen,
     class_spectra,
     enumerate_trees,
+    free_trees,
 )
 from treeindex.spectral import (
     CLASS_CHUNK,
@@ -42,6 +43,7 @@ from treeindex.trees import (
 )
 
 K2 = tree_from_edges(2, [(0, 1)])
+CHUNK_SWEEPS = spectral._CHUNK_SWEEPS
 FORK_19 = tree_from_edges(
     19,
     [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6),
@@ -285,17 +287,69 @@ class TestSpectralRadii:
         assert str(info.value) == message
         assert fields(info.value.result) == fields(result)
 
-    @pytest.mark.parametrize("k, n", [(1, 19), (2, 19), (12, 19), (100, 26), (2, 150), (12, 1200)])
+    @pytest.mark.parametrize("k, n", [(1, 19), (2, 19), (12, 19), (100, 26), (2, 150), (12, 1200), (2, 18), (16, 32)])
     def test_row_dots_by_matmul_equal_ndarray_dot(self, k, n):
-        # the block takes its k dots x.s and y.y with one matmul of
-        # (k, 1, n) @ (k, n, 1) views; a tree alone takes them with ndarray.dot
+        # a block sweep takes its k dots y.y with one matmul of (k, 1, n) @
+        # (k, n, 1) views, and a chunk of m sweeps its m*k dots x.s with one
+        # of (m*k, 1, n) @ (m*k, n, 1) views of its (m, k, n) buffers, from
+        # row 1 in the first chunk; a tree alone takes each with ndarray.dot.
+        # m runs from one sweep through a chunk cut short by the polish
+        # point to the longest the buffer cap allows: (12, 19) and (2, 18)
+        # are the benchmark's tie pools, (16, 32) fills the cap exactly and
+        # (12, 1200) passes half of it, so it sweeps one iterate per chunk
+        longest = max(1, min(spectral._CHUNK_SWEEPS, spectral._CHUNK_FLOATS // (k * n)))
         rng = np.random.default_rng(k * n)
-        x, s = rng.random((2, k * n))
-        for a, b in ((x, s), (x, x)):
-            got = np.empty(k)
-            np.matmul(a.reshape(k, 1, n), b.reshape(k, n, 1), out=got.reshape(k, 1, 1))
-            want = np.array([a[i * n : (i + 1) * n].dot(b[i * n : (i + 1) * n]) for i in range(k)])
-            assert got.tobytes() == want.tobytes()
+        x, s = rng.random((2, longest, k * n))
+        for m in sorted({1, (longest + 1) // 2, longest}):
+            for first in range(min(m, 2)):
+                for a, b in ((x[first:m], s[first:m]), (x[first:m], x[first:m])):
+                    rows = (m - first) * k
+                    got = np.empty(rows)
+                    np.matmul(a.reshape(rows, 1, n), b.reshape(rows, n, 1), out=got.reshape(rows, 1, 1))
+                    want = np.array([u.dot(v) for u, v in zip(a.reshape(rows, n), b.reshape(rows, n))])
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3, CHUNK_SWEEPS], ids=["capped_to_1", "capped_to_3", "uncapped"])
+    @pytest.mark.parametrize(
+        "fallback_at",
+        [CHUNK_SWEEPS // 2, CHUNK_SWEEPS - 1, CHUNK_SWEEPS, CHUNK_SWEEPS + 1],
+        ids=["inside_first_chunk", "end_of_first_chunk", "one_past", "two_past"],
+    )
+    def test_chunk_boundaries(self, fallback_at, width):
+        # under tol=1e-5 the 23 trees of order 8 stop alone at 14, 16, 29,
+        # 31, 32, 32, 37 ... 102 sweeps, so the polish point max_iter // 2
+        # falls among stops inside the first chunk, on its last iterate and
+        # one or two sweeps past it; repeated, they fill a block whose
+        # buffers pass the cap, so it checks every `width` sweeps
+        budget = dict(tol=1e-5, max_iter=2 * fallback_at)
+        trees = free_trees(8)
+        copies = 1 if width == CHUNK_SWEEPS else spectral._CHUNK_FLOATS // ((width + 1) * 8 * len(trees)) + 1
+        assert max(1, min(CHUNK_SWEEPS, spectral._CHUNK_FLOATS // (8 * len(trees) * copies))) == width
+        expected = [one_by_one(t, **budget) for t in trees] * copies
+        assert [message for message, _ in expected] == [None] * len(expected)
+        got = spectral_radii(trees * copies, **budget)
+        assert [fields(r) for r in got] == [fields(r) for _, r in expected]
+
+    @pytest.mark.parametrize("copies", [1, 45])
+    def test_chunk_buffers_are_capped(self, monkeypatch, copies):
+        # however many trees a block holds, a chunk keeps at most
+        # _CHUNK_FLOATS floats of iterates and of products A x, or one
+        # iterate where that alone is larger, plus the next chunk's start
+        sizes = []
+
+        class RecordingNumpy:
+            def empty(self, shape, *args, **kwargs):
+                sizes.append(int(np.prod(shape)))
+                return np.empty(shape, *args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(spectral, "np", RecordingNumpy())
+        trees = free_trees(8) * copies
+        spectral_radii(trees, tol=1e-5)
+        width = 8 * len(trees)
+        assert max(sizes) <= max(spectral._CHUNK_FLOATS, width) + width
 
     def test_wide_block_of_one_size(self):
         # 40 trees of 19 vertices spread over the screened order of a
