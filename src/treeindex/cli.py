@@ -26,12 +26,12 @@ import sys
 
 from .enumeration import (
     DEFAULT_MAX_N,
+    _listed,
     _require_max_n,
-    class_spectra,
     extremal_choice,
     find_minimizers,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, _bipartite_indices, spectral_radius
 from .transforms import (
     ReductionError,
     caterpillar_bound_witness,
@@ -137,9 +137,12 @@ def cmd_mu(args: argparse.Namespace) -> int:
 def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
-    trees, mus, codes = class_spectra(pi, max_n=args.max_n)
+    trees, codes = _listed(pi, args.max_n)
+    mus = _bipartite_indices(trees)
     chosen = extremal_choice(trees, mus)
-    rows = sorted((float(mu), code, is_caterpillar(t)) for t, mu, code in zip(trees, mus, codes))
+    # rows sort by the printed value, then by code, so no order rests on
+    # the screen's last bits
+    rows = sorted((float(f"{mu:.6f}"), code, is_caterpillar(t)) for t, mu, code in zip(trees, mus, codes))
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
     # a d-semiregular class holds exactly one caterpillar

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import _bipartite_indices, class_indices, spectral_radii
+from .spectral import _bipartite_indices, spectral_radii
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -55,7 +55,6 @@ __all__ = [
     "enumerate_semiregular",
     "MinimizerObservations",
     "SearchReport",
-    "class_spectra",
     "extremal_choice",
     "extremal_report",
     "find_minimizers",
@@ -411,16 +410,6 @@ def _listed(pi: DegreeSequence, max_n: int) -> tuple[list[Tree], list[str]]:
     return trees, codes
 
 
-def class_spectra(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N) -> tuple[list[Tree], np.ndarray, list[str]]:
-    """Every tree of the class in enumeration order, with the screened index
-    of each from one batched `class_indices` scan of the adjacency matrices
-    and the canonical code of each from the listing.  `verify-min` prints
-    and sorts these values; `find_minimizers` screens with the half-size
-    Gram stack instead, whose last bits differ."""
-    trees, codes = _listed(pi, max_n)
-    return trees, class_indices(trees), codes
-
-
 def _screen(mus: np.ndarray) -> tuple[list[float], list[int]]:
     """The screened values and the candidates within _SCREEN_BAND of their
     minimum.  The band is a margin on the screen's own rounding, about
@@ -460,9 +449,10 @@ def _resolve_ties(trees: list[Tree], candidates: list[int], solved) -> tuple[lis
 
 
 def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:
-    """Positions of the minimizers of a `class_spectra` scan, the same trees
-    `extremal_report` reports, without the index values it carries.  Two or
-    more candidates are solved as one block; a lone one is not."""
+    """Positions of the minimizers of a listed class screened by
+    `_bipartite_indices`, the same trees `extremal_report` reports, without
+    the index values it carries.  Two or more candidates are solved as one
+    block; a lone one is not."""
     candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
@@ -471,9 +461,7 @@ def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:
 
 def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
     """Index minimization over a screened listing of the class: its trees,
-    their screened values and their listing codes.  `find_minimizers`
-    screens with `_bipartite_indices`; a `class_spectra` scan, screened by
-    `class_indices`, serves as well.
+    their `_bipartite_indices` values and their listing codes.
 
     The screened values `mus` only pick the candidates within
     `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
@@ -517,10 +505,10 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     sequence pi.
 
     The class is listed once and screened by `_bipartite_indices`, one
-    top eigenvalue of each tree's half-size Gram matrix B B^T, never by
-    `class_indices`.  Trees within the fixed screen band of the screened
-    minimum are settled by the exact Rayleigh quotients of their Perron
-    vectors; survivors are reported as tied minimizers.
+    top eigenvalue of each tree's half-size Gram matrix B B^T, the one
+    screen of the package.  Trees within the fixed screen band of the
+    screened minimum are settled by the exact Rayleigh quotients of their
+    Perron vectors; survivors are reported as tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """

@@ -2,15 +2,13 @@
 checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
-Whole classes of same-order trees are screened by one `np.linalg.eigvalsh`
-call per chunk of stacked matrices, each stack filled by one index
-assignment.  The class search screens with `_bipartite_indices`: a tree
-is bipartite, so its index is the root of the top eigenvalue of B B^T, B
-the biadjacency with the smaller side on its rows, at most n/2 square.
-`verify-min` prints and sorts `class_indices`, the top eigenvalues of the
-n x n adjacency matrices.  Screened values rank trees, while reported
-indices come from `spectral_radius` or, for several trees at once,
-`spectral_radii`.
+Whole classes of same-order trees have one screen, `_bipartite_indices`,
+which the class search and `verify-min` share: a tree is bipartite, so its
+index is the root of the top eigenvalue of B B^T, B the biadjacency with
+the smaller side on its rows, at most n/2 square, and one
+`np.linalg.eigvalsh` call takes a chunk of these stacked Gram matrices.
+Screened values rank trees, while reported indices come from
+`spectral_radius` or, for several trees at once, `spectral_radii`.
 
 The index of a tree is computed matrix-free by shifted power iteration.
 Trees are bipartite, so -mu is also an eigenvalue; iterating on A + cI with
@@ -96,7 +94,6 @@ __all__ = [
     "SpectralResult",
     "PerronBound",
     "adjacency_matrix",
-    "class_indices",
     "rayleigh_quotient",
     "spectral_radius",
     "spectral_radii",
@@ -110,11 +107,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
-# trees per stacked eigvalsh call in class_indices; bounds the stack to
-# CLASS_CHUNK * n * n floats however large the class is.
-# _bipartite_indices takes 4 * CLASS_CHUNK, its Gram matrices being at most
-# n/2 square
-CLASS_CHUNK = 32
+# trees per stacked eigvalsh call of the class screen; bounds its
+# biadjacency stack to CLASS_CHUNK * n * n / 2 floats and its Gram stack to
+# half that, however large the class is
+CLASS_CHUNK = 128
 # iterates per check of a block solve, fewer where they or their A x would
 # pass _CHUNK_FLOATS floats, however many trees the block holds
 _CHUNK_SWEEPS = 32
@@ -168,34 +164,6 @@ def _edge_arrays(t: Tree) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(eu, dtype=np.intp), np.asarray(ev, dtype=np.intp)
 
 
-def class_indices(trees: Sequence[Tree]) -> np.ndarray:
-    """Index of every tree in `trees`, all of one order, as a float64 array.
-
-    The adjacency matrices are stacked CLASS_CHUNK at a time and each stack
-    goes through one dense `np.linalg.eigvalsh` call.  Each stack is filled
-    by one index assignment at the flat positions of its ones, read off the
-    trees' neighbor lists row by row.  The values agree with
-    `spectral_radius(t).mu` to a few ulps, which is enough to rank a class
-    but not to report its extremal value byte-for-byte.
-    """
-    trees = list(trees)
-    if not trees:
-        return np.zeros(0)
-    n = trees[0].vertex_count
-    if any(t.vertex_count != n for t in trees):
-        raise ValueError("class_indices needs trees of one order")
-    out = np.empty(len(trees))
-    for start in range(0, len(trees), CLASS_CHUNK):
-        rows = [t.adjacency for t in trees[start : start + CLASS_CHUNK]]
-        degrees = np.fromiter(map(len, chain.from_iterable(rows)), np.intp, len(rows) * n)
-        cols = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.intp, len(rows) * 2 * (n - 1))
-        stack = np.zeros((len(rows), n, n))
-        # row r of the stack, taken flat, is row r % n of its tree r // n
-        stack.reshape(-1)[np.repeat(np.arange(0, stack.size, n), degrees) + cols] = 1
-        out[start : start + len(stack)] = np.linalg.eigvalsh(stack)[:, -1]
-    return out
-
-
 def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
     """Index of every tree in `trees`, all of one order n and each in the
     listing's layout: every vertex v > 0 has its parent at
@@ -205,16 +173,16 @@ def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
     A tree is bipartite, A = [[0, B], [B^T, 0]], so its index is the root
     of the top eigenvalue of the Gram matrix B B^T, where the biadjacency B
     has the tree's smaller side, p <= n/2 vertices, on its rows (Cvetkovic,
-    Doob and Sachs, Spectra of Graphs, 1980).  A chunk of 4 * CLASS_CHUNK
+    Doob and Sachs, Spectra of Graphs, 1980).  A chunk of CLASS_CHUNK
     trees is coloured by depth parity, read down its parent column one
     vertex at a time for the whole chunk.  Its biadjacency stack, each B
     zero-padded to the chunk's largest sides, is filled by one index
     assignment at the flat positions of the parent edges, and the Gram
     stack, of small integers and so exact, goes through one
-    `np.linalg.eigvalsh` call.  A Gram matrix is at most n/2 square, so
-    the chunk's stacks stay within twice the CLASS_CHUNK * n * n floats of
-    `class_indices`.  The values agree with `class_indices` to within about
-    1e-14: enough to screen a class, not to print.
+    `np.linalg.eigvalsh` call.  The values agree with the top eigenvalues
+    of the n x n adjacency matrices to within about 1e-14: enough to rank
+    a class and to print to 6 places, not to report an index to 17 digits
+    or to order trees of equal index.
     """
     trees = list(trees)
     if not trees:
@@ -222,10 +190,9 @@ def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
     n = trees[0].vertex_count
     if any(t.vertex_count != n for t in trees):
         raise ValueError("_bipartite_indices needs trees of one order")
-    chunk = 4 * CLASS_CHUNK
     out = np.empty(len(trees))
-    for start in range(0, len(trees), chunk):
-        rows = [t.adjacency for t in trees[start : start + chunk]]
+    for start in range(0, len(trees), CLASS_CHUNK):
+        rows = [t.adjacency for t in trees[start : start + CLASS_CHUNK]]
         k = len(rows)
         parent = np.fromiter(map(itemgetter(0), chain.from_iterable(r[1:] for r in rows)), np.intp, k * (n - 1))
         parent = parent.reshape(k, n - 1)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import treeindex
+from test_spectral import oracle_indices
 from treeindex import cli, enumeration
 from treeindex.cli import main
 from treeindex.trees import is_caterpillar, make_caterpillar, tree_from_edges, tree_from_json, tree_to_json
@@ -155,7 +156,7 @@ class TestVerifyMinCommand:
         # the sole minimizer, plus every tree within the screen band of the
         # screened runner-up
         monkeypatch.undo()
-        mus = sorted(enumeration.class_spectra(DegreeSequence.semiregular(3, 16))[1])
+        mus = sorted(oracle_indices(list(enumeration.enumerate_trees(DegreeSequence.semiregular(3, 16)))))
         band = sum(1 for mu in mus[1:] if mu <= mus[1] + enumeration._SCREEN_BAND)
         assert calls["spectral_radius"] <= 1 + band
 
@@ -180,6 +181,16 @@ class TestVerifyMinCommand:
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "16")
         assert code == 1
         assert out.endswith("FAILED: caterpillar is not the unique minimizer\n")
+
+    @pytest.mark.parametrize("n", [24, 26])
+    def test_rows_sort_by_printed_value_then_code(self, capsys, n):
+        # cospectral trees print equal values: one pair in (3, 24), two in
+        # (3, 26), one of them at sqrt(6); equal values list in code order
+        code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", str(n), "--max-n", str(n))
+        assert code == 0
+        rows = [(float(mu), text) for mu, _, text in (line.split() for line in out.splitlines()[1:-1])]
+        assert rows == sorted(rows)
+        assert len({mu for mu, _ in rows}) < len(rows)
 
     def test_single_tree_class(self, capsys):
         code, out, _ = run(capsys, "verify-min", "--d", "3", "--n", "8")

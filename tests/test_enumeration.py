@@ -11,19 +11,21 @@ from itertools import product
 import numpy as np
 import pytest
 
+from test_spectral import oracle_indices
 from treeindex import enumeration, spectral
 from treeindex import trees as trees_module
 from treeindex.cli import main
 from treeindex.enumeration import (
+    DEFAULT_MAX_N,
     TIED_MINIMIZER_CLASS,
     _decorated,
     _decorations,
     _exact_rayleigh,
     _least_rooting,
+    _listed,
     _listing,
     _pendant_counts,
     _screen,
-    class_spectra,
     enumerate_semiregular,
     enumerate_trees,
     extremal_choice,
@@ -33,7 +35,7 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import _bipartite_indices, adjacency_matrix, class_indices, spectral_radius
+from treeindex.spectral import _bipartite_indices, adjacency_matrix, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     TreeError,
@@ -444,7 +446,8 @@ class TestFindMinimizers:
         ids=lambda pi: pi.compact(),
     )
     def test_choice_is_the_reported_extremal_trees(self, pi):
-        trees, mus, codes = class_spectra(pi)
+        trees, codes = _listed(pi, DEFAULT_MAX_N)
+        mus = _bipartite_indices(trees)
         chosen = extremal_choice(trees, mus)
         assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, codes).minimizers
 
@@ -463,14 +466,30 @@ class TestFindMinimizers:
         for t, code in zip(report.minimizers, report.minimizer_codes):
             assert code == coded(t)
 
-    def test_never_screens_by_the_adjacency_matrices(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the search screened by class_indices")
+    def test_never_screens_by_the_adjacency_matrices(self, capsys, monkeypatch):
+        # every matrix the search and verify-min hand to eigvalsh is a
+        # stacked Gram matrix of at most n // 2 rows, never an n x n
+        # adjacency matrix
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        for module in (enumeration, spectral):
-            monkeypatch.setattr(module, "class_indices", refuse)
-        for pi in (TIED_MINIMIZER_CLASS, DegreeSequence.parse("4^3,3^3,2,1^11"), DegreeSequence.parse("0")):
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def half_size(n):
+            assert shapes, n
+            assert all(len(shape) == 3 and shape[1] == shape[2] <= n // 2 for shape in shapes), (n, shapes)
+            shapes.clear()
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for pi in (TIED_MINIMIZER_CLASS, DegreeSequence.parse("4^3,3^3,2,1^11")):
             find_minimizers(pi)
+            half_size(pi.n)
+        for d, n in ((3, 16), (4, 17)):
+            assert main(["verify-min", "--d", str(d), "--n", str(n)]) == 0
+            half_size(n)
+        capsys.readouterr()
 
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))
@@ -506,7 +525,7 @@ class TestBipartiteScreen:
     def test_same_pool_as_the_adjacency_screen(self, listed):
         assert len(listed) == 242
         for pi, trees in listed:
-            half, full = _bipartite_indices(trees), class_indices(trees)
+            half, full = _bipartite_indices(trees), oracle_indices(trees)
             assert np.max(np.abs(half - full)) <= 1e-13, pi.compact()
             assert screened_pool(half) == screened_pool(full), pi.compact()
 
@@ -647,7 +666,7 @@ class TestFindMaximizers:
                 if max(pi.degrees) > 5:
                     continue
                 trees = list(enumerate_trees(pi))
-                mus = class_indices(trees)
+                mus = oracle_indices(trees)
                 if len(trees) > 1:
                     top, second = np.sort(mus)[-1:-3:-1]
                     assert top - second > 1e-9, pi.compact()
@@ -669,7 +688,7 @@ class TestFindMaximizers:
         def refuse(*args, **kwargs):
             raise AssertionError("the maximizer was searched for")
 
-        for name in ("class_indices", "spectral_radii", "_listing"):
+        for name in ("_bipartite_indices", "spectral_radii", "_listing"):
             monkeypatch.setattr(enumeration, name, refuse)
         (built,) = find_maximizers(TIED_MINIMIZER_CLASS)
         assert DegreeSequence.of_tree(built) == TIED_MINIMIZER_CLASS

@@ -12,17 +12,16 @@ from treeindex import spectral
 from treeindex.enumeration import (
     TIED_MINIMIZER_CLASS,
     _screen,
-    class_spectra,
     enumerate_trees,
     free_trees,
 )
 from treeindex.spectral import (
     CLASS_CHUNK,
     ConvergenceError,
+    _bipartite_indices,
     _edge_arrays,
     _neighbor_columns,
     adjacency_matrix,
-    class_indices,
     caterpillar_symmetry_check,
     caterpillar_trunk_residual,
     is_unimodal,
@@ -55,6 +54,14 @@ FORK_19 = tree_from_edges(
 def oracle_mu(t):
     """Independent dense-eigensolver value of the index."""
     return float(np.linalg.eigvalsh(adjacency_matrix(t))[-1])
+
+
+def oracle_indices(trees):
+    """oracle_mu of every tree of one order, from one eigvalsh call on the
+    stack of their adjacency matrices."""
+    if not trees:
+        return np.zeros(0)
+    return np.linalg.eigvalsh(np.stack([adjacency_matrix(t) for t in trees]))[:, -1]
 
 
 class TestRayleighQuotient:
@@ -213,8 +220,8 @@ def fields(r):
 
 
 def tie_candidates():
-    trees, mus, _ = class_spectra(TIED_MINIMIZER_CLASS)
-    return [trees[i] for i in _screen(mus)[1]]
+    trees = list(enumerate_trees(TIED_MINIMIZER_CLASS))
+    return [trees[i] for i in _screen(oracle_indices(trees))[1]]
 
 
 class TestSpectralRadii:
@@ -354,8 +361,8 @@ class TestSpectralRadii:
     def test_wide_block_of_one_size(self):
         # 40 trees of 19 vertices spread over the screened order of a
         # 6,895-tree class; they stop between 258 and 3,482 iterations
-        trees, mus, _ = class_spectra(DegreeSequence.parse("5,4^2,3,2^5,1^10"))
-        block = [trees[i] for i in np.argsort(mus, kind="stable")[:: len(trees) // 40][:40]]
+        trees = list(enumerate_trees(DegreeSequence.parse("5,4^2,3,2^5,1^10")))
+        block = [trees[i] for i in np.argsort(oracle_indices(trees), kind="stable")[:: len(trees) // 40][:40]]
         got = spectral_radii(block)
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in block]
 
@@ -499,32 +506,38 @@ class TestAdjacencyMatrix:
 
 
 class TestClassIndices:
-    # "0" and "1,1" are the one- and two-vertex classes; "3^5,2^2,1^7"
-    # has 52 trees, more than one stacked chunk
+    """The one class screen, `_bipartite_indices`, on listed trees: the
+    listing's layout is its input."""
+
+    # "0" and "1,1" are the one- and two-vertex classes
     @pytest.mark.parametrize("pi", ["0", "1,1", "3,1^3", "3^2,2^2,1^4", "3^5,2^2,1^7"])
     def test_matches_power_iteration_and_oracle(self, pi):
         trees = list(enumerate_trees(DegreeSequence.parse(pi)))
-        mus = class_indices(trees)
+        mus = _bipartite_indices(trees)
         assert mus.shape == (len(trees),)
         for t, mu in zip(trees, mus):
             assert abs(mu - spectral_radius(t).mu) <= 1e-12
             assert abs(mu - oracle_mu(t)) <= 1e-12
 
     def test_class_spans_chunks(self):
-        assert len(list(enumerate_trees(DegreeSequence.parse("3^5,2^2,1^7")))) > CLASS_CHUNK
+        # 182 trees: one full stacked chunk and part of a second
+        trees = list(enumerate_trees(DegreeSequence.parse("3^5,2^3,1^7")))
+        assert CLASS_CHUNK < len(trees) < 2 * CLASS_CHUNK
+        assert _bipartite_indices(trees) == pytest.approx(oracle_indices(trees), abs=1e-12)
 
     def test_order_of_input_is_kept(self):
-        trees = [make_path(6), make_star(5), make_caterpillar(3, 6)]
+        trees = list(enumerate_trees(DegreeSequence.parse("3^2,2^2,1^4")))
+        trees = [trees[i] for i in (2, 4, 0, 3, 1)]
         expected = [oracle_mu(t) for t in trees]
-        assert class_indices(trees) == pytest.approx(expected, abs=1e-12)
-        assert class_indices(trees[::-1]) == pytest.approx(expected[::-1], abs=1e-12)
+        assert _bipartite_indices(trees) == pytest.approx(expected, abs=1e-12)
+        assert _bipartite_indices(trees[::-1]) == pytest.approx(expected[::-1], abs=1e-12)
 
     def test_empty(self):
-        assert class_indices([]).shape == (0,)
+        assert _bipartite_indices([]).shape == (0,)
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):
-            class_indices([make_path(4), make_path(5)])
+            _bipartite_indices([make_path(4), make_path(5)])
 
 
 class TestPerronBound:
