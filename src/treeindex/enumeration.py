@@ -65,7 +65,8 @@ __all__ = [
 
 DEFAULT_MAX_N = 22
 _SCREEN_BAND = 1e-9
-_STAGE2_TIE = 1e-12
+# tie candidates whose exact Rayleigh quotients lie within this of the least one tie
+_TIE_BAND = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,7 @@ def _resolve_ties(trees: list[Tree], candidates: list[int], solved) -> tuple[lis
         return candidates, None
     quotients = {i: _exact_rayleigh(trees[i], r.perron) for i, r in zip(candidates, solved)}
     least = min(quotients.values())
-    return [i for i in candidates if quotients[i] <= least + _STAGE2_TIE], least
+    return [i for i in candidates if quotients[i] <= least + _TIE_BAND], least
 
 
 def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:

@@ -19,22 +19,20 @@ measured by the eigenvalue-equation residual
     residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
 
 Each sweep computes s = A x once and uses s both to check x and for the
-power step from x.  Two loops run the sweeps, each with one job.  The lone
-loop runs one tree from start to finish, in float64 or in extended
-precision: the sweeps, the polish and the budget exit.  Its state is plain
-locals: no per-sweep views or lists, and the screen's two scalar reads
-picked once per dtype.  The block loop only sweeps, and checks once per
-chunk of sweeps: `spectral_radii` groups its trees of three or more
-vertices by order, and each group of two or more runs as one float64 block
-up to the polish point.  Every tree that reaches tol there is done; every
-other tree, and every tree alone in its order, runs the lone loop from the
-start.
+power step from x.  Everything runs in float64.  Two loops run the
+sweeps, each with one job.  The lone loop runs one tree from start to
+finish: the sweeps, the polish and the budget exit.  Its state is plain
+locals, with no per-sweep views or lists.  The block loop only sweeps,
+and checks once per chunk of sweeps: `spectral_radii` groups its trees of
+three or more vertices by order, and each group of two or more runs as one
+block up to the polish point.  Every tree that reaches tol there is done;
+every other tree, and every tree alone in its order, runs the lone loop
+from the start.
 
 The block's s is one scatter over the edges taken in both directions,
 `np.bincount`, which starts each vertex at +0.0 and adds its terms in the
-order the edges list them.  The lone loop scatters the same way in
-float64, and with `np.add.at` in extended precision since bincount casts
-its weights to float64, except on a path: there s is two neighbor columns, s = x[first], then
+order the edges list them.  The lone loop scatters the same way, except
+on a path: there s is two neighbor columns, s = x[first], then
 s += x[second], two gathers and one add, where a leaf's second term is one
 +0.0 kept past x.  It costs less than the scatter's gather, range pass and
 zeroed array; once one vertex has three terms the scatter is cheaper.  The
@@ -54,9 +52,9 @@ y.y are taken by `np.matmul` of (r, 1, n) and (r, n, 1) views, which numpy
 computes row by row with the kernel of `ndarray.dot`, the call the lone
 loop makes.  The lone loop keeps its shift and its norm as scalars, whose
 products and quotients are those of the block's spread vectors, element by
-element; in float64 it reads the screen's entries as Python floats and
-takes the norm's root with `math.sqrt`, both the IEEE operations numpy
-applies to its float64 scalars.  The lone loop's check is screened
+element; it reads the screen's entries as Python floats and takes the
+norm's root with `math.sqrt`, both the IEEE operations numpy applies to
+its float64 scalars.  The lone loop's check is screened
 exactly: the residual entry at the vertex where the last full residual
 vector peaked is computed with the same IEEE operations as in the full
 vector, and when it alone exceeds tol, so does the maximum.  The full
@@ -147,9 +145,9 @@ class SpectralResult:
         )
 
 
-def adjacency_matrix(t: Tree, dtype=np.float64) -> np.ndarray:
+def adjacency_matrix(t: Tree) -> np.ndarray:
     n = t.vertex_count
-    a = np.zeros((n, n), dtype=dtype)
+    a = np.zeros((n, n))
     eu, ev = _edge_arrays(t)
     a[eu, ev] = 1
     a[ev, eu] = 1
@@ -300,30 +298,25 @@ def _scatter_pairs(trees: list[Tree]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((eu, ev)), np.concatenate((ev, eu))
 
 
-def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult:
-    """The power-iteration loop on one tree of three or more vertices, in
-    float64 or longdouble, as the module docstring describes: the last
-    iterate, unchecked.  Its state is plain locals: the shift, the screen
-    entry w, the polish count, and the iterate x, a view of a buffer that
-    keeps one +0.0 past it.  The scalar reads are chosen once: in float64
-    the screen reads its two entries as Python floats with `ndarray.item`
-    and the norm's root is `math.sqrt`, the same IEEE operations as on
-    numpy float64 scalars; in longdouble the screen keeps numpy scalars and
-    `np.sqrt`, so it computes what the full residual vector computes.  A
-    polish step replaces x outright, with no power step from it."""
+def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
+    """The power-iteration loop on one tree of three or more vertices, as
+    the module docstring describes: the last iterate, unchecked.  Its state
+    is plain locals: the shift, the screen entry w, the polish count, and
+    the iterate x, a view of a buffer that keeps one +0.0 past it.  The
+    screen reads its two entries as Python floats with `ndarray.item` and
+    the norm's root is `math.sqrt`, the same IEEE operations as on numpy
+    float64 scalars.  A polish step replaces x outright, with no power step
+    from it."""
     n = t.vertex_count
     tgt, src = _scatter_pairs([t])
     degree = max(t.degrees())
     columns = _neighbor_columns(tgt, src, n) if degree <= 2 else None
     if columns is not None:
         first, second = columns
-    float64 = dtype is np.float64
-    entry, root = (np.ndarray.item, math.sqrt) if float64 else (np.ndarray.__getitem__, np.sqrt)
-    shift = dtype(degree)
-    xe = np.zeros(n + 1, dtype=dtype)
+    shift = float(degree)
+    xe = np.zeros(n + 1)
     x = xe[:n]
-    x[...] = 1
-    x /= np.sqrt(x @ x)
+    x[...] = 1 / math.sqrt(n)  # the unit all-ones start, as in the block
     y = np.empty_like(x)
     w = 0  # where the last full residual vector peaked
     polish = 8  # Rayleigh steps allowed from the polish point on
@@ -337,17 +330,14 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult
             s += xe[second]
             if signed:
                 s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
-        elif float64:
-            s = np.bincount(tgt, weights=x[src], minlength=n)
         else:
-            s = np.zeros(n, dtype=dtype)
-            np.add.at(s, tgt, x[src])
+            s = np.bincount(tgt, weights=x[src], minlength=n)
         if iterations:
             mu = float(x.dot(s))
             # before fallback_at only res <= tol ends the power steps; one
             # residual entry above tol, rounded to float as res is, proves
             # res > tol
-            if iterations >= fallback_at or not float(abs(mu * entry(x, w) - entry(s, w))) > tol:
+            if iterations >= fallback_at or not abs(mu * x.item(w) - s.item(w)) > tol:
                 r = np.abs(mu * x - s)
                 w = int(np.argmax(r))
                 res = float(r[w])
@@ -361,10 +351,10 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, dtype) -> SpectralResult
                         continue
                     polish = 0
                 if res <= tol or iterations >= max_iter:
-                    return SpectralResult(mu, x.astype(np.float64), res, iterations)
+                    return SpectralResult(mu, x.copy(), res, iterations)
         np.multiply(shift, x, out=y)
         y += s  # s + c x, as addition commutes
-        np.divide(y, root(y.dot(y)), out=x)
+        np.divide(y, math.sqrt(y.dot(y)), out=x)
         iterations += 1
 
 
@@ -418,14 +408,14 @@ def _block_sweeps(trees: list[Tree], tol: float, fallback_at: int) -> list[Spect
         done += m
 
 
-def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
+def _power_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
     """The last iterate of each tree, unchecked; `_solve` checks them.
     Trees of one and two vertices take their closed forms.  The others are
-    grouped by order: each group of two or more runs the block sweeps in
-    float64, the only dtype `spectral_radii` passes, up to the lone loop's
-    polish point, checked once per chunk of sweeps, and every tree alone in
-    its order or left running there runs the lone loop in `dtype` from the
-    start.  A block of two trees already costs less than two lone solves."""
+    grouped by order: each group of two or more runs the block sweeps up to
+    the lone loop's polish point, checked once per chunk of sweeps, and
+    every tree alone in its order or left running there runs the lone loop
+    from the start.  A block of two trees already costs less than two lone
+    solves."""
     results: list = [None] * len(trees)
     orders: dict[int, list[int]] = {}
     for pos, t in enumerate(trees):
@@ -441,10 +431,10 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int, dtype) -> lis
         if len(group) > 1:
             for pos, r in zip(group, _block_sweeps([trees[pos] for pos in group], tol, fallback_at)):
                 results[pos] = r
-    return [_lone_iteration(t, tol, max_iter, dtype) if r is None else r for t, r in zip(trees, results)]
+    return [_lone_iteration(t, tol, max_iter) if r is None else r for t, r in zip(trees, results)]
 
 
-def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[SpectralResult]:
+def _solve(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
     """Validate the budget, run the block, and raise the ConvergenceError of
     the first tree in order whose last iterate misses tol or is not
     entrywise positive."""
@@ -454,7 +444,7 @@ def _solve(trees: list[Tree], tol: float, max_iter: int, dtype) -> list[Spectral
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    results = _power_iteration(trees, tol, max_iter, dtype)
+    results = _power_iteration(trees, tol, max_iter)
     for r in results:
         if r.residual > tol:
             raise ConvergenceError(
@@ -475,7 +465,7 @@ def spectral_radii(
     block: each result equals the one `spectral_radius` gives that tree,
     byte for byte.  A failure raises the ConvergenceError of the first
     failing tree in order, as `spectral_radius` raises it for that tree."""
-    return _solve(list(trees), tol, max_iter, np.float64)
+    return _solve(list(trees), tol, max_iter)
 
 
 def spectral_radius(
@@ -484,15 +474,17 @@ def spectral_radius(
     max_iter: int = DEFAULT_MAX_ITER,
     extended: bool = False,
 ) -> SpectralResult:
-    """Index mu(t) with its positive unit eigenvector: the lone loop of the
-    power iteration.
+    """Index mu(t) with its positive unit eigenvector, in float64: the lone
+    loop of the power iteration.
 
-    `extended=True` runs the whole iteration in numpy longdouble, which
-    is 80-bit on x86 and plain float64 on some platforms.  No code in the
-    package passes it; it stays as public API and as the reference the
-    tie tests compare against.
+    There is no extended-precision mode: `extended=True` raises
+    ValueError.  The parameter stays only because the benchmark's tracer,
+    `bench/tracing.py`, binds every traced call and reads
+    `arguments["extended"]`; without it `--trace 1` runs would fail.
     """
-    return _solve([t], tol, max_iter, np.longdouble if extended else np.float64)[0]
+    if extended:
+        raise ValueError("spectral_radius has no extended-precision mode")
+    return _solve([t], tol, max_iter)[0]
 
 
 @dataclass(frozen=True)

@@ -573,40 +573,38 @@ class TestExactRayleigh:
 
 
 class TestOneSolvePerTieCandidate:
-    """Ties are settled from the float64 solve each candidate already gets:
-    no solve runs in extended precision, no tree is solved twice, and a
-    search solves its candidates as one block."""
+    """Ties are settled from the solve each candidate already gets: no
+    tree is solved twice, and a search solves its candidates as one
+    block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
         loop = spectral._power_iteration
 
-        def recorded(trees, tol, max_iter, dtype):
-            made.append((list(trees), dtype))
-            return loop(trees, tol, max_iter, dtype)
+        def recorded(trees, tol, max_iter):
+            made.append(list(trees))
+            return loop(trees, tol, max_iter)
 
         monkeypatch.setattr(spectral, "_power_iteration", recorded)
         return made
 
     @staticmethod
-    def assert_one_float64_solve_each(calls):
+    def assert_one_solve_each(calls):
         assert len(calls) == 1  # one block per search
-        extended = [dtype is not np.float64 for _, dtype in calls]
-        assert extended and not any(extended)
-        solved = [t for block, _ in calls for t in block]
+        solved = [t for block in calls for t in block]
         assert len(solved) == len(set(solved))
 
     def test_find_minimizers(self, calls):
         assert len(find_minimizers(TIED_MINIMIZER_CLASS).minimizers) == 11
-        self.assert_one_float64_solve_each(calls)
+        self.assert_one_solve_each(calls)
 
     def test_verify_min(self, calls, capsys, monkeypatch):
         monkeypatch.setattr(enumeration, "_SCREEN_BAND", 1.0)
         rc = main(["verify-min", "--d", "3", "--n", "14"])
         assert rc == 0
         assert capsys.readouterr().out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
-        self.assert_one_float64_solve_each(calls)
+        self.assert_one_solve_each(calls)
 
     @pytest.mark.parametrize("pi", ["4^4,3^2,2,1^12", "4^3,3^3,2,1^11", "5,4^2,3,2^5,1^10"])
     def test_served_pools_never_hand_off(self, monkeypatch, pi):

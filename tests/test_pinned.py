@@ -6,7 +6,7 @@ ancestor in `canonical_order`, and built a `Tree` for every decoration in
 enumeration.  The `free_trees_adjacency_sha256` and
 `enumerate_edge_lists_sha256` entries were captured from the generator
 that met each skeleton first among all its rootings and coded every
-decoration recursively.  The `spectral_sha256`, `spectral_stage2` and
+decoration recursively.  The `spectral_sha256` and
 `spectral_budget_exits` entries were captured from the sweep that
 scattered A x with two `np.add.at` passes and took the full residual
 vector after every sweep.  The `counterexample_minimizers` entry was
@@ -32,7 +32,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,7 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import ConvergenceError, spectral_radius
+from treeindex.spectral import ConvergenceError, adjacency_matrix, spectral_radius
 from treeindex.transforms import ReductionError, caterpillar_bound_witness
 from treeindex.trees import (
     DegreeSequence,
@@ -55,6 +57,7 @@ from treeindex.trees import (
     canonical_order,
     make_caterpillar,
     make_path,
+    make_star,
     tree_from_edges,
     tree_to_json,
 )
@@ -143,10 +146,6 @@ class TestPinnedSpectra:
     def test_fork19(self):
         assert spectral_radius(FORK_19).to_json() == PINNED["spectral_fork19"]
 
-    def test_fork19_extended(self):
-        got = spectral_radius(FORK_19, extended=True).to_json()
-        assert got == PINNED["spectral_fork19_extended"]
-
     def test_path60_through_the_polish(self):
         r = spectral_radius(make_path(60), max_iter=2000)
         assert r.iterations == 1002  # 1000 sweeps, then two inverse-iteration solves
@@ -157,65 +156,48 @@ class TestPinnedSpectra:
         got = sha256(spectral_radius(SHA_TREES[name]()).to_json())
         assert got == PINNED["spectral_sha256"][name]
 
-    @pytest.mark.parametrize("i", range(3))
-    def test_stage2_settings_on_the_ties(self, i):
-        t = tied_minimizer_examples()[i]
-        got = spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).to_json()
-        assert got == PINNED["spectral_stage2"][i]
-
-    @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("name", BUDGET_EXITS)
-    def test_budget_exits(self, name, extended):
+    def test_budget_exits(self, name):
         message = None
         try:
-            r = spectral_radius(make_path(60), extended=extended, **BUDGET_EXITS[name])
+            r = spectral_radius(make_path(60), **BUDGET_EXITS[name])
         except ConvergenceError as err:
             message, r = str(err), err.result
-        key = f"{name}_extended" if extended else name
-        assert [message, sha256(r.to_json())] == PINNED["spectral_budget_exits"][key]
+        assert [message, sha256(r.to_json())] == PINNED["spectral_budget_exits"][name]
 
 
 class TestOneMatvecPerSweep:
     class CountingNumpy:
         """Stands in for numpy inside `spectral`, counting the scatter calls
-        that compute A x: `np.bincount` and `np.add.at`."""
+        that compute A x, `np.bincount`."""
 
         def __init__(self):
-            self.calls = {"bincount": 0, "add.at": 0}
-            self.add = self
+            self.bincounts = 0
 
         def bincount(self, *args, **kwargs):
-            self.calls["bincount"] += 1
+            self.bincounts += 1
             return np.bincount(*args, **kwargs)
-
-        def at(self, *args):
-            self.calls["add.at"] += 1
-            return np.add.at(*args)
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_sweeps_without_polish(self, monkeypatch, extended):
+    def test_sweeps_without_polish(self, monkeypatch):
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
-        r = spectral_radius(FORK_19, extended=extended)
+        r = spectral_radius(FORK_19)
         # one A x per sweep plus the one that checks the last iterate, each a
-        # single scatter: bincount in float64, np.add.at in extended precision
-        scatter, other = ("add.at", "bincount") if extended else ("bincount", "add.at")
-        assert counting.calls[scatter] == r.iterations + 1
-        assert counting.calls[other] == 0
+        # single scatter
+        assert counting.bincounts == r.iterations + 1
 
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_paths_sum_two_columns(self, monkeypatch, extended):
+    def test_paths_sum_two_columns(self, monkeypatch):
         # no vertex of a path has more than two neighbor terms, so A x is the
         # sum of two gathered columns of x and never a scatter; 1000 sweeps,
         # then polish steps
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
-        r = spectral_radius(relabelled(make_path(60), random.Random(60)), max_iter=2000, extended=extended)
+        r = spectral_radius(relabelled(make_path(60), random.Random(60)), max_iter=2000)
         assert r.iterations == 1002
-        assert counting.calls == {"bincount": 0, "add.at": 0}
+        assert counting.bincounts == 0
 
 
 class TestPinnedEnumeration:
@@ -312,6 +294,81 @@ TIE_CLASSES = sorted(PINNED["tie_class_minimizers"])
 PINNED_TIES = TIE_CLASSES + [
     "4^3,3,1^9", "5,4^2,3,2,1^10", "4^3,3^2,1^10", TIED_MINIMIZER_CLASS.compact()
 ]
+# a class whose two minimizers tie at an index other than sqrt(6),
+# 2.3268462696046541890...
+OFF_SQRT6_TIE = "5,4^2,3,2^5,1^10"
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def characteristic_polynomial(t: Tree) -> list[int]:
+    """det(xI - A) of a tree, integer coefficients from the constant term
+    up.  For a tree it is the matching polynomial (Godsil and Gutman,
+    J. Graph Theory 5, 1981), built by a DP rooted at vertex 0: with A_v the
+    polynomial of v's subtree and B_v that of the subtree without v,
+    A_v = x prod A_c - sum_c B_c prod_{c' != c} A_c' and B_v = prod A_c over
+    the children c of v."""
+    order, parent = [0], {0: -1}
+    for v in order:
+        for u in t.adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    a, b = {}, {}
+    for v in reversed(order):
+        children = [u for u in t.adjacency[v] if u != parent[v]]
+        whole = [1]
+        for c in children:
+            whole = _poly_mul(whole, a[c])
+        poly = [0] + whole
+        for c in children:
+            term = b[c]
+            for other in children:
+                if other != c:
+                    term = _poly_mul(term, a[other])
+            for i, coeff in enumerate(term):  # degree two below poly's
+                poly[i] -= coeff
+        a[v], b[v] = poly, whole
+    return a[0]
+
+
+def _sign_at(coeffs: list[int], q: Fraction) -> int:
+    # the sign of p(q) is that of the integer p(q) * den^deg
+    deg, num, den = len(coeffs) - 1, q.numerator, q.denominator
+    value = sum(c * num**k * den ** (deg - k) for k, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
+def is_correctly_rounded_index(t: Tree, x: float) -> bool:
+    """Whether the double x is the index of t correctly rounded: the
+    characteristic polynomial changes sign, exactly, between the midpoints
+    from x to its two neighbouring doubles (x -+ ulp/2 unless x is a power
+    of two), and every other eigenvalue lies below the lower one, by
+    `eigvalsh` of the adjacency matrix."""
+    lo = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    hi = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    coeffs = characteristic_polynomial(t)
+    second = np.linalg.eigvalsh(adjacency_matrix(t))[-2]
+    return second < lo and _sign_at(coeffs, lo) * _sign_at(coeffs, hi) < 0
+
+
+class TestCharacteristicPolynomial:
+    """The exact oracle of TestPinnedTies against closed forms and numpy."""
+
+    def test_path_and_star(self):
+        assert characteristic_polynomial(make_path(4)) == [1, 0, -3, 0, 1]
+        assert characteristic_polynomial(make_star(4)) == [0, 0, 0, -4, 0, 1]
+
+    def test_coefficients_of_the_spectrum(self):
+        for t in (FORK_19, make_caterpillar(4, 14)):
+            from_spectrum = np.rint(np.poly(np.linalg.eigvalsh(adjacency_matrix(t))))
+            assert from_spectrum[::-1].tolist() == characteristic_polynomial(t)
 
 
 class TestPinnedTies:
@@ -331,18 +388,21 @@ class TestPinnedTies:
         assert not report.unique
         assert report.to_json() == PINNED["tie_class_minimizers"][pi]
 
-    @pytest.mark.parametrize("pi", PINNED_TIES)
-    def test_min_mu_is_the_extended_precision_index(self, pi):
-        """The reference is the longdouble solve at a 1e-14 residual,
-        `spectral_radius(..., extended=True)`.  `extended=` stays public API
-        for this check and because the benchmark tracer binds it on every
-        traced call."""
+    @pytest.mark.parametrize("pi", PINNED_TIES + [OFF_SQRT6_TIE])
+    def test_min_mu_is_the_correctly_rounded_index(self, pi):
+        """Checked for every minimizer in exact integer arithmetic, by
+        `is_correctly_rounded_index`."""
         report = find_minimizers(DegreeSequence.parse(pi))
-        reference = min(
-            spectral_radius(t, tol=1e-14, max_iter=20_000, extended=True).mu
-            for t in report.minimizers
-        )
-        assert report.min_mu == float(reference)
+        assert len(report.minimizers) >= 2
+        for t in report.minimizers:
+            assert is_correctly_rounded_index(t, report.min_mu)
+
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    @pytest.mark.parametrize("pi", [TIED_MINIMIZER_CLASS.compact(), OFF_SQRT6_TIE])
+    def test_the_check_rejects_one_ulp_off(self, pi, direction):
+        report = find_minimizers(DegreeSequence.parse(pi))
+        off = math.nextafter(report.min_mu, direction)
+        assert not any(is_correctly_rounded_index(t, off) for t in report.minimizers)
 
 
 class TestPinnedVerifyMin:

@@ -1,6 +1,7 @@
 """Index computation and valuation checks, cross-checked against a dense
 eigensolver oracle and classical closed forms."""
 
+import inspect
 import math
 import random
 
@@ -186,10 +187,13 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="tol"):
             spectral_radius(make_path(5), tol=float("inf"))
 
-    def test_extended_precision_mode(self):
-        r = spectral_radius(FORK_19, tol=1e-14, max_iter=20_000, extended=True)
-        assert abs(r.mu - math.sqrt(6)) <= 1e-13
-        assert r.residual <= 1e-14
+    def test_extended_is_only_a_name(self):
+        # the benchmark tracer binds every traced call by these names and
+        # reads `extended`; no extended-precision mode stands behind it
+        assert list(inspect.signature(spectral_radius).parameters) == ["t", "tol", "max_iter", "extended"]
+        assert spectral_radius(FORK_19, extended=False).to_json() == spectral_radius(FORK_19).to_json()
+        with pytest.raises(ValueError, match="extended"):
+            spectral_radius(FORK_19, extended=True)
 
     def test_rayleigh_ritz_random_property(self):
         rng = random.Random(23)
@@ -438,8 +442,7 @@ def scatter_pairs(trees):
 
 
 def same_bits(a, b):
-    # equal values with equal sign bits: -0.0 == 0.0 would pass alone, and
-    # longdouble bytes carry padding
+    # equal values with equal sign bits: -0.0 == 0.0 would pass alone
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
@@ -448,24 +451,19 @@ class TestNeighborColumns:
     columns of x, the iterate's buffer keeping one +0.0 past x for a leaf's
     second term.  It must be the scatter's sum (0 + t1) + t2 bit for bit."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("sizes", [(3,), (4,), (7,), (301,), (3, 7, 150, 301)])
-    def test_column_sum_is_the_scatter(self, dtype, sizes):
+    def test_column_sum_is_the_scatter(self, sizes):
         rng = random.Random(sum(sizes))
         trees = [relabelled(make_path(n), rng) for n in sizes]
         tgt, src = scatter_pairs(trees)
         size = sum(sizes)
         first, second = _neighbor_columns(tgt, src, size)
-        xe = np.zeros(size + 1, dtype)
+        xe = np.zeros(size + 1)
         x = xe[:size]
         x[...] = [rng.choice((0.0, -0.0, 0.75, -1.5, rng.random(), -rng.random())) for _ in range(size)]
 
         def scatter():
-            if dtype is np.float64:
-                return np.bincount(tgt, weights=x[src], minlength=size)
-            out = np.zeros(size, dtype)
-            np.add.at(out, tgt, x[src])
-            return out
+            return np.bincount(tgt, weights=x[src], minlength=size)
 
         want = scatter()
         plain = xe[first] + xe[second]
@@ -492,16 +490,15 @@ class TestNeighborColumns:
 
 
 class TestAdjacencyMatrix:
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_matches_edge_loop(self, dtype):
+    def test_matches_edge_loop(self):
         trees = [make_path(1), K2, make_star(5), FORK_19]
         trees += list(enumerate_trees(DegreeSequence.parse("3^5,2^2,1^7")))
         for t in trees:
-            expected = np.zeros((t.vertex_count, t.vertex_count), dtype=dtype)
+            expected = np.zeros((t.vertex_count, t.vertex_count))
             for u, v in t.edges():
                 expected[u, v] = expected[v, u] = 1
-            got = adjacency_matrix(t, dtype=dtype)
-            assert got.dtype == dtype
+            got = adjacency_matrix(t)
+            assert got.dtype == np.float64
             assert np.array_equal(got, expected)
 
 
