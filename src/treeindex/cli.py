@@ -31,7 +31,7 @@ from .enumeration import (
     extremal_choice,
     find_minimizers,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, _bipartite_indices, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, _parent_indices, spectral_radius
 from .transforms import (
     ReductionError,
     caterpillar_bound_witness,
@@ -138,15 +138,16 @@ def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
     trees, codes = _listed(pi, args.max_n)
-    mus = _bipartite_indices(trees)
+    mus = _parent_indices(trees.parents())
     chosen = extremal_choice(trees, mus)
     # rows sort by the printed value, then by code, so no order rests on
     # the screen's last bits
-    rows = sorted((float(f"{mu:.6f}"), code, is_caterpillar(t)) for t, mu, code in zip(trees, mus, codes))
+    cats = trees.caterpillars()
+    rows = sorted((float(f"{mu:.6f}"), code, cat) for mu, code, cat in zip(mus, codes, cats))
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
     # a d-semiregular class holds exactly one caterpillar
-    verified = len(chosen) == 1 and is_caterpillar(trees[chosen[0]])
+    verified = len(chosen) == 1 and cats[chosen[0]]
     lines.append(
         "VERIFIED: unique minimizer is the caterpillar"
         if verified

@@ -9,15 +9,13 @@ those degrees with non-negative slack filled with pendant vertices.  One
 decoration loop lists a class: each skeleton with each degree assignment,
 coded bottom-up on the skeleton from the pendant count of each of its
 vertices, with each distinct subtree coded once per call.  Duplicate
-decorations are dropped by that code, and only the first-met decoration of
-each class is expanded to sorted neighbor lists and becomes a `Tree`.  The
-listing yields each tree beside that code, which is its canonical form, so
-a caller that prints codes does not code the trees again;
-`enumerate_trees` is the listing without the codes.
-Each distinct neighbor row is one tuple per class, shared by every tree
-that holds it through a dict that lives as long as the generator, and
-`Tree` is slotted, so a listed class holds its distinct rows once plus one
-tuple of rows and one small `Tree` per tree.
+decorations are dropped by that code.  The listing keeps the first-met
+decoration of each class beside that code, which is its canonical form, so
+a caller that prints codes does not code the trees again.  A decoration
+becomes a `Tree` only when one is asked for: `enumerate_trees` builds every
+tree, the class search and `verify-min` only those they solve or report,
+screening the class from the decorations.  The trees built from one
+listing share each distinct neighbor row as one tuple, and `Tree` is slotted.
 The skeletons come from the same loop: a free tree on k vertices is one
 decorated skeleton of the degrees of its own internal vertices, so the
 trees on k vertices with no degree above D are the distinct codes over
@@ -29,14 +27,16 @@ found among the roots with the most leaf neighbors.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
-from .spectral import _bipartite_indices, spectral_radii
+from .spectral import _bipartite_indices, _parent_indices, spectral_radii  # noqa: F401 (_bipartite_indices screens built trees)
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -262,29 +262,60 @@ def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int, rows: dic
     return tuple(adj)
 
 
-def _listing(pi: DegreeSequence) -> Iterator[tuple[str, Tree]]:
+class _Trees(Sequence):
+    """The trees of a listed class in code order, each built from its
+    (skeleton, pendants) decoration when it is indexed and not kept; parent
+    columns and caterpillar flags come from the decorations."""
+
+    def __init__(self, decorations: list[tuple[Tree, tuple[int, ...]]], leaves: int):
+        self.decorations, self.leaves, self._rows = decorations, leaves, {}
+
+    def __len__(self) -> int:
+        return len(self.decorations)
+
+    def __getitem__(self, i: int) -> Tree:
+        return Tree(_decorated(*self.decorations[i], self.leaves, self._rows))
+
+    def parents(self) -> np.ndarray:
+        """The (N, n - 1) parent columns as `_decorated` numbers the trees: the
+        skeleton's parents, then pendants[v] copies of each skeleton vertex v."""
+        count, k = len(self), self.decorations[0][0].vertex_count
+        tops = map(itemgetter(0), chain.from_iterable(s.adjacency[1:] for s, _ in self.decorations))
+        pendants = np.fromiter(chain.from_iterable(p for _, p in self.decorations), np.intp, count * k)
+        hung = np.repeat(np.tile(np.arange(k), count), pendants).reshape(count, self.leaves)
+        return np.hstack([np.fromiter(tops, np.intp, count * (k - 1)).reshape(count, k - 1), hung])
+
+    def caterpillars(self) -> list[bool]:
+        """Whether each tree is a caterpillar: whether its skeleton is a path."""
+        return [max(s.degrees()) <= 2 for s, _ in self.decorations]
+
+
+class _Listing:
+    """A class listed once: codes[i] is the canonical code of trees[i].
+    Iterating it yields each (code, tree)."""
+
+    def __init__(self, codes: list[str], trees: _Trees):
+        self.codes, self.trees = codes, trees
+
+    def __iter__(self) -> Iterator[tuple[str, Tree]]:
+        return zip(self.codes, self.trees)
+
+
+def _listing(pi: DegreeSequence) -> _Listing:
     """Every tree with degree sequence pi exactly once up to isomorphism,
     with its canonical code, in ascending code order: the first decoration
-    met of each code, built as a `Tree`.  The code is the one the
-    decoration loop deduplicates by, equal to `canonical_form(t).code`; the
-    codes all have the same length, so plain string order is canonical
-    order."""
+    met of each code.  The code is the one the decoration loop deduplicates
+    by, equal to `canonical_form(t).code`; the codes all have the same
+    length, so plain string order is canonical order.  A tree on one or two
+    vertices is one skeleton vertex with n - 1 pendants."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
-    if pi.degrees == (0,):
-        yield "()", tree_from_edges(1, [])
-        return
-    if pi.n == 2:
-        yield "(())", tree_from_edges(2, [(0, 1)])
-        return
-    internal = tuple(x for x in pi.degrees if x >= 2)
-    leaves = pi.n - len(internal)
+    internal = tuple(x for x in pi.degrees if x >= 2) or (pi.n - 1,)
     first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
     for code, item in _decorations(internal):
         first.setdefault(code, item)
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for code in sorted(first):
-        yield code, Tree(_decorated(*first[code], leaves, rows))
+    codes = sorted(first)
+    return _Listing(codes, _Trees([first[code] for code in codes], pi.n - len(internal)))
 
 
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
@@ -401,14 +432,14 @@ def _require_max_n(n: int, max_n: int) -> None:
         raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
 
 
-def _listed(pi: DegreeSequence, max_n: int) -> tuple[list[Tree], list[str]]:
-    """Every tree of the class in enumeration order, with the canonical code
-    of each from the listing."""
+def _listed(pi: DegreeSequence, max_n: int) -> tuple[_Trees, list[str]]:
+    """Every tree of the class in enumeration order, each built when it is
+    indexed, with the canonical code of each from the listing."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
     _require_max_n(pi.n, max_n)
-    codes, trees = map(list, zip(*_listing(pi)))
-    return trees, codes
+    listing = _listing(pi)
+    return listing.trees, listing.codes
 
 
 def _screen(mus: np.ndarray) -> tuple[list[float], list[int]]:
@@ -437,7 +468,7 @@ def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
     return ax_x / sum(v * v for v in m)
 
 
-def _resolve_ties(trees: list[Tree], candidates: list[int], solved) -> tuple[list[int], float | None]:
+def _resolve_ties(trees: dict[int, Tree], candidates: list[int], solved) -> tuple[list[int], float | None]:
     """The candidates that stay minimal when tied ones are settled by the
     exact Rayleigh quotients of their Perron vectors, from `solved`, their
     `spectral_radii` results in candidate order, with the least quotient; a
@@ -449,20 +480,22 @@ def _resolve_ties(trees: list[Tree], candidates: list[int], solved) -> tuple[lis
     return [i for i in candidates if quotients[i] <= least + _TIE_BAND], least
 
 
-def extremal_choice(trees: list[Tree], mus: np.ndarray) -> list[int]:
+def extremal_choice(trees: Sequence[Tree], mus: np.ndarray) -> list[int]:
     """Positions of the minimizers of a listed class screened by
     `_bipartite_indices`, the same trees `extremal_report` reports, without
     the index values it carries.  Two or more candidates are solved as one
-    block; a lone one is not."""
+    block; a lone one is not.  Each candidate is indexed in trees once."""
     candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
-    return _resolve_ties(trees, candidates, spectral_radii([trees[i] for i in candidates]))[0]
+    built = {i: trees[i] for i in candidates}
+    return _resolve_ties(built, candidates, spectral_radii(list(built.values())))[0]
 
 
-def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
+def extremal_report(pi: DegreeSequence, trees: Sequence[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
     """Index minimization over a screened listing of the class: its trees,
-    their `_bipartite_indices` values and their listing codes.
+    their `_bipartite_indices` values and their listing codes.  Each tree
+    solved is indexed in trees once, and no other.
 
     The screened values `mus` only pick the candidates within
     `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
@@ -481,12 +514,13 @@ def extremal_report(pi: DegreeSequence, trees: list[Tree], mus: np.ndarray, code
         runner_screen = min(screened[i] for i in rest)
         runners = [i for i in rest if screened[i] <= runner_screen + _SCREEN_BAND]
     pool = candidates + runners
-    solved = dict(zip(pool, spectral_radii([trees[i] for i in pool])))
-    chosen, settled = _resolve_ties(trees, candidates, [solved[i] for i in candidates])
+    built = {i: trees[i] for i in pool}
+    solved = dict(zip(pool, spectral_radii(list(built.values()))))
+    chosen, settled = _resolve_ties(built, candidates, [solved[i] for i in candidates])
     best = min(solved[i].mu for i in chosen)
     others = [r.mu for i, r in solved.items() if i not in chosen]
     gap = min(others) - best if others else None
-    chosen_trees = tuple(trees[i] for i in chosen)
+    chosen_trees = tuple(built[i] for i in chosen)
     obs = tuple(_observe(t) for t in chosen_trees)
     return SearchReport(
         pi=pi,
@@ -505,16 +539,17 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     """Exhaustive index minimization over the class of trees with degree
     sequence pi.
 
-    The class is listed once and screened by `_bipartite_indices`, one
-    top eigenvalue of each tree's half-size Gram matrix B B^T, the one
-    screen of the package.  Trees within the fixed screen band of the
-    screened minimum are settled by the exact Rayleigh quotients of their
-    Perron vectors; survivors are reported as tied minimizers.
+    The class is listed once and screened from its decorations by
+    `_parent_indices`, one top eigenvalue of each tree's half-size Gram
+    matrix B B^T, the one screen of the package; only the trees solved are
+    built.  Trees within the fixed screen band of the screened minimum are
+    settled by the exact Rayleigh quotients of their Perron vectors;
+    survivors are reported as tied minimizers.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
     trees, codes = _listed(pi, max_n)
-    return extremal_report(pi, trees, _bipartite_indices(trees), codes)
+    return extremal_report(pi, trees, _parent_indices(trees.parents()), codes)
 
 
 def find_maximizers(pi: DegreeSequence) -> tuple[Tree, ...]:

@@ -2,7 +2,7 @@
 checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
-Whole classes of same-order trees have one screen, `_bipartite_indices`,
+Whole classes of same-order trees have one screen, `_parent_indices`,
 which the class search and `verify-min` share: a tree is bipartite, so its
 index is the root of the top eigenvalue of B B^T, B the biadjacency with
 the smaller side on its rows, at most n/2 square, and one
@@ -163,10 +163,20 @@ def _edge_arrays(t: Tree) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
-    """Index of every tree in `trees`, all of one order n and each in the
-    listing's layout: every vertex v > 0 has its parent at
-    `adjacency[v][0] < v`.  A tree that breaks the layout raises
-    ValueError.
+    """`_parent_indices` of trees already built, all of one order, read from
+    their parent columns `adjacency[v][0]`; the class search builds none."""
+    trees = list(trees)
+    n = trees[0].vertex_count if trees else 1
+    if any(t.vertex_count != n for t in trees):
+        raise ValueError("_bipartite_indices needs trees of one order")
+    parents = map(itemgetter(0), chain.from_iterable(t.adjacency[1:] for t in trees))
+    return _parent_indices(np.fromiter(parents, np.intp, len(trees) * (n - 1)).reshape(len(trees), n - 1))
+
+
+def _parent_indices(parent: np.ndarray) -> np.ndarray:
+    """Index of every tree of one order n given by its row of parent, the
+    (N, n - 1) parents of vertices 1 to n - 1 in the listing's layout, each
+    below its child.  A row that breaks the layout raises ValueError.
 
     A tree is bipartite, A = [[0, B], [B^T, 0]], so its index is the root
     of the top eigenvalue of the Gram matrix B B^T, where the biadjacency B
@@ -182,23 +192,16 @@ def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
     a class and to print to 6 places, not to report an index to 17 digits
     or to order trees of equal index.
     """
-    trees = list(trees)
-    if not trees:
-        return np.zeros(0)
-    n = trees[0].vertex_count
-    if any(t.vertex_count != n for t in trees):
-        raise ValueError("_bipartite_indices needs trees of one order")
-    out = np.empty(len(trees))
-    for start in range(0, len(trees), CLASS_CHUNK):
-        rows = [t.adjacency for t in trees[start : start + CLASS_CHUNK]]
-        k = len(rows)
-        parent = np.fromiter(map(itemgetter(0), chain.from_iterable(r[1:] for r in rows)), np.intp, k * (n - 1))
-        parent = parent.reshape(k, n - 1)
-        if np.max(parent - np.arange(1, n), initial=-1) >= 0:
-            raise ValueError("_bipartite_indices needs each vertex v > 0 to have its parent at adjacency[v][0] < v")
+    n = parent.shape[1] + 1
+    if np.max(parent - np.arange(1, n), initial=-1) >= 0:
+        raise ValueError("the class screen needs each vertex v > 0 to have its parent below v")
+    out = np.empty(len(parent))
+    for start in range(0, len(parent), CLASS_CHUNK):
+        up = parent[start : start + CLASS_CHUNK]
+        k = len(up)
         # tree i on flat entries i*n to i*n + n - 1
         base = np.arange(0, k * n, n).reshape(k, 1)
-        child, up = base + np.arange(1, n), base + parent
+        child, up = base + np.arange(1, n), base + up
         odd = np.zeros(k * n, dtype=np.intp)
         for v in range(1, n):
             odd[v::n] = 1 - odd[up[:, v - 1]]

@@ -35,9 +35,10 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import _bipartite_indices, adjacency_matrix, spectral_radius
+from treeindex.spectral import _bipartite_indices, _parent_indices, adjacency_matrix, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
+    Tree,
     TreeError,
     _canonical_code,
     _centers,
@@ -551,6 +552,85 @@ class TestBipartiteScreen:
         assert _bipartite_indices([]).shape == (0,)
         with pytest.raises(ValueError):
             _bipartite_indices([tree_from_edges(3, [(0, 1), (1, 2)]), tree_from_edges(2, [(0, 1)])])
+
+
+# every class the n <= 14 listing test covers, and the tied class
+DECORATED_CLASSES = [pi for n in range(1, 15) for pi in all_tree_degree_sequences(n)
+                     if max(pi.degrees) <= 5] + [TIED_MINIMIZER_CLASS]
+
+
+class TestScreenFromDecorations:
+    """The class search and verify-min screen a class from its decorations:
+    the parent columns and caterpillar flags are those of the listing's
+    trees, and a `Tree` is built only for the trees the search solves."""
+
+    def test_parent_columns_are_the_listed_trees(self):
+        checked = 0
+        for pi in DECORATED_CLASSES:
+            listing = _listing(pi)
+            trees = [t for _, t in listing]
+            parents = listing.trees.parents()
+            assert parents.shape == (len(trees), pi.n - 1), pi.compact()
+            assert parents.tolist() == [[row[0] for row in t.adjacency[1:]] for t in trees], pi.compact()
+            # the lazy sequence builds the same trees
+            assert list(listing.trees) == trees, pi.compact()
+            checked += len(trees)
+        assert checked == COUNT_14 + 333
+
+    def test_caterpillar_flag_is_a_path_skeleton(self):
+        semiregular = [DegreeSequence.semiregular(d, n)
+                       for d in (3, 4, 5) for n in range(d + 1, 23) if (n - 2) % (d - 1) == 0]
+        assert len(semiregular) == 21
+        for pi in semiregular + DECORATED_CLASSES:
+            trees, _ = _listed(pi, DEFAULT_MAX_N)
+            assert trees.caterpillars() == [is_caterpillar(t) for t in trees], pi.compact()
+
+    @pytest.mark.parametrize("parent", [
+        [[0, 1], [1, 1]],  # vertex 2 of the second tree is its own parent
+        [[0, 2]],  # vertex 2 hangs from vertex 2
+        [[0, 0, 3]],  # vertex 3 hangs from vertex 3
+        [[1]],  # vertex 1 hangs from itself
+    ])
+    def test_a_column_out_of_layout_is_refused(self, parent):
+        with pytest.raises(ValueError):
+            _parent_indices(np.array(parent, dtype=np.intp))
+
+    def test_array_screen_is_the_tree_screen(self):
+        trees, _ = _listed(TIED_MINIMIZER_CLASS, DEFAULT_MAX_N)
+        assert np.array_equal(_parent_indices(trees.parents()), _bipartite_indices(trees))
+
+    @staticmethod
+    def count_builds(monkeypatch, n):
+        built = []
+        post_init = Tree.__post_init__
+
+        def counted(t):
+            if t.vertex_count == n:
+                built.append(t)
+            post_init(t)
+
+        monkeypatch.setattr(Tree, "__post_init__", counted)
+        return built
+
+    def test_search_builds_only_the_pool(self, monkeypatch):
+        pi = TIED_MINIMIZER_CLASS
+        candidates, runners = screened_pool(_bipartite_indices(list(enumerate_trees(pi))))
+        built = self.count_builds(monkeypatch, pi.n)
+        report = find_minimizers(pi)
+        monkeypatch.undo()
+        assert report.tree_count == 333
+        assert len(candidates) + len(runners) == 12
+        assert len(built) <= len(candidates) + len(runners)
+        assert set(report.minimizers) <= set(built)
+
+    def test_verify_min_builds_only_the_pool(self, capsys, monkeypatch):
+        pi = DegreeSequence.semiregular(3, 16)
+        candidates, runners = screened_pool(_bipartite_indices(list(enumerate_trees(pi))))
+        built = self.count_builds(monkeypatch, pi.n)
+        assert main(["verify-min", "--d", "3", "--n", "16"]) == 0
+        monkeypatch.undo()
+        assert "VERIFIED" in capsys.readouterr().out
+        assert len(built) <= len(candidates) + len(runners)
 
 
 class TestExactRayleigh:
