@@ -26,7 +26,7 @@ import sys
 
 from .enumeration import (
     DEFAULT_MAX_N,
-    _listed,
+    _listing,
     _require_max_n,
     extremal_choice,
     find_minimizers,
@@ -137,13 +137,13 @@ def cmd_mu(args: argparse.Namespace) -> int:
 def cmd_verify_min(args: argparse.Namespace) -> int:
     _require_max_n(args.n, args.max_n)
     pi = DegreeSequence.semiregular(args.d, args.n)
-    trees, codes = _listed(pi, args.max_n)
+    trees = _listing(pi, args.max_n)
     mus = _parent_indices(trees.parents())
     chosen = extremal_choice(trees, mus)
     # rows sort by the printed value, then by code, so no order rests on
     # the screen's last bits
     cats = trees.caterpillars()
-    rows = sorted((float(f"{mu:.6f}"), code, cat) for mu, code, cat in zip(mus, codes, cats))
+    rows = sorted((float(f"{mu:.6f}"), code, cat) for mu, code, cat in zip(mus, trees.codes, cats))
     lines = [f"{'mu':>12}  caterpillar  canonical_code"]
     lines.extend(f"{mu:12.6f}  {str(cat):11}  {code}" for mu, code, cat in rows)
     # a d-semiregular class holds exactly one caterpillar

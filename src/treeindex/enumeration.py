@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import _bipartite_indices, _parent_indices, spectral_radii  # noqa: F401 (_bipartite_indices screens built trees)
+from .spectral import _parent_indices, spectral_radii
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -263,12 +263,13 @@ def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int, rows: dic
 
 
 class _Trees(Sequence):
-    """The trees of a listed class in code order, each built from its
-    (skeleton, pendants) decoration when it is indexed and not kept; parent
-    columns and caterpillar flags come from the decorations."""
+    """A listed class: codes[i] is the canonical code of the i-th tree in
+    ascending code order, built from its (skeleton, pendants) decoration
+    when it is indexed and not kept; parent columns and caterpillar flags
+    come from the decorations."""
 
-    def __init__(self, decorations: list[tuple[Tree, tuple[int, ...]]], leaves: int):
-        self.decorations, self.leaves, self._rows = decorations, leaves, {}
+    def __init__(self, codes: list[str], decorations: list[tuple[Tree, tuple[int, ...]]], leaves: int):
+        self.codes, self.decorations, self.leaves, self._rows = codes, decorations, leaves, {}
 
     def __len__(self) -> int:
         return len(self.decorations)
@@ -290,40 +291,38 @@ class _Trees(Sequence):
         return [max(s.degrees()) <= 2 for s, _ in self.decorations]
 
 
-class _Listing:
-    """A class listed once: codes[i] is the canonical code of trees[i].
-    Iterating it yields each (code, tree)."""
-
-    def __init__(self, codes: list[str], trees: _Trees):
-        self.codes, self.trees = codes, trees
-
-    def __iter__(self) -> Iterator[tuple[str, Tree]]:
-        return zip(self.codes, self.trees)
+def _require_max_n(n: int, max_n: int) -> None:
+    """Refuse a class on more than max_n vertices.  Callers that build the
+    class from its vertex count check that count first."""
+    if n > max_n:
+        raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
 
 
-def _listing(pi: DegreeSequence) -> _Listing:
+def _listing(pi: DegreeSequence, max_n: int | None = None) -> _Trees:
     """Every tree with degree sequence pi exactly once up to isomorphism,
     with its canonical code, in ascending code order: the first decoration
     met of each code.  The code is the one the decoration loop deduplicates
     by, equal to `canonical_form(t).code`; the codes all have the same
     length, so plain string order is canonical order.  A tree on one or two
-    vertices is one skeleton vertex with n - 1 pendants."""
+    vertices is one skeleton vertex with n - 1 pendants.  An unrealizable
+    pi, then a class on more than max_n vertices, is refused before any
+    decoration."""
     if not pi.is_tree_realizable():
         raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
+    if max_n is not None:
+        _require_max_n(pi.n, max_n)
     internal = tuple(x for x in pi.degrees if x >= 2) or (pi.n - 1,)
     first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
     for code, item in _decorations(internal):
         first.setdefault(code, item)
     codes = sorted(first)
-    return _Listing(codes, _Trees([first[code] for code in codes], pi.n - len(internal)))
+    return _Trees(codes, [first[code] for code in codes], pi.n - len(internal))
 
 
 def enumerate_trees(pi: DegreeSequence) -> Iterator[Tree]:
     """Every tree with degree sequence pi exactly once up to isomorphism,
-    in ascending canonical-code order: the trees of `_listing` without
-    their codes."""
-    for _, t in _listing(pi):
-        yield t
+    in ascending canonical-code order: the trees of `_listing`."""
+    yield from _listing(pi)
 
 
 def enumerate_semiregular(d: int, n: int) -> Iterator[Tree]:
@@ -425,23 +424,6 @@ class SearchReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_max_n(n: int, max_n: int) -> None:
-    """Refuse a class on more than max_n vertices.  Callers that build the
-    class from its vertex count check that count first."""
-    if n > max_n:
-        raise TreeError(f"class has n={n} > {max_n}; raise max_n explicitly for larger runs")
-
-
-def _listed(pi: DegreeSequence, max_n: int) -> tuple[_Trees, list[str]]:
-    """Every tree of the class in enumeration order, each built when it is
-    indexed, with the canonical code of each from the listing."""
-    if not pi.is_tree_realizable():
-        raise TreeError(f"degree sequence {pi.compact()} is not realizable as a tree")
-    _require_max_n(pi.n, max_n)
-    listing = _listing(pi)
-    return listing.trees, listing.codes
-
-
 def _screen(mus: np.ndarray) -> tuple[list[float], list[int]]:
     """The screened values and the candidates within _SCREEN_BAND of their
     minimum.  The band is a margin on the screen's own rounding, about
@@ -480,11 +462,12 @@ def _resolve_ties(trees: dict[int, Tree], candidates: list[int], solved) -> tupl
     return [i for i in candidates if quotients[i] <= least + _TIE_BAND], least
 
 
-def extremal_choice(trees: Sequence[Tree], mus: np.ndarray) -> list[int]:
-    """Positions of the minimizers of a listed class screened by
-    `_bipartite_indices`, the same trees `extremal_report` reports, without
-    the index values it carries.  Two or more candidates are solved as one
-    block; a lone one is not.  Each candidate is indexed in trees once."""
+def extremal_choice(trees: _Trees, mus: np.ndarray) -> list[int]:
+    """Positions of the minimizers of the class listed by `_listing` as
+    trees, screened by `_parent_indices(trees.parents())`: the same trees
+    `extremal_report` reports, without the index values it carries.  Two or
+    more candidates are solved as one block; a lone one is not.  Each
+    candidate is indexed in trees once."""
     candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
@@ -492,10 +475,10 @@ def extremal_choice(trees: Sequence[Tree], mus: np.ndarray) -> list[int]:
     return _resolve_ties(built, candidates, spectral_radii(list(built.values())))[0]
 
 
-def extremal_report(pi: DegreeSequence, trees: Sequence[Tree], mus: np.ndarray, codes: list[str]) -> SearchReport:
-    """Index minimization over a screened listing of the class: its trees,
-    their `_bipartite_indices` values and their listing codes.  Each tree
-    solved is indexed in trees once, and no other.
+def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> SearchReport:
+    """Index minimization over the class listed by `_listing` as trees, with
+    their `_parent_indices(trees.parents())` values.  Each tree solved is
+    indexed in trees once, and no other.
 
     The screened values `mus` only pick the candidates within
     `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
@@ -504,7 +487,8 @@ def extremal_report(pi: DegreeSequence, trees: Sequence[Tree], mus: np.ndarray, 
     by `_resolve_ties`, whose exact quotient is the minimum when two or
     more survive.  The runner-up is the least solved tree not chosen, so
     the band only chooses which trees are solved, never the report.  Each
-    minimizer's canonical form is its listing code, not coded again.
+    minimizer's canonical form is its code in `trees.codes`, not coded
+    again.
     """
     screened, candidates = _screen(mus)
     picked = set(candidates)
@@ -527,7 +511,7 @@ def extremal_report(pi: DegreeSequence, trees: Sequence[Tree], mus: np.ndarray, 
         tree_count=len(trees),
         min_mu=float(best if len(chosen) == 1 else settled),
         minimizers=chosen_trees,
-        minimizer_codes=tuple(CanonicalForm(codes[i]) for i in chosen),
+        minimizer_codes=tuple(CanonicalForm(trees.codes[i]) for i in chosen),
         all_caterpillars=all(o.is_caterpillar for o in obs),
         unique=len(chosen_trees) == 1,
         observations=obs,
@@ -548,8 +532,8 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
-    trees, codes = _listed(pi, max_n)
-    return extremal_report(pi, trees, _parent_indices(trees.parents()), codes)
+    trees = _listing(pi, max_n)
+    return extremal_report(pi, trees, _parent_indices(trees.parents()))
 
 
 def find_maximizers(pi: DegreeSequence) -> tuple[Tree, ...]:

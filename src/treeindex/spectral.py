@@ -3,10 +3,12 @@ checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
 Whole classes of same-order trees have one screen, `_parent_indices`,
-which the class search and `verify-min` share: a tree is bipartite, so its
-index is the root of the top eigenvalue of B B^T, B the biadjacency with
-the smaller side on its rows, at most n/2 square, and one
-`np.linalg.eigvalsh` call takes a chunk of these stacked Gram matrices.
+which the class search and `verify-min` share.  It reads a listed class's
+parent columns, `trees.parents()` of `enumeration._listing`, with no tree
+built: a tree is bipartite, so its index is the root of the top
+eigenvalue of B B^T, B the biadjacency with the smaller side on its rows,
+at most n/2 square, and one `np.linalg.eigvalsh` call takes a chunk of
+these stacked Gram matrices.
 Screened values rank trees, while reported indices come from
 `spectral_radius` or, for several trees at once, `spectral_radii`.
 
@@ -79,8 +81,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -160,17 +160,6 @@ def _edge_arrays(t: Tree) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     eu, ev = zip(*edges)
     return np.asarray(eu, dtype=np.intp), np.asarray(ev, dtype=np.intp)
-
-
-def _bipartite_indices(trees: Sequence[Tree]) -> np.ndarray:
-    """`_parent_indices` of trees already built, all of one order, read from
-    their parent columns `adjacency[v][0]`; the class search builds none."""
-    trees = list(trees)
-    n = trees[0].vertex_count if trees else 1
-    if any(t.vertex_count != n for t in trees):
-        raise ValueError("_bipartite_indices needs trees of one order")
-    parents = map(itemgetter(0), chain.from_iterable(t.adjacency[1:] for t in trees))
-    return _parent_indices(np.fromiter(parents, np.intp, len(trees) * (n - 1)).reshape(len(trees), n - 1))
 
 
 def _parent_indices(parent: np.ndarray) -> np.ndarray:

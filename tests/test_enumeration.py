@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from test_spectral import oracle_indices
+from test_spectral import built_indices, oracle_indices
 from treeindex import enumeration, spectral
 from treeindex import trees as trees_module
 from treeindex.cli import main
@@ -22,7 +22,6 @@ from treeindex.enumeration import (
     _decorations,
     _exact_rayleigh,
     _least_rooting,
-    _listed,
     _listing,
     _pendant_counts,
     _screen,
@@ -35,7 +34,7 @@ from treeindex.enumeration import (
     free_trees,
     tied_minimizer_examples,
 )
-from treeindex.spectral import _bipartite_indices, _parent_indices, adjacency_matrix, spectral_radius
+from treeindex.spectral import _parent_indices, adjacency_matrix, spectral_radius
 from treeindex.trees import (
     DegreeSequence,
     Tree,
@@ -346,11 +345,12 @@ class TestDecorationCodes:
         for n in range(1, 15):
             for pi in all_tree_degree_sequences(n):
                 if max(pi.degrees) <= 5:
-                    listing = list(_listing(pi))
-                    assert [t for _, t in listing] == list(enumerate_trees(pi))
-                    for code, t in listing:
+                    listing = _listing(pi)
+                    trees = list(listing)
+                    assert trees == list(enumerate_trees(pi))
+                    for code, t in zip(listing.codes, trees, strict=True):
                         assert code == canonical_form(t).code
-                    count += len(listing)
+                    count += len(trees)
         assert count == COUNT_14
 
     def test_pinned_output_through_n_15(self):
@@ -447,10 +447,10 @@ class TestFindMinimizers:
         ids=lambda pi: pi.compact(),
     )
     def test_choice_is_the_reported_extremal_trees(self, pi):
-        trees, codes = _listed(pi, DEFAULT_MAX_N)
-        mus = _bipartite_indices(trees)
+        trees = _listing(pi, DEFAULT_MAX_N)
+        mus = built_indices(list(trees))
         chosen = extremal_choice(trees, mus)
-        assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus, codes).minimizers
+        assert tuple(trees[i] for i in chosen) == extremal_report(pi, trees, mus).minimizers
 
     def test_minimizer_codes_are_the_listing_codes(self, monkeypatch):
         coded = canonical_form
@@ -501,6 +501,48 @@ class TestFindMinimizers:
         assert len(csv.splitlines()) == 2
 
 
+class TestListingGuards:
+    """`_listing` refuses an unrealizable class, and then a class past
+    max_n, before it decorates anything."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        decorations = enumeration._decorations
+
+        def spied(internal):
+            calls.append(internal)
+            return decorations(internal)
+
+        monkeypatch.setattr(enumeration, "_decorations", spied)
+        return calls
+
+    def test_class_past_max_n_is_refused_undecorated(self, monkeypatch):
+        pi = TIED_MINIMIZER_CLASS
+        calls = self.spy(monkeypatch)
+        with pytest.raises(TreeError, match=rf"^class has n={pi.n} > {pi.n - 1}; "):
+            find_minimizers(pi, max_n=pi.n - 1)
+        assert calls == []
+        # the spy sees the listing once the class is allowed
+        assert find_minimizers(pi, max_n=pi.n).tree_count == 333
+        assert calls
+
+    def test_unrealizable_is_refused_before_max_n(self, monkeypatch):
+        # 34 vertices, past DEFAULT_MAX_N, with degree sum 94 != 2 * 33
+        pi = DegreeSequence.parse("3^30,1^4")
+        assert pi.n > DEFAULT_MAX_N
+        calls = self.spy(monkeypatch)
+        with pytest.raises(TreeError, match="not realizable"):
+            find_minimizers(pi)
+        assert calls == []
+
+    def test_verify_min_past_max_n_exits_2_undecorated(self, capsys, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert main(["verify-min", "--d", "3", "--n", "24"]) == 2
+        assert "class has n=24 > 22" in capsys.readouterr().err
+        assert calls == []
+
+
 def screened_pool(mus):
     """The candidates and the runner-up band a search solves, from the
     values of either screen."""
@@ -520,13 +562,13 @@ class TestBipartiteScreen:
     def listed(self):
         # every class with n <= 16 and degrees <= 5: "0", "1,1", "2,1,1"
         # and the 239 classes above them
-        return [(pi, [t for _, t in _listing(pi)])
+        return [(pi, list(_listing(pi)))
                 for n in range(1, 17) for pi in all_tree_degree_sequences(n) if max(pi.degrees) <= 5]
 
     def test_same_pool_as_the_adjacency_screen(self, listed):
         assert len(listed) == 242
         for pi, trees in listed:
-            half, full = _bipartite_indices(trees), oracle_indices(trees)
+            half, full = built_indices(trees), oracle_indices(trees)
             assert np.max(np.abs(half - full)) <= 1e-13, pi.compact()
             assert screened_pool(half) == screened_pool(full), pi.compact()
 
@@ -544,14 +586,9 @@ class TestBipartiteScreen:
     ], ids=["path", "star", "relabelled path"])
     def test_a_tree_out_of_layout_is_refused(self, edges):
         n = len(edges) + 1
-        good = [t for _, t in _listing(DegreeSequence.of_tree(tree_from_edges(n, edges)))]
+        good = list(_listing(DegreeSequence.of_tree(tree_from_edges(n, edges))))
         with pytest.raises(ValueError):
-            _bipartite_indices(good + [tree_from_edges(n, edges)])
-
-    def test_empty_and_mixed_orders(self):
-        assert _bipartite_indices([]).shape == (0,)
-        with pytest.raises(ValueError):
-            _bipartite_indices([tree_from_edges(3, [(0, 1), (1, 2)]), tree_from_edges(2, [(0, 1)])])
+            built_indices(good + [tree_from_edges(n, edges)])
 
 
 # every class the n <= 14 listing test covers, and the tied class
@@ -568,12 +605,12 @@ class TestScreenFromDecorations:
         checked = 0
         for pi in DECORATED_CLASSES:
             listing = _listing(pi)
-            trees = [t for _, t in listing]
-            parents = listing.trees.parents()
+            trees = list(listing)
+            parents = listing.parents()
             assert parents.shape == (len(trees), pi.n - 1), pi.compact()
             assert parents.tolist() == [[row[0] for row in t.adjacency[1:]] for t in trees], pi.compact()
-            # the lazy sequence builds the same trees
-            assert list(listing.trees) == trees, pi.compact()
+            # indexing the lazy sequence builds the same trees
+            assert [listing[i] for i in range(len(listing))] == trees, pi.compact()
             checked += len(trees)
         assert checked == COUNT_14 + 333
 
@@ -582,7 +619,7 @@ class TestScreenFromDecorations:
                        for d in (3, 4, 5) for n in range(d + 1, 23) if (n - 2) % (d - 1) == 0]
         assert len(semiregular) == 21
         for pi in semiregular + DECORATED_CLASSES:
-            trees, _ = _listed(pi, DEFAULT_MAX_N)
+            trees = _listing(pi, DEFAULT_MAX_N)
             assert trees.caterpillars() == [is_caterpillar(t) for t in trees], pi.compact()
 
     @pytest.mark.parametrize("parent", [
@@ -596,8 +633,8 @@ class TestScreenFromDecorations:
             _parent_indices(np.array(parent, dtype=np.intp))
 
     def test_array_screen_is_the_tree_screen(self):
-        trees, _ = _listed(TIED_MINIMIZER_CLASS, DEFAULT_MAX_N)
-        assert np.array_equal(_parent_indices(trees.parents()), _bipartite_indices(trees))
+        trees = _listing(TIED_MINIMIZER_CLASS, DEFAULT_MAX_N)
+        assert np.array_equal(_parent_indices(trees.parents()), built_indices(list(trees)))
 
     @staticmethod
     def count_builds(monkeypatch, n):
@@ -614,7 +651,7 @@ class TestScreenFromDecorations:
 
     def test_search_builds_only_the_pool(self, monkeypatch):
         pi = TIED_MINIMIZER_CLASS
-        candidates, runners = screened_pool(_bipartite_indices(list(enumerate_trees(pi))))
+        candidates, runners = screened_pool(built_indices(list(enumerate_trees(pi))))
         built = self.count_builds(monkeypatch, pi.n)
         report = find_minimizers(pi)
         monkeypatch.undo()
@@ -625,7 +662,7 @@ class TestScreenFromDecorations:
 
     def test_verify_min_builds_only_the_pool(self, capsys, monkeypatch):
         pi = DegreeSequence.semiregular(3, 16)
-        candidates, runners = screened_pool(_bipartite_indices(list(enumerate_trees(pi))))
+        candidates, runners = screened_pool(built_indices(list(enumerate_trees(pi))))
         built = self.count_builds(monkeypatch, pi.n)
         assert main(["verify-min", "--d", "3", "--n", "16"]) == 0
         monkeypatch.undo()
@@ -766,7 +803,7 @@ class TestFindMaximizers:
         def refuse(*args, **kwargs):
             raise AssertionError("the maximizer was searched for")
 
-        for name in ("_bipartite_indices", "spectral_radii", "_listing"):
+        for name in ("_parent_indices", "spectral_radii", "_listing"):
             monkeypatch.setattr(enumeration, name, refuse)
         (built,) = find_maximizers(TIED_MINIMIZER_CLASS)
         assert DegreeSequence.of_tree(built) == TIED_MINIMIZER_CLASS

@@ -19,9 +19,9 @@ from treeindex.enumeration import (
 from treeindex.spectral import (
     CLASS_CHUNK,
     ConvergenceError,
-    _bipartite_indices,
     _edge_arrays,
     _neighbor_columns,
+    _parent_indices,
     adjacency_matrix,
     caterpillar_symmetry_check,
     caterpillar_trunk_residual,
@@ -63,6 +63,14 @@ def oracle_indices(trees):
     if not trees:
         return np.zeros(0)
     return np.linalg.eigvalsh(np.stack([adjacency_matrix(t) for t in trees]))[:, -1]
+
+
+def built_indices(trees):
+    """`_parent_indices` of built trees of one order in the listing's
+    layout, read from their parent columns adjacency[v][0]."""
+    n = trees[0].vertex_count if trees else 1
+    parent = [[row[0] for row in t.adjacency[1:]] for t in trees]
+    return _parent_indices(np.array(parent, dtype=np.intp).reshape(len(trees), n - 1))
 
 
 class TestRayleighQuotient:
@@ -503,14 +511,14 @@ class TestAdjacencyMatrix:
 
 
 class TestClassIndices:
-    """The one class screen, `_bipartite_indices`, on listed trees: the
-    listing's layout is its input."""
+    """The one class screen, `_parent_indices`, on the parent columns of
+    listed trees: the listing's layout is its input."""
 
     # "0" and "1,1" are the one- and two-vertex classes
     @pytest.mark.parametrize("pi", ["0", "1,1", "3,1^3", "3^2,2^2,1^4", "3^5,2^2,1^7"])
     def test_matches_power_iteration_and_oracle(self, pi):
         trees = list(enumerate_trees(DegreeSequence.parse(pi)))
-        mus = _bipartite_indices(trees)
+        mus = built_indices(trees)
         assert mus.shape == (len(trees),)
         for t, mu in zip(trees, mus):
             assert abs(mu - spectral_radius(t).mu) <= 1e-12
@@ -520,21 +528,18 @@ class TestClassIndices:
         # 182 trees: one full stacked chunk and part of a second
         trees = list(enumerate_trees(DegreeSequence.parse("3^5,2^3,1^7")))
         assert CLASS_CHUNK < len(trees) < 2 * CLASS_CHUNK
-        assert _bipartite_indices(trees) == pytest.approx(oracle_indices(trees), abs=1e-12)
+        assert built_indices(trees) == pytest.approx(oracle_indices(trees), abs=1e-12)
 
     def test_order_of_input_is_kept(self):
         trees = list(enumerate_trees(DegreeSequence.parse("3^2,2^2,1^4")))
         trees = [trees[i] for i in (2, 4, 0, 3, 1)]
         expected = [oracle_mu(t) for t in trees]
-        assert _bipartite_indices(trees) == pytest.approx(expected, abs=1e-12)
-        assert _bipartite_indices(trees[::-1]) == pytest.approx(expected[::-1], abs=1e-12)
+        assert built_indices(trees) == pytest.approx(expected, abs=1e-12)
+        assert built_indices(trees[::-1]) == pytest.approx(expected[::-1], abs=1e-12)
 
     def test_empty(self):
-        assert _bipartite_indices([]).shape == (0,)
-
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(ValueError):
-            _bipartite_indices([make_path(4), make_path(5)])
+        for n in (1, 2, 19):
+            assert _parent_indices(np.zeros((0, n - 1), dtype=np.intp)).shape == (0,)
 
 
 class TestPerronBound:
