@@ -590,6 +590,13 @@ class TestBipartiteScreen:
         with pytest.raises(ValueError):
             built_indices(good + [tree_from_edges(n, edges)])
 
+    def test_empty_and_mixed_orders(self):
+        assert built_indices([]).shape == (0,)
+        assert _parent_indices(np.zeros((0, 4), dtype=np.intp)).shape == (0,)
+        # trees of two orders have no (N, n - 1) parent array to screen
+        with pytest.raises(ValueError):
+            built_indices([tree_from_edges(3, [(0, 1), (1, 2)]), tree_from_edges(2, [(0, 1)])])
+
 
 # every class the n <= 14 listing test covers, and the tied class
 DECORATED_CLASSES = [pi for n in range(1, 15) for pi in all_tree_degree_sequences(n)

@@ -541,6 +541,11 @@ class TestClassIndices:
         for n in (1, 2, 19):
             assert _parent_indices(np.zeros((0, n - 1), dtype=np.intp)).shape == (0,)
 
+    def test_mixed_orders_rejected(self):
+        # trees of two orders have no (N, n - 1) parent array to screen
+        with pytest.raises(ValueError):
+            built_indices([make_path(4), make_path(5)])
+
 
 class TestPerronBound:
     def test_equality_for_perron_vector(self):
