@@ -19,10 +19,11 @@ listing share each distinct neighbor row as one tuple, and `Tree` is slotted.
 The skeletons come from the same loop: a free tree on k vertices is one
 decorated skeleton of the degrees of its own internal vertices, so the
 trees on k vertices with no degree above D are the distinct codes over
-every such degree tuple, one level of skeletons smaller.  Each skeleton is
-numbered in preorder of its least rooting: a rooted tree is coded "1",
-its children's codes in ascending order, then "0", and the least code is
-found among the roots with the most leaf neighbors.
+every such degree tuple, one level of skeletons smaller.  Each is numbered
+from its first-met decoration in preorder of its least rooting: a rooted
+tree is coded "1", its children's codes in ascending order, then "0", and
+the least code is found on the skeleton, among the vertices with the most
+pendants, each pendant coding as "10".
 """
 
 from __future__ import annotations
@@ -72,28 +73,25 @@ _TIE_BAND = 1e-12
 # ---------------------------------------------------------------------------
 # free-tree generation (internal skeletons)
 
-def _least_rooting(adj) -> tuple[tuple[int, ...], ...]:
-    """The neighbor tuples of a tree on three or more vertices renumbered in
-    preorder of its least rooting.  A rooted tree is coded "1", then its
-    children's codes in ascending order, then "0"; as "0" < "1", a child
-    list that is a prefix of another sorts first and a leaf ("10") before
-    any other subtree.  So a root with fewer leaf neighbors than some other
-    vertex has a larger code, and only the vertices with the most leaf
-    neighbors are coded, each bottom-up with every leaf pre-filled.  In the
+def _least_rooting(skeleton: Tree, pendants: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The neighbor tuples of the skeleton with pendants[v] pendant vertices
+    at each v, a tree on three or more vertices, numbered in preorder of
+    its least rooting.  A rooted tree is coded "1", then its children's
+    codes in ascending order, then "0"; as "0" < "1", a child list that is
+    a prefix of another sorts first and a pendant ("10") before any other
+    subtree.  So only the skeleton vertices with the most pendants are
+    coded as roots, each bottom-up on the skeleton alone: v as "1",
+    "10" * pendants[v], its skeleton children's codes, then "0".  In the
     least code each "1" opens the next preorder vertex."""
-    leafy = [0] * len(adj)
-    for nbrs in adj:
-        if len(nbrs) == 1:
-            leafy[nbrs[0]] += 1
-    most = max(leafy)
+    adj = skeleton.adjacency
+    most = max(pendants)
     rootings = []
-    for root, count in enumerate(leafy):
+    for root, count in enumerate(pendants):
         if count == most:
-            code = ["10"] * len(adj)
+            code = [""] * len(adj)
             order, parent = _rooted(adj, root)
             for v in reversed(order):
-                if len(adj[v]) > 1:
-                    code[v] = "1" + "".join(sorted([code[u] for u in adj[v] if u != parent[v]])) + "0"
+                code[v] = "1" + "10" * pendants[v] + "".join(sorted([code[u] for u in adj[v] if u != parent[v]])) + "0"
             rootings.append(code[root])
     out: list[list[int]] = [[]]
     above = [0]
@@ -115,10 +113,10 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     degrees of its m internal vertices, which sum to k - 2 + m and are at
     most k - m each, so the trees are the union of the decoration codes
     over those degree tuples.  Every code has length 2k, so string order is
-    canonical order.  Each tree is the first decoration met of its code,
-    numbered in preorder of its least rooting by `_least_rooting`: the
-    least "1"/"0" bracket string over the roots with the most leaf
-    neighbors.  Equal rows of the trees share one tuple."""
+    canonical order.  Each tree is numbered from the first decoration met
+    of its code by `_least_rooting`: the least "1"/"0" bracket string over
+    the skeleton vertices with the most pendants, a pendant coding as "10".
+    Equal rows of the trees share one tuple."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
@@ -128,7 +126,7 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     if k == 2:
         return (Tree(((1,), (0,))),) if max_degree != 0 else ()
     top = k if max_degree is None else max_degree
-    first: dict[str, tuple[tuple[int, ...], ...]] = {}
+    first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for m in range(1, k - 1):
         for internal in combinations_with_replacement(range(min(top, k - m), 1, -1), m):
@@ -136,10 +134,9 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
                 # plain loops, no helper or generator expression: each
                 # skeleton level nests these calls once more, and fewer
                 # frames per level let longer path skeletons fit the limit
-                for code, (skeleton, pendants) in _decorations(internal):
-                    if code not in first:
-                        first[code] = _decorated(skeleton, pendants, k - m, rows)
-    return tuple(Tree(tuple([rows.setdefault(row, row) for row in _least_rooting(first[code])]))
+                for code, item in _decorations(internal):
+                    first.setdefault(code, item)
+    return tuple(Tree(tuple([rows.setdefault(row, row) for row in _least_rooting(*first[code])]))
                  for code in sorted(first))
 
 

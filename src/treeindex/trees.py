@@ -533,14 +533,10 @@ def _rooted_code(adj, root: int, parent: int, codes: dict[int, str]) -> str:
     return codes[root]
 
 
-def _canonical_code(adj) -> str:
-    """Canonical code of the tree with these neighbor lists: the least
-    rooted code over its centers."""
-    return min([_rooted_code(adj, c, -1, {}) for c in _centers(adj)])
-
-
 def canonical_form(t: Tree) -> CanonicalForm:
-    return CanonicalForm(_canonical_code(t.adjacency))
+    """The least rooted code over the tree's centers, read from
+    `_canonical_walk`."""
+    return CanonicalForm(_canonical_walk(t.adjacency)[0])
 
 
 def _canonical_walk(adj) -> tuple[str, list[int]]:

@@ -39,7 +39,6 @@ from treeindex.trees import (
     DegreeSequence,
     Tree,
     TreeError,
-    _canonical_code,
     _centers,
     canonical_form,
     canonical_order,
@@ -123,6 +122,17 @@ def preorder_adjacency(code):
         adj.append([up])
         stack.extend((child, len(adj) - 1) for child in reversed(node))
     return tuple(map(tuple, adj))
+
+
+def split_skeleton(t):
+    """The decoration of a tree on three or more vertices: its skeleton,
+    the vertices of degree >= 2 renumbered in ascending order, and how
+    many leaves each of them carries."""
+    inner = [v for v in range(t.vertex_count) if t.degree(v) >= 2]
+    new = {v: i for i, v in enumerate(inner)}
+    edges = [(new[u], new[v]) for u, v in t.edges() if u in new and v in new]
+    pendants = tuple(sum(t.degree(u) == 1 for u in t.adjacency[v]) for v in inner)
+    return tree_from_edges(len(inner), edges), pendants
 
 
 def relabelled(n, edges, seed):
@@ -210,9 +220,9 @@ class TestLeastRooting:
     @pytest.mark.parametrize("name", sorted(LEAST_ROOTING_SWEEP))
     def test_matches_the_brute_force(self, name):
         # past the sizes free_trees reaches in these tests; every spine
-        # vertex of a comb has the most leaf neighbors, one
-        adj = LEAST_ROOTING_SWEEP[name].adjacency
-        assert _least_rooting(adj) == preorder_adjacency(least_rooting(adj))
+        # vertex of a comb has the most pendants, one
+        t = LEAST_ROOTING_SWEEP[name]
+        assert _least_rooting(*split_skeleton(t)) == preorder_adjacency(least_rooting(t.adjacency))
 
 
 class TestDegreeBoundedFreeTrees:
@@ -328,6 +338,15 @@ DECORATION_SWEEP = [
 
 
 class TestDecorationCodes:
+    @pytest.mark.parametrize("pi", [pi for pi in DECORATION_SWEEP if pi.n <= 16], ids=lambda pi: pi.compact())
+    def test_least_rooting_of_every_decoration(self, pi):
+        # every decoration, not only the first met per code as in
+        # free_trees, so skeletons with several tied roots are coded too
+        internal = tuple(x for x in pi.degrees if x >= 2)
+        for _, (skeleton, pendants) in _decorations(internal):
+            adj = _decorated(skeleton, pendants, pi.n - len(internal), {})
+            assert _least_rooting(skeleton, pendants) == preorder_adjacency(least_rooting(adj))
+
     @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
     def test_code_read_off_the_skeleton(self, pi):
         internal = tuple(x for x in pi.degrees if x >= 2)
@@ -335,7 +354,7 @@ class TestDecorationCodes:
         for code, (skeleton, pendants) in _decorations(internal):
             adj = _decorated(skeleton, pendants, pi.n - len(internal), {})
             assert _centers(skeleton.adjacency) == _centers(adj)
-            assert code == _canonical_code(adj)
+            assert code == canonical_form(Tree(adj)).code
             codes.add(code)
         assert codes == {canonical_form(t).code for t in enumerate_trees(pi)}
 
