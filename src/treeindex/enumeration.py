@@ -11,10 +11,15 @@ coded bottom-up on the skeleton from the pendant count of each of its
 vertices, with each distinct subtree coded once per call.  Duplicate
 decorations are dropped by that code.  The listing keeps the first-met
 decoration of each class beside that code, which is its canonical form, so
-a caller that prints codes does not code the trees again.  A decoration
-becomes a `Tree` only when one is asked for: `enumerate_trees` builds every
-tree, the class search and `verify-min` only those they solve or report,
-screening the class from the decorations.  The trees built from one
+a caller that prints codes does not code the trees again.  The pendant
+counts are walked in descending lexicographic order, so the first met is
+the largest vector of its class.  Two skeleton leaves on one neighbour are
+twins, and swapping their counts keeps the code, so a leaf is given no
+more pendants than its last twin before it: the walk skips only vectors
+that such a swap makes larger, met after the one the listing keeps.  A
+decoration becomes a `Tree` only when one is asked for: `enumerate_trees`
+builds every tree, the class search and `verify-min` only those they solve
+or report, screening the class from the decorations.  The trees built from one
 listing share each distinct neighbor row as one tuple, and `Tree` is slotted.
 The skeletons come from the same loop: a free tree on k vertices is one
 decorated skeleton of the degrees of its own internal vertices, so the
@@ -143,7 +148,7 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
 # ---------------------------------------------------------------------------
 # degree-sequence enumeration
 
-def _pendant_counts(degrees, counts) -> Iterator[tuple[int, ...]]:
+def _pendant_counts(degrees, counts, twin=()) -> Iterator[tuple[int, ...]]:
     """Distinct ways to hand the internal degrees (value -> count in counts)
     to the skeleton vertices of these degrees so that each keeps
     non-negative pendant slack, as the number of pendant vertices every
@@ -151,18 +156,29 @@ def _pendant_counts(degrees, counts) -> Iterator[tuple[int, ...]]:
     walks the choices depth first: choice[v] is the position in values of
     the value vertex v holds, and left[i] how many of values[i] are not yet
     handed out.  Values are descending, so the first one too small for a
-    vertex ends its choices."""
+    vertex ends its choices.
+
+    twin[v], if given, is the last skeleton leaf before v on the same
+    neighbour as the leaf v, and len(degrees) for any other vertex, whose
+    choices start at the 0 stored there.  A leaf's choices start at its
+    twin's, so it takes no larger value: swapping twins is a skeleton
+    automorphism, so of two vectors that differ by such a swap only the
+    lexicographically larger one is walked, and it is the one a walk
+    without twins meets first."""
     values = sorted(counts, reverse=True)
     left = [counts[value] for value in values]
     last = len(degrees) - 1
-    choice = [-1] * len(degrees)
+    choice = [-1] * len(degrees) + [0]
+    twin = twin or [len(degrees)] * len(degrees)
     slack = [0] * len(degrees)
     v = 0
     while v >= 0:
         i = choice[v]
         if i >= 0:
             left[i] += 1
-        i += 1
+            i += 1
+        else:
+            i = choice[twin[v]]
         while i < len(values) and not left[i]:
             i += 1
         if i == len(values) or values[i] < degrees[v]:
@@ -212,16 +228,26 @@ def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
     count.  Any other subtree is interned by its pendant count followed by
     the labels of its children in order: one child's label as it is, two
     compared once, and only more than two sorted.  A pendant's code "()"
-    sorts after every other, so pendants go last."""
+    sorts after every other, so pendants go last.  twin[v] is the last
+    skeleton leaf before the leaf v on its neighbour, and k for any other
+    vertex; `_pendant_counts` walks only the vectors in which no leaf has
+    more pendants than its twin, which drops no code and keeps the first
+    decoration met of each."""
     k = len(internal)
     labels: dict[tuple[int, ...], int] = {}
     codes = ["(" + "()" * pad + ")" for pad in range(max(internal) + 1)]
     label = [0] * (k + 2)
     counts = {value: internal.count(value) for value in set(internal)}
     for skeleton in free_trees(k, max(internal)):
-        steps, roots = _coding_steps(skeleton.adjacency)
+        adj = skeleton.adjacency
+        steps, roots = _coding_steps(adj)
         first, last = roots[0], roots[-1]
-        for pendants in _pendant_counts(skeleton.degrees(), counts):
+        twin, last_leaf = [k] * k, {}
+        for v, row in enumerate(adj):
+            if len(row) == 1:
+                twin[v] = last_leaf.get(row[0], k)
+                last_leaf[row[0]] = v
+        for pendants in _pendant_counts(skeleton.degrees(), counts, twin):
             label[:k] = pendants
             for slot, v, kids in steps:
                 pad = pendants[v]
@@ -241,21 +267,25 @@ def _decorations(internal: tuple[int, ...]) -> Iterator[tuple[str, tuple]]:
             yield min(codes[label[first]], codes[label[last]]), (skeleton, pendants)
 
 
-def _decorated(skeleton: Tree, pendants: tuple[int, ...], leaves: int, rows: dict) -> tuple[tuple[int, ...], ...]:
+def _decorated(skeleton: Tree, pendants: tuple[int, ...], ids: tuple[int, ...], rows: dict) -> tuple[tuple[int, ...], ...]:
     """Neighbor lists of the skeleton with pendants[v] pendant vertices at
-    each v, numbered on from k, skeleton vertex by skeleton vertex.  Each
-    row that gains pendants, and each pendant's row (v,), is the one tuple
-    of its value in rows, so the trees built from one dict share their
-    equal rows; the rows left as they are belong to the skeleton."""
+    each v, numbered on from k, skeleton vertex by skeleton vertex: each
+    run of pendant ids is a slice of ids, which holds 0 .. n - 1 or more.
+    Each row that gains pendants, and each pendant's row (v,), is the one
+    tuple of its value in rows, so the trees built from one dict share
+    their equal rows; the rows left as they are belong to the skeleton.
+    A listing hands it the first decoration met of each code, the largest
+    pendant vector, which no leaf swap the twin rule skips can exceed, so
+    the trees are numbered as a walk without that rule numbers them."""
     adj = list(skeleton.adjacency)
+    n = len(adj)
     for v, extra in enumerate(pendants):
         if extra:
-            n = len(adj)
-            row = adj[v] + tuple(range(n, n + extra))
+            row = adj[v] + ids[n:n + extra]
             leaf = (v,)
             adj[v] = rows.setdefault(row, row)
             adj += [rows.setdefault(leaf, leaf)] * extra
-    assert len(adj) == skeleton.vertex_count + leaves
+            n += extra
     return tuple(adj)
 
 
@@ -267,12 +297,13 @@ class _Trees(Sequence):
 
     def __init__(self, codes: list[str], decorations: list[tuple[Tree, tuple[int, ...]]], leaves: int):
         self.codes, self.decorations, self.leaves, self._rows = codes, decorations, leaves, {}
+        self._ids = tuple(range(decorations[0][0].vertex_count + leaves))
 
     def __len__(self) -> int:
         return len(self.decorations)
 
     def __getitem__(self, i: int) -> Tree:
-        return Tree(_decorated(*self.decorations[i], self.leaves, self._rows))
+        return Tree(_decorated(*self.decorations[i], self._ids, self._rows))
 
     def parents(self) -> np.ndarray:
         """The (N, n - 1) parent columns as `_decorated` numbers the trees: the

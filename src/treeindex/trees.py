@@ -534,9 +534,11 @@ def _rooted_code(adj, root: int, parent: int, codes: dict[int, str]) -> str:
 
 
 def canonical_form(t: Tree) -> CanonicalForm:
-    """The least rooted code over the tree's centers, read from
+    """The least rooted code over the tree's centers.  No traversal order
+    is built: `canonical_order` and `isomorphism_map` take theirs from
     `_canonical_walk`."""
-    return CanonicalForm(_canonical_walk(t.adjacency)[0])
+    adj = t.adjacency
+    return CanonicalForm(min(_rooted_code(adj, c, -1, {}) for c in _centers(adj)))
 
 
 def _canonical_walk(adj) -> tuple[str, list[int]]:

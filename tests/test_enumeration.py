@@ -337,22 +337,61 @@ DECORATION_SWEEP = [
      ("4^4,3^2,2,1^12", "4^3,3^3,2,1^11", "3^4,2^6,1^6", "5,4^2,3,2,1^10")]
 
 
+def every_decoration(monkeypatch):
+    """Make `_decorations` walk every pendant vector of each skeleton, the
+    twin-leaf swaps it skips included, by handing it the recursive walk."""
+    def walk(degrees, counts, twin=()):
+        return recursive_pendant_counts(degrees, dict(sorted(counts.items(), reverse=True)), [0] * len(degrees))
+
+    monkeypatch.setattr(enumeration, "_pendant_counts", walk)
+
+
+def first_met(internal):
+    """The first (skeleton, pendants) `_decorations` yields of each code."""
+    first = {}
+    for code, item in _decorations(internal):
+        first.setdefault(code, item)
+    return first
+
+
+# decorations of the DECORATION_SWEEP classes with n <= 16 by the full walk,
+# and how many of them have two or more skeleton vertices with the most
+# pendants: 1,515 and 676 in all
+EVERY_DECORATION_16 = {
+    "3,1^3": (1, 0), "3^2,1^4": (1, 1), "3^3,1^5": (1, 1), "3^4,1^6": (2, 2),
+    "3^5,1^7": (2, 2), "3^6,1^8": (4, 4), "3^7,1^9": (6, 6), "4,1^4": (1, 0),
+    "4^2,1^6": (1, 1), "4^3,1^8": (1, 1), "4^4,1^10": (2, 2), "5,1^5": (1, 0),
+    "5^2,1^8": (1, 1), "5^3,1^11": (1, 1), "3^4,2^6,1^6": (1346, 597),
+    "5,4^2,3,2,1^10": (144, 57),
+}
+
+
 class TestDecorationCodes:
     @pytest.mark.parametrize("pi", [pi for pi in DECORATION_SWEEP if pi.n <= 16], ids=lambda pi: pi.compact())
-    def test_least_rooting_of_every_decoration(self, pi):
+    def test_least_rooting_of_every_decoration(self, pi, monkeypatch):
         # every decoration, not only the first met per code as in
         # free_trees, so skeletons with several tied roots are coded too
+        every_decoration(monkeypatch)
         internal = tuple(x for x in pi.degrees if x >= 2)
+        checked = tied = 0
         for _, (skeleton, pendants) in _decorations(internal):
-            adj = _decorated(skeleton, pendants, pi.n - len(internal), {})
+            adj = _decorated(skeleton, pendants, tuple(range(pi.n)), {})
             assert _least_rooting(skeleton, pendants) == preorder_adjacency(least_rooting(adj))
+            checked += 1
+            tied += pendants.count(max(pendants)) > 1
+        assert (checked, tied) == EVERY_DECORATION_16[pi.compact()]
+
+    def test_every_decoration_of_the_sweep_through_n_16(self):
+        assert sorted(EVERY_DECORATION_16) == sorted(pi.compact() for pi in DECORATION_SWEEP if pi.n <= 16)
+        assert [sum(col) for col in zip(*EVERY_DECORATION_16.values())] == [1515, 676]
 
     @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
-    def test_code_read_off_the_skeleton(self, pi):
+    def test_code_read_off_the_skeleton(self, pi, monkeypatch):
+        every_decoration(monkeypatch)
         internal = tuple(x for x in pi.degrees if x >= 2)
         codes = set()
         for code, (skeleton, pendants) in _decorations(internal):
-            adj = _decorated(skeleton, pendants, pi.n - len(internal), {})
+            adj = _decorated(skeleton, pendants, tuple(range(pi.n)), {})
             assert _centers(skeleton.adjacency) == _centers(adj)
             assert code == canonical_form(Tree(adj)).code
             codes.add(code)
@@ -431,6 +470,71 @@ class TestPendantCounts:
         reference = list(recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees)))
         assert reference == expected
         assert list(_pendant_counts(degrees, counts)) == expected
+
+
+def leaf_twins(adj):
+    """twin[v]: the last skeleton leaf before the leaf v with the same
+    neighbour, or len(adj) if none."""
+    k = len(adj)
+    twin = [k] * k
+    for v in range(k):
+        before = [u for u in range(v) if len(adj[v]) == len(adj[u]) == 1 and adj[u] == adj[v]]
+        if before:
+            twin[v] = before[-1]
+    return twin
+
+
+def twin_ordered(slack, twin):
+    """Whether no skeleton leaf has more pendants than its twin."""
+    return all(slack[v] <= slack[u] for v, u in enumerate(twin) if u < len(twin))
+
+
+class TestTwinLeaves:
+    @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
+    def test_walk_is_the_reference_filtered_by_the_twin_rule(self, pi):
+        internal = tuple(x for x in pi.degrees if x >= 2)
+        counts = descending_counts(internal)
+        for skeleton in free_trees(len(internal), max(internal)):
+            degrees, twin = skeleton.degrees(), leaf_twins(skeleton.adjacency)
+            reference = recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees))
+            expected = [slack for slack in reference if twin_ordered(slack, twin)]
+            assert list(_pendant_counts(degrees, counts, twin)) == expected
+
+    def test_edge_cases(self):
+        # a star's three leaves are twins in turn, so they take their
+        # values in descending order; the ends of a three-vertex path are
+        # twins, and (1, 0, 2) is (2, 0, 1) swapped
+        assert list(_pendant_counts((3, 1, 1, 1), descending_counts((3, 4, 3, 2)), [4, 4, 1, 2])) == [
+            (1, 2, 2, 1), (0, 3, 2, 1)]
+        assert list(_pendant_counts((1, 2, 1), descending_counts((3, 2, 2)), [3, 3, 0])) == [
+            (2, 0, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("pi", DECORATION_SWEEP, ids=lambda pi: pi.compact())
+    def test_same_first_decorations_as_the_full_walk(self, pi, monkeypatch):
+        internal = tuple(x for x in pi.degrees if x >= 2)
+        pruned = first_met(internal)
+        every_decoration(monkeypatch)
+        assert first_met(internal) == pruned
+
+    def test_same_first_decorations_through_n_14(self, monkeypatch):
+        classes = [tuple(x for x in pi.degrees if x >= 2)
+                   for n in range(3, 15) for pi in all_tree_degree_sequences(n) if max(pi.degrees) <= 5]
+        pruned = [first_met(internal) for internal in classes]
+        every_decoration(monkeypatch)
+        assert [first_met(internal) for internal in classes] == pruned
+        assert sum(map(len, pruned)) == COUNT_14 - 2
+
+    @pytest.mark.parametrize("pi, pruned, every", [
+        ("5,4,3^3,2^3,1^10", 5842, 7840),
+        ("4^4,3^2,2,1^12", 488, 695),
+        ("4^3,3^3,2,1^11", 622, 870),
+        ("4^3,3,2^8,1^9", 31827, 36048),
+    ])
+    def test_decorations_skipped(self, pi, pruned, every, monkeypatch):
+        internal = tuple(x for x in DegreeSequence.parse(pi).degrees if x >= 2)
+        assert sum(1 for _ in _decorations(internal)) == pruned
+        every_decoration(monkeypatch)
+        assert sum(1 for _ in _decorations(internal)) == every
 
 
 class TestFindMinimizers:
