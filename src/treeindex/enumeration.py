@@ -158,13 +158,12 @@ def _pendant_counts(degrees, counts, twin=()) -> Iterator[tuple[int, ...]]:
     handed out.  Values are descending, so the first one too small for a
     vertex ends its choices.
 
-    twin[v], if given, is the last skeleton leaf before v on the same
-    neighbour as the leaf v, and len(degrees) for any other vertex, whose
-    choices start at the 0 stored there.  A leaf's choices start at its
-    twin's, so it takes no larger value: swapping twins is a skeleton
-    automorphism, so of two vectors that differ by such a swap only the
-    lexicographically larger one is walked, and it is the one a walk
-    without twins meets first."""
+    twin[v], if given, is the last skeleton leaf before the leaf v on the
+    same neighbour, and len(degrees), where choice holds a 0, for any other
+    vertex.  A leaf's choices start at its twin's, so it takes no larger
+    value.  Swapping twins is a skeleton automorphism and keeps the code,
+    so the largest vector of each code, the first a walk without twins
+    meets, has no leaf above its twin and is still walked."""
     values = sorted(counts, reverse=True)
     left = [counts[value] for value in values]
     last = len(degrees) - 1
