@@ -34,11 +34,12 @@ from the start.
 The block's s is one scatter over the edges taken in both directions,
 `np.bincount`, which starts each vertex at +0.0 and adds its terms in the
 order the edges list them.  The lone loop scatters the same way, except
-on a path: there s is two neighbor columns, s = x[first], then
-s += x[second], two gathers and one add, where a leaf's second term is one
-+0.0 kept past x.  It costs less than the scatter's gather, range pass and
-zeroed array; once one vertex has three terms the scatter is cheaper.  The
-column sum gives every vertex the scatter's (0 + t1) + t2 bit for bit.
+on a path: there one `take` of a flat index of 2n entries gathers both
+neighbor columns, first then second, and s is the first half plus the
+second, where a leaf's second term is one +0.0 kept past x.  It costs
+less than the scatter's gather, range pass and zeroed array; once one
+vertex has three terms the scatter is cheaper.  The column sum gives
+every vertex the scatter's (0 + t1) + t2 bit for bit.
 Addition commutes, and 0 + t equals t unless t is -0.0; so the sums can
 differ only where both terms are -0.0.  The start is positive, and a power
 step maps a nonnegative x with no -0.0 to another (a nonnegative matrix
@@ -52,22 +53,33 @@ block each vertex receives its own tree's terms in the order the tree
 alone gives them, the power step is elementwise, and the dots mu = x.s and
 y.y are taken by `np.matmul` of (r, 1, n) and (r, n, 1) views, which numpy
 computes row by row with the kernel of `ndarray.dot`, the call the lone
-loop makes.  The lone loop keeps its shift and its norm as scalars, whose
-products and quotients are those of the block's spread vectors, element by
-element; it reads the screen's entries as Python floats and takes the
-norm's root with `math.sqrt`, both the IEEE operations numpy applies to
-its float64 scalars.  The lone loop's check is screened
-exactly: the residual entry at the vertex where the last full residual
-vector peaked is computed with the same IEEE operations as in the full
-vector, and when it alone exceeds tol, so does the maximum.  The full
-residual is taken whenever the screen does not settle it and on every
-sweep from the polish point on, so every stop, polish decision and
-reported residual is the one the full check gives.  The block has no
-screen, since checking never changes a sweep: it sweeps a chunk of
-iterates unchecked, keeping each x and s, then takes the full residual of
-every tree at every iterate of the chunk at once, and each tree stops at
-its first iterate at tol.  A tree that stops keeps stepping on its own
-entries, which no other tree reads.
+loop makes.  The lone loop keeps its shift and its norm in 0-d float64
+buffers, whose products and quotients are those of the block's spread
+vectors, element by element; it reads the screen's entries as Python
+floats and takes the norm's root with `math.sqrt`, both the IEEE
+operations numpy applies to its float64 scalars.
+
+The lone loop's check is screened exactly.  Before the polish point only
+res <= tol ends the power steps, so a sweep there need only prove
+res > tol, and a two-vertex bound does that with no dot: for any shift m
+and vertices a, b with x_a, x_b >= 0,
+
+    max(|m x_a - s_a|, |m x_b - s_b|) >= |s_a x_b - s_b x_a| / (x_a + x_b),
+
+as s_a x_b - s_b x_a = x_b (s_a - m x_a) - x_a (s_b - m x_b).  The loop
+takes a and b where the last full signed residual mu*x - s peaked and
+dipped, and a sweep whose bound, rounded, passes a slack just above tol
+skips the full check; `_lone_iteration` shows that no rounding or
+underflow lets the screen pass where the full check would find
+res <= tol.  The full residual is taken whenever the screen does not
+settle it and on every sweep from the polish point on, so every stop,
+polish decision and reported residual is the one the full check gives.
+It refreshes a and b and reads res as the larger of the peak and minus
+the dip.  The block has no screen, since checking never changes a sweep:
+it sweeps a chunk of iterates unchecked, keeping each x and s, then takes
+the full residual of every tree at every iterate of the chunk at once,
+and each tree stops at its first iterate at tol.  A tree that stops keeps
+stepping on its own entries, which no other tree reads.
 
 If the top eigenvalue gap is too small for plain power sweeps, a
 Rayleigh-quotient polish kicks in halfway through the sweep budget: the
@@ -224,39 +236,40 @@ def rayleigh_quotient(t: Tree, f) -> float:
     return float(2.0 * np.sum(f[eu] * f[ev]) / norm2)
 
 
-def _tree_shift_solve(t: Tree, sigma, b: np.ndarray):
-    """Solve (A - sigma*I) y = b exactly by leaf elimination; None if a
-    pivot vanishes (sigma essentially an eigenvalue of a subtree)."""
-    n = t.vertex_count
-    order, parent = _rooted(t.adjacency, 0)
-    d = np.zeros(n, dtype=b.dtype)
-    bb = b.astype(b.dtype, copy=True)
+def _tree_shift_solve(t: Tree, rooting: tuple[list[int], list[int]], sigma: float, b: np.ndarray):
+    """Solve (A - sigma*I) y = b exactly by leaf elimination along
+    `rooting`, the (order, parent) walk `_rooted` gives of t; None if a
+    pivot vanishes (sigma essentially an eigenvalue of a subtree).  The
+    elimination runs on Python floats, the IEEE operations of float64."""
+    order, parent = rooting
+    adj = t.adjacency
+    d = [0.0] * t.vertex_count
+    bb = b.tolist()
     for v in reversed(order):
-        pivot = -sigma
-        for u in t.neighbors(v):
-            if u != parent[v]:
-                pivot = pivot - 1.0 / d[u]
+        up = parent[v]
+        pivot, rhs = -sigma, bb[v]
+        for u in adj[v]:
+            if u != up:
+                pivot -= 1.0 / d[u]
+                rhs -= bb[u] / d[u]
         if abs(pivot) < 1e-14:
             return None
-        d[v] = pivot
-        for u in t.neighbors(v):
-            if u != parent[v]:
-                bb[v] = bb[v] - bb[u] / d[u]
-    y = np.zeros(n, dtype=b.dtype)
-    for v in order:
+        d[v], bb[v] = pivot, rhs
+    for v in order:  # back substitution in place, parents first: bb[v] becomes y[v]
         if parent[v] < 0:
-            y[v] = bb[v] / d[v]
+            bb[v] = bb[v] / d[v]
         else:
-            y[v] = (bb[v] - y[parent[v]]) / d[v]
-    return y
+            bb[v] = (bb[v] - bb[parent[v]]) / d[v]
+    return np.array(bb)
 
 
 def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
     """One inverse-iteration step shifted by the Rayleigh estimate mu: the
     unit solution of (A - mu*I) y = x with positive sum, or None if the
     shift and its nudges all hit a vanishing pivot."""
+    rooting = _rooted(t.adjacency, 0)
     for bump in (0.0, 1e-10, -1e-10, 1e-8):
-        y = _tree_shift_solve(t, mu + bump * max(1.0, abs(mu)), x)
+        y = _tree_shift_solve(t, rooting, mu + bump * max(1.0, abs(mu)), x)
         if y is not None:
             y = y / np.sqrt(y @ y)
             return -y if float(np.sum(y)) < 0.0 else y
@@ -290,27 +303,57 @@ def _scatter_pairs(trees: list[Tree]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((eu, ev)), np.concatenate((ev, eu))
 
 
+def _full_residual(x: np.ndarray, s: np.ndarray) -> tuple[float, float, int, int]:
+    """The lone loop's full check of iterate x with s = A x: mu = x.s, the
+    residual max_v |mu x_v - s_v|, and the vertices a and b where the
+    signed residual mu x - s peaks and dips.  The residual is the larger
+    of the peak and minus the dip, under `abs` so that an all-zero
+    residual reads +0.0."""
+    mu = float(x.dot(s))
+    r = mu * x - s
+    a, b = int(r.argmax()), int(r.argmin())
+    return mu, abs(max(r.item(a), -r.item(b))), a, b
+
+
 def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
     """The power-iteration loop on one tree of three or more vertices, as
     the module docstring describes: the last iterate, unchecked.  Its state
-    is plain locals: the shift, the screen entry w, the polish count, and
-    the iterate x, a view of a buffer that keeps one +0.0 past it.  The
-    screen reads its two entries as Python floats with `ndarray.item` and
-    the norm's root is `math.sqrt`, the same IEEE operations as on numpy
-    float64 scalars.  A polish step replaces x outright, with no power step
-    from it."""
+    is plain locals: the screen's vertices a and b, the polish count, the
+    shift and the norm in 0-d buffers, and the iterate x, a view of a
+    buffer that keeps one +0.0 past it.  A polish step replaces x outright,
+    with no power step from it.
+
+    The screen passes only where the full check finds res > tol.  It runs
+    before the polish point, where x comes from power steps alone: x >= 0
+    with unit norm to within n ulps, so each |s_v| and |mu x_v| is at most
+    K = Δ(1 + 2^-20) for any tree of fewer than 2^30 vertices.  Take
+    u = 2^-53 and eta = 2^-1075, the most a product that lands below the
+    normal range can be off (a sum or difference of floats is exact
+    there).  With X = x_a + x_b and D = s_a x_b - s_b x_a, the screen's
+    rounded |D| is at most (|D| + u K X + 2 eta)(1 + u), and its rounded
+    slack * X at least slack X (1 - u)^2 - eta.  So a pass gives
+    |D| / X > slack (1 - 3u) - u K - 3 eta / X.  A residual entry, rounded
+    as fl(fl(mu x_v) - s_v), is at least (|mu x_v - s_v| - u K - eta)(1 - u),
+    and by the bound one of a and b has |mu x_v - s_v| >= |D| / X.  Hence,
+    as X < 3, the full check gives res > slack (1 - 4u) - 2u K - 6 eta / X.
+    The guard X >= 2^-1000 keeps 6 eta / X below 2^-72.  The slack
+    tol (1 + 2^-50) + 2^-47 (Δ + 1), rounded, is at least
+    tol (1 + 5u) - eta + 2^-47 (Δ + 1)(1 - u), and 2^-47 (Δ + 1) is far
+    above 2u K + 2^-72 + eta, so res > tol.  A tol so large that the slack
+    overflows makes the screen never pass."""
     n = t.vertex_count
     tgt, src = _scatter_pairs([t])
     degree = max(t.degrees())
-    columns = _neighbor_columns(tgt, src, n) if degree <= 2 else None
-    if columns is not None:
-        first, second = columns
-    shift = float(degree)
+    # a path's two neighbor columns, first then second, as one flat index
+    columns = _neighbor_columns(tgt, src, n).reshape(-1) if degree <= 2 else None
+    shift = np.array(float(degree))
+    norm = np.empty(())
+    slack = tol * (1 + 2**-50) + 2**-47 * (degree + 1)
     xe = np.zeros(n + 1)
     x = xe[:n]
     x[...] = 1 / math.sqrt(n)  # the unit all-ones start, as in the block
     y = np.empty_like(x)
-    w = 0  # where the last full residual vector peaked
+    a = b = 0  # where the last full signed residual peaked and dipped
     polish = 8  # Rayleigh steps allowed from the polish point on
     fallback_at = max(1, max_iter // 2)  # never above max_iter
     signed = False  # whether a polish step has written x, which may put -0.0 in it
@@ -318,21 +361,22 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
     while True:
         # s = A x serves both the check of x and the next step from x
         if columns is not None:
-            s = xe[first]
-            s += xe[second]
+            both = xe.take(columns)
+            s = both[:n]
+            s += both[n:]
             if signed:
                 s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
         else:
-            s = np.bincount(tgt, weights=x[src], minlength=n)
+            s = np.bincount(tgt, weights=x.take(src), minlength=n)
         if iterations:
-            mu = float(x.dot(s))
-            # before fallback_at only res <= tol ends the power steps; one
-            # residual entry above tol, rounded to float as res is, proves
-            # res > tol
-            if iterations >= fallback_at or not abs(mu * x.item(w) - s.item(w)) > tol:
-                r = np.abs(mu * x - s)
-                w = int(np.argmax(r))
-                res = float(r[w])
+            xa, xb = x.item(a), x.item(b)
+            pair = xa + xb
+            # before fallback_at only res <= tol ends the power steps; the
+            # two-vertex bound above slack proves res > tol
+            if iterations >= fallback_at or not (
+                pair >= 2**-1000 and abs(s.item(a) * xb - s.item(b) * xa) > slack * pair
+            ):
+                mu, res, a, b = _full_residual(x, s)
                 if res > tol and iterations >= fallback_at and polish:
                     polish -= 1
                     z = _rayleigh_step(t, x, mu)
@@ -344,9 +388,10 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
                     polish = 0
                 if res <= tol or iterations >= max_iter:
                     return SpectralResult(mu, x.copy(), res, iterations)
-        np.multiply(shift, x, out=y)
+        np.multiply(x, shift, out=y)
         y += s  # s + c x, as addition commutes
-        np.divide(y, math.sqrt(y.dot(y)), out=x)
+        norm[...] = math.sqrt(y.dot(y))
+        np.divide(y, norm, out=x)
         iterations += 1
 
 

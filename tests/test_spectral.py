@@ -19,6 +19,7 @@ from treeindex.enumeration import (
 from treeindex.spectral import (
     CLASS_CHUNK,
     ConvergenceError,
+    SpectralResult,
     _edge_arrays,
     _neighbor_columns,
     _parent_indices,
@@ -407,6 +408,68 @@ class TestSpectralRadii:
         assert [fields(r) for r in got] == [fields(spectral_radius(t)) for t in (make_path(1), K2)]
 
 
+def broom():
+    """K_{1,40} with a 300-vertex tail hung from its centre: its Perron
+    entries fall to about 5e-14 along the tail."""
+    tail = [(v - 1 if v > 41 else 0, v) for v in range(41, 341)]
+    return tree_from_edges(341, [(0, v) for v in range(1, 41)] + tail)
+
+
+def random_tree(n, seed):
+    """A random recursive tree on n vertices, relabelled."""
+    rng = random.Random(seed)
+    return relabelled(tree_from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)]), rng)
+
+
+SCREEN_TREES = {
+    **{f"path_{n}": (lambda n=n: relabelled(make_path(n), random.Random(n))) for n in (3, 4, 60, 301)},
+    **{f"caterpillar_{d}_{n}": (lambda d=d, n=n: relabelled(make_caterpillar(d, n), random.Random(n)))
+       for d, n in ((3, 42), (6, 202))},
+    **{f"random_{n}": (lambda n=n: random_tree(n, n)) for n in (5, 40, 150)},
+    "broom_40_300": broom,
+    "star_500": lambda: make_star(500),
+}
+# 2^-52 and 2^-51 sit on the rounding floor of the residual, where a slack
+# with no rounding margin lets the screen pass a sweep the full check stops
+# at (random_40 and random_150 under max_iter=2000)
+SCREEN_TOLS = (1e-12, 3e-16, 1e-300, 1e-6, 0.5, 1e300, 2.0**-52, 2.0**-51)
+
+
+def full_check_loop(t, tol, max_iter):
+    """spectral_radius of t, three or more vertices, as (error message or
+    None, result), from the lone loop's sweeps with the full residual taken
+    on every sweep: one scatter per A x, the shift and the norm as Python
+    floats, and the lone loop's polish step."""
+    n = t.vertex_count
+    tgt, src = scatter_pairs([t])
+    shift = float(max(t.degrees()))
+    x = np.full(n, 1 / math.sqrt(n))
+    polish, fallback_at, iterations = 8, max(1, max_iter // 2), 0
+    while True:
+        s = np.bincount(tgt, weights=x[src], minlength=n)
+        if iterations:
+            mu = float(x.dot(s))
+            res = float(np.max(np.abs(mu * x - s)))
+            if res > tol and iterations >= fallback_at and polish:
+                polish -= 1
+                z = spectral._rayleigh_step(t, x, mu)
+                if z is not None:
+                    x, iterations = z, iterations + 1
+                    continue
+                polish = 0
+            if res <= tol or iterations >= max_iter:
+                break
+        y = shift * x + s
+        x = y / math.sqrt(y.dot(y))
+        iterations += 1
+    r = SpectralResult(mu, x, res, iterations)
+    if res > tol:
+        return f"residual {res:.3e} above tol {tol:.3e} after {iterations} iterations", r
+    if not np.all(x > 0.0):
+        return "iterate is not entrywise positive", r
+    return None, r
+
+
 class TestLoneLoop:
     """A tree alone in its order runs the lone loop and a tree beside
     another of its order the block sweeps, which share no sweep code: each
@@ -437,6 +500,38 @@ class TestLoneLoop:
         t = relabelled(make_caterpillar(4, 302), random.Random(302))
         r = self.assert_lone_is_block(t, [make_caterpillar(4, 302)])
         assert r.iterations == 21816
+
+    @pytest.mark.parametrize("tol", SCREEN_TOLS)
+    @pytest.mark.parametrize("name", SCREEN_TREES)
+    def test_screen_is_the_full_check(self, name, tol):
+        # the lone loop skips the full residual on a sweep whose two-vertex
+        # bound proves res > tol; it must stop, polish, exit on the budget
+        # and fail exactly as a loop that takes the full residual on every
+        # sweep, on and near the rounding floor, below it (1e-300) and
+        # with a polish point one to three sweeps in
+        t = SCREEN_TREES[name]()
+        for max_iter in (1, 2, 3, 4, 50, 2000):
+            message, want = full_check_loop(t, tol, max_iter)
+            got = one_by_one(t, tol=tol, max_iter=max_iter)
+            assert got[0] == message
+            assert fields(got[1]) == fields(want)
+
+    def test_screen_settles_the_sweeps(self, monkeypatch):
+        # the full check, with its dot mu = x.s, runs on a few dozen of the
+        # 150-vertex path's 21,602 sweeps; a screen that never passes would
+        # run it on every sweep and give the same bits
+        calls = []
+        full = spectral._full_residual
+
+        def recorded(x, s):
+            calls.append(1)
+            return full(x, s)
+
+        monkeypatch.setattr(spectral, "_full_residual", recorded)
+        r = spectral_radius(relabelled(make_path(150), random.Random(150)))
+        assert r.iterations == 21602
+        assert 2 <= len(calls) <= 100
+
 
 
 def scatter_pairs(trees):
