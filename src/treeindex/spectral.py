@@ -224,11 +224,17 @@ def _parent_indices(parent: np.ndarray) -> np.ndarray:
     return out
 
 
-def rayleigh_quotient(t: Tree, f) -> float:
-    """2 * sum_{uv in E} f(u) f(v) / sum_v f(v)^2  ==  <Af, f> / <f, f>."""
-    f = np.asarray(f)
+def _valuation(t: Tree, f, dtype=None) -> np.ndarray:
+    """f as an array of one entry per vertex of t: ValueError otherwise."""
+    f = np.asarray(f, dtype)
     if f.shape != (t.vertex_count,):
         raise ValueError(f"valuation must have length {t.vertex_count}")
+    return f
+
+
+def rayleigh_quotient(t: Tree, f) -> float:
+    """2 * sum_{uv in E} f(u) f(v) / sum_v f(v)^2  ==  <Af, f> / <f, f>."""
+    f = _valuation(t, f)
     norm2 = float(f @ f)
     if norm2 == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
@@ -315,13 +321,14 @@ def _full_residual(x: np.ndarray, s: np.ndarray) -> tuple[float, float, int, int
     return mu, abs(max(r.item(a), -r.item(b))), a, b
 
 
-def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
+def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> SpectralResult:
     """The power-iteration loop on one tree of three or more vertices, as
-    the module docstring describes: the last iterate, unchecked.  Its state
-    is plain locals: the screen's vertices a and b, the polish count, the
-    shift and the norm in 0-d buffers, and the iterate x, a view of a
-    buffer that keeps one +0.0 past it.  A polish step replaces x outright,
-    with no power step from it.
+    the module docstring describes, with its polish point at sweep
+    `fallback_at`: the last iterate, unchecked.  Its state is plain locals:
+    the screen's vertices a and b, the polish count, the shift and the norm
+    in 0-d buffers, and the iterate x, a view of a buffer that keeps one
+    +0.0 past it.  A polish step replaces x outright, with no power step
+    from it.
 
     The screen passes only where the full check finds res > tol.  It runs
     before the polish point, where x comes from power steps alone: x >= 0
@@ -355,7 +362,6 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int) -> SpectralResult:
     y = np.empty_like(x)
     a = b = 0  # where the last full signed residual peaked and dipped
     polish = 8  # Rayleigh steps allowed from the polish point on
-    fallback_at = max(1, max_iter // 2)  # never above max_iter
     signed = False  # whether a polish step has written x, which may put -0.0 in it
     iterations = 0
     while True:
@@ -446,13 +452,13 @@ def _block_sweeps(trees: list[Tree], tol: float, fallback_at: int) -> list[Spect
 
 
 def _power_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
-    """The last iterate of each tree, unchecked; `_solve` checks them.
+    """The last iterate of each tree, unchecked; `spectral_radii` checks them.
     Trees of one and two vertices take their closed forms.  The others are
     grouped by order: each group of two or more runs the block sweeps up to
     the lone loop's polish point, checked once per chunk of sweeps, and
     every tree alone in its order or left running there runs the lone loop
-    from the start.  A block of two trees already costs less than two lone
-    solves."""
+    from the start.  Both loops get that point from here.  A block of two
+    trees already costs less than two lone solves."""
     results: list = [None] * len(trees)
     orders: dict[int, list[int]] = {}
     for pos, t in enumerate(trees):
@@ -463,25 +469,32 @@ def _power_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[Spect
             results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
         else:
             orders.setdefault(t.vertex_count, []).append(pos)
-    fallback_at = max(1, max_iter // 2)  # the lone loop's polish point
+    fallback_at = max(1, max_iter // 2)  # the lone loop's polish point, never above max_iter
     for group in orders.values():
         if len(group) > 1:
             for pos, r in zip(group, _block_sweeps([trees[pos] for pos in group], tol, fallback_at)):
                 results[pos] = r
-    return [_lone_iteration(t, tol, max_iter) if r is None else r for t, r in zip(trees, results)]
+    return [_lone_iteration(t, tol, max_iter, fallback_at) if r is None else r for t, r in zip(trees, results)]
 
 
-def _solve(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
-    """Validate the budget, run the block, and raise the ConvergenceError of
-    the first tree in order whose last iterate misses tol or is not
-    entrywise positive."""
+def spectral_radii(
+    trees: Sequence[Tree],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[SpectralResult]:
+    """`spectral_radius` of every tree in `trees`, in order, solved as one
+    block: each result equals the one `spectral_radius` gives that tree,
+    byte for byte.  A tol that is not a positive finite number, or a
+    max_iter that is not an integer of at least 1, raises ValueError.  A
+    failure raises the ConvergenceError of the first tree in order whose
+    last iterate misses tol or is not entrywise positive."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    results = _power_iteration(trees, tol, max_iter)
+    results = _power_iteration(list(trees), tol, max_iter)
     for r in results:
         if r.residual > tol:
             raise ConvergenceError(
@@ -493,18 +506,6 @@ def _solve(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]
     return results
 
 
-def spectral_radii(
-    trees: Sequence[Tree],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[SpectralResult]:
-    """`spectral_radius` of every tree in `trees`, in order, solved as one
-    block: each result equals the one `spectral_radius` gives that tree,
-    byte for byte.  A failure raises the ConvergenceError of the first
-    failing tree in order, as `spectral_radius` raises it for that tree."""
-    return _solve(list(trees), tol, max_iter)
-
-
 def spectral_radius(
     t: Tree,
     tol: float = DEFAULT_TOL,
@@ -512,7 +513,8 @@ def spectral_radius(
     extended: bool = False,
 ) -> SpectralResult:
     """Index mu(t) with its positive unit eigenvector, in float64: the lone
-    loop of the power iteration.
+    loop of the power iteration, run as `spectral_radii([t], tol, max_iter)`,
+    whose budget checks and ConvergenceError it shares.
 
     There is no extended-precision mode: `extended=True` raises
     ValueError.  The parameter stays only because the benchmark's tracer,
@@ -521,7 +523,7 @@ def spectral_radius(
     """
     if extended:
         raise ValueError("spectral_radius has no extended-precision mode")
-    return _solve([t], tol, max_iter)[0]
+    return spectral_radii([t], tol, max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -537,11 +539,11 @@ def perron_bound_check(t: Tree, f, result: SpectralResult, tol: float = 1e-10) -
     """Check the positive-test-vector bound against a converged result.
 
     `f` must be positive with unit norm; equality within tol forces f to be
-    the Perron vector itself.
+    the Perron vector itself.  A valuation or a result of the wrong
+    length raises ValueError.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (t.vertex_count,):
-        raise ValueError(f"valuation must have length {t.vertex_count}")
+    f = _valuation(t, f, np.float64)
+    _valuation(t, result.perron)
     if not np.all(f > 0.0):
         raise ValueError("valuation must be entrywise positive")
     if abs(float(f @ f) - 1.0) > 1e-12:
@@ -566,9 +568,7 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
     wrong length, or a v_hat that is a bool, not an integer or outside
     0..n-1, raises ValueError.
     """
-    f = np.asarray(f)
-    if f.shape != (t.vertex_count,):
-        raise ValueError(f"valuation must have length {t.vertex_count}")
+    f = _valuation(t, f)
     if isinstance(v_hat, bool) or not isinstance(v_hat, numbers.Integral):
         raise ValueError(f"vertex must be an integer, got {v_hat!r}")
     if not 0 <= v_hat < t.vertex_count:
@@ -588,20 +588,11 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
     return True
 
 
-def _perron_of(t: Tree, result: SpectralResult) -> np.ndarray:
-    """The Perron vector of result, which must have one entry per vertex of
-    t: ValueError otherwise."""
-    f = result.perron
-    if f.shape != (t.vertex_count,):
-        raise ValueError(f"valuation must have length {t.vertex_count}")
-    return f
-
-
 def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     """True iff every pendant vertex is a strict local minimum of the
     Perron vector.  K_2 fails by symmetry: both entries are equal.  A
     result of the wrong length raises ValueError."""
-    f = _perron_of(t, result)
+    f = _valuation(t, result.perron)
     for v in t.vertices():
         if t.degree(v) == 1:
             u = t.neighbors(v)[0]
@@ -610,24 +601,15 @@ def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     return True
 
 
-def _caterpillar_mirror_orbits(t: Tree) -> list[list[int]]:
+def _mirror_pairs(t: Tree) -> list[tuple[int, int, list[int], list[int]]]:
+    """Trunk vertex i of a caterpillar t, its mirror k - 1 - i and the
+    sorted pendants of each, for i < (k + 1) // 2 on a trunk of k vertices:
+    none on an empty trunk.  A tree that is not a caterpillar raises
+    TreeError."""
     trunk = trunk_path(t)
+    pendants = [sorted(u for u in t.neighbors(v) if t.degree(u) == 1) for v in trunk]
     k = len(trunk)
-    orbits: list[list[int]] = []
-    if k == 0:
-        orbits.append(list(t.vertices()))
-        return orbits
-    for i in range((k + 1) // 2):
-        a, b = trunk[i], trunk[k - 1 - i]
-        orbits.append([a] if a == b else [a, b])
-        pa = sorted(u for u in t.neighbors(a) if t.degree(u) == 1)
-        pb = sorted(u for u in t.neighbors(b) if t.degree(u) == 1)
-        if len(pa) != len(pb):
-            raise TreeError("caterpillar pendant loads are not mirror-symmetric")
-        pod = sorted(set(pa) | set(pb))
-        if pod:
-            orbits.append(pod)
-    return orbits
+    return [(trunk[i], trunk[k - 1 - i], pendants[i], pendants[k - 1 - i]) for i in range((k + 1) // 2)]
 
 
 def caterpillar_symmetry_check(t: Tree, result: SpectralResult, tol: float = 1e-9) -> bool:
@@ -636,20 +618,12 @@ def caterpillar_symmetry_check(t: Tree, result: SpectralResult, tol: float = 1e-
     Pendant values are compared pod against mirrored pod as sorted lists.
     A result of the wrong length raises ValueError.
     """
-    f = _perron_of(t, result)
-    trunk = trunk_path(t)  # raises if not a caterpillar
-    k = len(trunk)
-    for i in range(k // 2 + 1):
-        j = k - 1 - i
-        if j < i:
-            break
-        if abs(float(f[trunk[i]] - f[trunk[j]])) > tol:
+    f = _valuation(t, result.perron)
+    for a, b, pa, pb in _mirror_pairs(t):
+        if abs(float(f[a] - f[b])) > tol or len(pa) != len(pb):
             return False
-        pa = sorted(float(f[u]) for u in t.neighbors(trunk[i]) if t.degree(u) == 1)
-        pb = sorted(float(f[u]) for u in t.neighbors(trunk[j]) if t.degree(u) == 1)
-        if len(pa) != len(pb):
-            return False
-        if any(abs(x - y) > tol for x, y in zip(pa, pb)):
+        fa, fb = sorted(float(f[u]) for u in pa), sorted(float(f[u]) for u in pb)
+        if any(abs(x - y) > tol for x, y in zip(fa, fb)):
             return False
     return True
 
@@ -662,13 +636,17 @@ def symmetrize_caterpillar(t: Tree, f) -> np.ndarray:
     the last-bit numerical asymmetry so that mirror entries compare equal
     under the exact float comparisons used by valuation transport.  A
     valuation of the wrong length, or one that averages to the zero
-    vector, raises ValueError.
+    vector, raises ValueError; unequal pendant loads raise TreeError.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (t.vertex_count,):
-        raise ValueError(f"valuation must have length {t.vertex_count}")
+    f = _valuation(t, f, np.float64)
+    pairs = _mirror_pairs(t)
+    if any(len(pa) != len(pb) for _, _, pa, pb in pairs):
+        raise TreeError("caterpillar pendant loads are not mirror-symmetric")
+    # the mirror's orbits: each trunk pair and its pendants; all vertices on an empty trunk
+    orbits = [[a] if a == b else [a, b] for a, b, _, _ in pairs]
+    orbits += [sorted({*pa, *pb}) for _, _, pa, pb in pairs if pa]
     out = f.copy()
-    for orbit in _caterpillar_mirror_orbits(t):
+    for orbit in orbits or [list(t.vertices())]:
         out[orbit] = float(np.mean(f[orbit]))
     norm2 = float(out @ out)
     if norm2 == 0.0:
@@ -688,7 +666,7 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
     caterpillar whose non-pendant vertices share the degree d.  A result
     of the wrong length raises ValueError.
     """
-    f = _perron_of(t, result)
+    f = _valuation(t, result.perron)
     trunk = trunk_path(t)
     if not trunk:
         return 0.0
@@ -697,8 +675,8 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
         raise TreeError("trunk degrees are not constant")
     mu = result.mu
     coef = mu - (d - 2) / mu
-    ends = [min(u for u in t.neighbors(v) if t.degree(u) == 1) for v in (trunk[0], trunk[-1])]
-    ext = [ends[0], *trunk, ends[1]]  # v_0, v_1 .. v_k, v_{k+1}
+    _, _, pa, pb = _mirror_pairs(t)[0]
+    ext = [pa[0], *trunk, pb[0]]  # v_0, v_1 .. v_k, v_{k+1}
     worst = 0.0
     for i, v in enumerate(trunk):
         around = float(f[ext[i]]) + float(f[ext[i + 2]])

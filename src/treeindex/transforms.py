@@ -80,6 +80,8 @@ __all__ = [
 
 # slack on both sides of mu_tree >= rq >= mu_cat in WitnessResult.gap_ok
 _GAP_TOL = 1e-9
+# how far a replayed switch may lower the Rayleigh quotient before it fails
+_DROP_TOL = 1e-12
 
 
 class TransformError(ValueError):
@@ -406,7 +408,7 @@ def _spiral(cat: Tree, f0: np.ndarray, lengths) -> SpiralResult:
     def certified(move: SwitchMove) -> None:
         nonlocal cur, f
         cert = switch_certificate(cur, f, move)
-        if cert.delta < -1e-12:
+        if cert.delta < -_DROP_TOL:
             raise SpiralError(f"Rayleigh quotient dropped by {-cert.delta:.3e} during spiral")
         cur, f = cert.new_tree, cert.new_valuation
         trace.append(cert.rq_after)
@@ -562,7 +564,7 @@ def caterpillar_bound_witness(g: Tree) -> WitnessResult:
                 "valuation maximum fell strictly inside a replay fork; cannot certify"
             )
         cert = switch_certificate(cur, f, inverse_move(s.move))
-        if cert.delta < -1e-12:
+        if cert.delta < -_DROP_TOL:
             raise SpiralError(f"Rayleigh quotient dropped by {-cert.delta:.3e} during replay")
         records.append(WitnessStep(step=s, rq_before=cert.rq_before, rq_after=cert.rq_after))
         cur, f = cert.new_tree, cert.new_valuation

@@ -4,6 +4,7 @@ eigensolver oracle and classical closed forms."""
 import inspect
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from treeindex.spectral import (
 )
 from treeindex.trees import (
     DegreeSequence,
+    TreeError,
+    is_caterpillar,
     make_caterpillar,
     make_path,
     make_star,
@@ -44,6 +47,8 @@ from treeindex.trees import (
 )
 
 K2 = tree_from_edges(2, [(0, 1)])
+# a caterpillar on the trunk 0-1-2 with pendant loads 2, 1, 1: no mirror symmetry
+LOPSIDED = tree_from_edges(7, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (1, 6)])
 CHUNK_SWEEPS = spectral._CHUNK_SWEEPS
 FORK_19 = tree_from_edges(
     19,
@@ -673,6 +678,14 @@ class TestPerronBound:
         with pytest.raises(ValueError):
             perron_bound_check(t, np.ones(3), r)
 
+    @pytest.mark.parametrize("other", [make_path(4), make_caterpillar(3, 14)], ids=["shorter", "longer"])
+    def test_result_of_the_wrong_length_rejected(self, other):
+        # once read only result.mu and returned a bound for the other tree
+        t = make_caterpillar(3, 10)
+        f = spectral_radius(t).perron
+        with pytest.raises(ValueError, match="valuation must have length 10"):
+            perron_bound_check(t, f, spectral_radius(other))
+
 
 class TestUnimodality:
     def test_caterpillar_perron_is_unimodal(self):
@@ -758,6 +771,37 @@ class TestCaterpillarSymmetry:
         assert abs(float(f @ f) - 1.0) <= 1e-12
         # rayleigh quotient unchanged at the residual level
         assert rayleigh_quotient(t, f) == pytest.approx(r.mu, abs=1e-11)
+
+    def test_unequal_pendant_loads(self):
+        r = spectral_radius(LOPSIDED)
+        assert not caterpillar_symmetry_check(LOPSIDED, r)
+        # equal trunk ends, so the loads alone decide
+        assert not caterpillar_symmetry_check(LOPSIDED, replace(r, perron=np.ones(7)))
+        with pytest.raises(TreeError, match="not mirror-symmetric"):
+            symmetrize_caterpillar(LOPSIDED, r.perron)
+
+    def test_symmetrize_short_trunks(self):
+        # K1 and K2 have no trunk, so every vertex is one orbit; the star's
+        # trunk is its centre, alone in its orbit, and its leaves are another
+        assert symmetrize_caterpillar(make_star(0), [5.0]).tolist() == [1.0]
+        assert symmetrize_caterpillar(K2, [1.0, 3.0]).tolist() == pytest.approx([math.sqrt(0.5)] * 2)
+        star = symmetrize_caterpillar(make_star(3), [3.0, 1.0, 2.0, 3.0])
+        assert star.tolist() == pytest.approx([3 / math.sqrt(21)] + [2 / math.sqrt(21)] * 3)
+
+    def test_symmetrize_every_small_caterpillar(self):
+        # mirror-symmetric loads give a vector the check passes exactly;
+        # every other caterpillar raises
+        cats = [t for k in range(1, 13) for t in free_trees(k) if is_caterpillar(t)]
+        symmetric = lopsided = 0
+        for t, r in zip(cats, spectral_radii(cats)):
+            try:
+                f = symmetrize_caterpillar(t, r.perron)
+            except TreeError:
+                lopsided += 1
+                continue
+            symmetric += 1
+            assert caterpillar_symmetry_check(t, replace(r, perron=f), tol=0.0)
+        assert (symmetric, lopsided) == (95, 465)
 
     def test_symmetrize_rejects_a_valuation_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="valuation must have length 10"):
