@@ -507,8 +507,8 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     their `_parent_indices(trees.parents())` values.  Each tree solved is
     indexed in trees once, and no other.
 
-    The screened values `mus` only pick the candidates within
-    `_SCREEN_BAND` of the minimum and the trees within it of the runner-up.
+    The screened values `mus` only pick, by `_screen` of all trees and of
+    the rest, the candidates and the trees within the band of the runner-up.
     The values the report carries are `spectral_radii` indices of those
     trees, all solved as one block, each once; tied candidates are settled
     by `_resolve_ties`, whose exact quotient is the minimum when two or
@@ -517,13 +517,9 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     minimizer's canonical form is its code in `trees.codes`, not coded
     again.
     """
-    screened, candidates = _screen(mus)
-    picked = set(candidates)
-    rest = [i for i in range(len(trees)) if i not in picked]
-    runners = []
-    if rest:
-        runner_screen = min(screened[i] for i in rest)
-        runners = [i for i in rest if screened[i] <= runner_screen + _SCREEN_BAND]
+    candidates = _screen(mus)[1]
+    rest = np.delete(np.arange(len(trees)), candidates)
+    runners = rest[_screen(mus[rest])[1]].tolist() if len(rest) else []
     pool = candidates + runners
     built = {i: trees[i] for i in pool}
     solved = dict(zip(pool, spectral_radii(list(built.values()))))

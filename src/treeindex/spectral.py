@@ -538,9 +538,9 @@ class PerronBound:
 def perron_bound_check(t: Tree, f, result: SpectralResult, tol: float = 1e-10) -> PerronBound:
     """Check the positive-test-vector bound against a converged result.
 
-    `f` must be positive with unit norm; equality within tol forces f to be
-    the Perron vector itself.  A valuation or a result of the wrong
-    length raises ValueError.
+    `f` must be positive with unit norm, and equality within tol forces f to
+    be the Perron vector.  `result` is taken to be t's: only its length is
+    checked.  A valuation or result of the wrong length raises ValueError.
     """
     f = _valuation(t, f, np.float64)
     _valuation(t, result.perron)
@@ -590,8 +590,8 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
 
 def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     """True iff every pendant vertex is a strict local minimum of the
-    Perron vector.  K_2 fails by symmetry: both entries are equal.  A
-    result of the wrong length raises ValueError."""
+    Perron vector.  K_2 fails by symmetry: both entries are equal.
+    `result` is taken to be t's: only a wrong length raises ValueError."""
     f = _valuation(t, result.perron)
     for v in t.vertices():
         if t.degree(v) == 1:
@@ -616,7 +616,7 @@ def caterpillar_symmetry_check(t: Tree, result: SpectralResult, tol: float = 1e-
     """True iff the Perron values are invariant under reversing the trunk.
 
     Pendant values are compared pod against mirrored pod as sorted lists.
-    A result of the wrong length raises ValueError.
+    `result` is taken to be t's: only a wrong length raises ValueError.
     """
     f = _valuation(t, result.perron)
     for a, b, pa, pb in _mirror_pairs(t):
@@ -663,8 +663,8 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
     where v_0 and v_{k+1} are pendant neighbors of the trunk ends.  The
     recurrence follows from eliminating pendant values (mu*f(p) = f(v_i))
     from the eigenvalue equation; it holds at every trunk vertex of a
-    caterpillar whose non-pendant vertices share the degree d.  A result
-    of the wrong length raises ValueError.
+    caterpillar whose non-pendant vertices share the degree d.  `result` is
+    taken to be t's: only a wrong length raises ValueError.
     """
     f = _valuation(t, result.perron)
     trunk = trunk_path(t)

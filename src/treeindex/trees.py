@@ -305,17 +305,18 @@ class DegreeSequence:
 
 def _degree_tokens(text: str) -> list[tuple[int, int]]:
     """The (degree, multiplicity) pairs of a "4^4,3^2,2,1^12" string, checked
-    but not expanded, so a caller can bound the vertex count first."""
+    but not expanded, so a caller can bound the vertex count first.  Each
+    part is ASCII decimal digits; spaces around parts are allowed."""
     out = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise TreeError("empty token in degree sequence")
         base, hat, count = token.partition("^")
-        try:
-            value, mult = int(base), int(count) if hat else 1
-        except ValueError:
-            raise TreeError(f"bad degree token {token!r}") from None
+        parts = [base.strip(), count.strip()] if hat else [base.strip()]
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise TreeError(f"bad degree token {token!r}")
+        value, mult = int(base), int(count) if hat else 1
         if mult < 1:
             raise TreeError(f"bad multiplicity in {token!r}")
         out.append((value, mult))
@@ -392,21 +393,16 @@ def trunk_path(t: Tree) -> list[int]:
     """Ordered trunk of a caterpillar (non-pendant vertices as a path).
 
     Orientation is fixed by starting from the endpoint with the smaller id.
+    The trunk of a caterpillar is a path, so one `_arm` from an end walks it.
     """
     if not is_caterpillar(t):
         raise TreeError("tree is not a caterpillar")
     core = nonpendant_vertices(t)
     if len(core) <= 1:
         return list(core)
-    ends = [v for v in core if nonpendant_degree(t, v) == 1]
-    if len(ends) != 2:
-        raise TreeError("caterpillar trunk must have exactly two ends")
-    start = min(ends)
+    start = min(v for v in core if nonpendant_degree(t, v) == 1)
     (first,) = (u for u in t.neighbors(start) if t.degree(u) >= 2)
-    path = [start] + _arm(t, start, first)
-    if len(path) != len(core):
-        raise TreeError("trunk walk did not cover all non-pendant vertices")
-    return path
+    return [start] + _arm(t, start, first)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,11 @@ class TestSearchCommand:
         code, _, err = run(capsys, "search", "--pi", "3,3,1")
         assert code == 2 and "not realizable" in err
 
+    def test_pi_token_read_by_int_alone_exits_2(self, capsys):
+        # int() reads "1_0" as 10: this once searched the 37 trees of 3^10,1^12
+        code, out, err = run(capsys, "search", "--pi", "3^1_0,1^12")
+        assert code == 2 and out == "" and "bad degree token '3^1_0'" in err
+
     def test_class_too_deep_to_enumerate_exits_2(self, capsys):
         # the one tree of this class is a 1002-vertex path, whose skeleton
         # levels (paths of 1000, 998, ... vertices) nest past the
@@ -355,6 +360,9 @@ class TestReduceCommand:
         path.write_text(tree_to_json(make_caterpillar(3, 10)))
         code, out, _ = run(capsys, "reduce", str(path))
         assert code == 0 and json.loads(out) == []
+        code, out, _ = run(capsys, "reduce", str(path), "--format", "table")
+        assert code == 0
+        assert out.splitlines()[1:] == ["(already a caterpillar; empty trace)"]
 
     def test_non_semiregular_exits_2(self, tmp_path, capsys):
         from treeindex.enumeration import tied_minimizer_examples

@@ -18,11 +18,13 @@ from treeindex.cli import main
 from treeindex.enumeration import (
     DEFAULT_MAX_N,
     TIED_MINIMIZER_CLASS,
+    MinimizerObservations,
     _decorated,
     _decorations,
     _exact_rayleigh,
     _least_rooting,
     _listing,
+    _observe,
     _pendant_counts,
     _screen,
     enumerate_semiregular,
@@ -208,6 +210,10 @@ class TestFreeTrees:
 
     def test_counts_past_ten(self):
         assert [len(free_trees(k)) for k in (11, 12)] == [235, 551]
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(TreeError, match="^free_trees needs k >= 1$"):
+            free_trees(0)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_numbered_in_preorder_of_the_least_rooting(self, k):
@@ -556,6 +562,14 @@ class TestFindMinimizers:
             find_minimizers(big)
         report = find_minimizers(big, max_n=25)
         assert report.min_mu == pytest.approx(math.sqrt(22), abs=1e-10)
+
+    def test_buds_short_of_the_hub_degree(self):
+        # trunk degrees 3, 4, 3: both half-trunks fall from the hub of
+        # degree 4 to a bud of degree 3
+        t = tree_from_edges(9, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
+        assert _observe(t) == MinimizerObservations(
+            is_caterpillar=True, buds_have_max_branch_degree=False, trunk_degrees_monotone=True
+        )
 
     def test_parallel_matches_serial(self):
         pi = DegreeSequence.semiregular(3, 14)

@@ -678,6 +678,14 @@ class TestPerronBound:
         with pytest.raises(ValueError):
             perron_bound_check(t, np.ones(3), r)
 
+    def test_rejects_a_negative_entry(self):
+        t = make_path(3)
+        r = spectral_radius(t)
+        f = r.perron / math.sqrt(float(r.perron @ r.perron))
+        f[0] = -f[0]
+        with pytest.raises(ValueError, match="^valuation must be entrywise positive$"):
+            perron_bound_check(t, f, r)
+
     @pytest.mark.parametrize("other", [make_path(4), make_caterpillar(3, 14)], ids=["shorter", "longer"])
     def test_result_of_the_wrong_length_rejected(self, other):
         # once read only result.mu and returned a bound for the other tree
@@ -780,6 +788,15 @@ class TestCaterpillarSymmetry:
         with pytest.raises(TreeError, match="not mirror-symmetric"):
             symmetrize_caterpillar(LOPSIDED, r.perron)
 
+    def test_perturbed_pendants_at_one_trunk_end(self):
+        # trunk values and loads still match; the end's pendant values do not
+        t = make_caterpillar(3, 10)
+        r = spectral_radius(t)
+        f = symmetrize_caterpillar(t, r.perron)
+        assert caterpillar_symmetry_check(t, replace(r, perron=f))
+        f[[u for u in t.neighbors(0) if t.degree(u) == 1]] += 1e-6
+        assert not caterpillar_symmetry_check(t, replace(r, perron=f))
+
     def test_symmetrize_short_trunks(self):
         # K1 and K2 have no trunk, so every vertex is one orbit; the star's
         # trunk is its centre, alone in its orbit, and its leaves are another
@@ -828,6 +845,14 @@ class TestTrunkRecurrence:
     def test_result_of_the_wrong_length_rejected(self, other):
         with pytest.raises(ValueError, match="valuation must have length 10"):
             caterpillar_trunk_residual(make_caterpillar(3, 10), spectral_radius(other))
+
+    def test_k2_has_no_trunk(self):
+        assert caterpillar_trunk_residual(K2, spectral_radius(K2)) == 0.0
+
+    def test_mixed_trunk_degrees_rejected(self):
+        # LOPSIDED is a caterpillar whose trunk degrees are 3, 3 and 2
+        with pytest.raises(TreeError, match="^trunk degrees are not constant$"):
+            caterpillar_trunk_residual(LOPSIDED, spectral_radius(LOPSIDED))
 
     def test_damping_coefficient_below_two(self):
         # the trunk recurrence coefficient mu - (d-2)/mu stays below 2

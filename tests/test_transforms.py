@@ -138,9 +138,17 @@ class TestApplySwitch:
 
     def test_rejects_wrong_path(self):
         c = make_caterpillar(3, 10)
-        # v2 not second-to-last on the path from the pendant to u2
-        with pytest.raises(SwitchError):
-            validate_switch(c, SwitchMove(6, 1, 3, 0))
+        # u2 = 2 is adjacent to v2 = 3 but lies between the pendant 6 and v2
+        with pytest.raises(SwitchError, match="must run through"):
+            validate_switch(c, SwitchMove(6, 1, 2, 3))
+
+    def test_rejects_u2_away_from_v2(self):
+        with pytest.raises(SwitchError, match="^u2=3 must be adjacent to v2=0$"):
+            validate_switch(make_caterpillar(3, 10), SwitchMove(6, 1, 3, 0))
+
+    def test_rejects_u1_at_another_vertex(self):
+        with pytest.raises(SwitchError, match="^u1=6 must be attached to v1=2$"):
+            validate_switch(make_caterpillar(3, 10), SwitchMove(6, 2, 3, 0))
 
     @pytest.mark.parametrize("t", [
         SPIDER_10, FORK_19, make_caterpillar(3, 14), make_caterpillar(5, 18), make_path(7),
@@ -342,6 +350,10 @@ class TestReduceToCaterpillar:
         with pytest.raises(ReductionError):
             reduce_to_caterpillar(FORK_19)
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ReductionError, match="^unknown policy 'bogus'$"):
+            reduce_to_caterpillar(SPIDER_10, policy="bogus")
+
     def test_replay_reconstructs_input(self):
         seq = reduce_to_caterpillar(SPIDER_10)
         assert replay_inverse(seq)[-1] == SPIDER_10
@@ -412,6 +424,10 @@ class TestSpiral:
     def test_bad_sum_rejected(self):
         with pytest.raises(SpiralError):
             spiral_rearrangement(3, 16, (3, 3, 2))
+
+    def test_two_branches_rejected(self):
+        with pytest.raises(SpiralError, match="^need three branch lengths, each at least 2$"):
+            spiral_rearrangement(3, 20, (5, 5))
 
 
 class TestWitness:

@@ -1,6 +1,7 @@
 """Structure, families, branches, and canonical forms."""
 
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,10 @@ class TestTreeValidation:
         with pytest.raises(TreeError):
             Tree(((1,), (), (1,)))
 
+    def test_rejects_edge_out_of_range(self):
+        with pytest.raises(TreeError, match=r"^edge \(0,3\) out of range for n=3$"):
+            tree_from_edges(3, [(0, 3), (1, 2)])
+
     def test_edge_count_and_degree_sum(self):
         for t in (K1, K2, make_path(7), make_star(5), make_caterpillar(3, 12)):
             n = t.vertex_count
@@ -102,6 +107,16 @@ class TestCaterpillarFamily:
 
     def test_deterministic(self):
         assert make_caterpillar(3, 14) == make_caterpillar(3, 14)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: make_path(0), "path needs at least one vertex"),
+         (lambda: make_star(-1), "leaf count must be non-negative")],
+        ids=["path-0", "star-minus-1"],
+    )
+    def test_empty_path_and_star_rejected(self, build, message):
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            build()
 
 
 class TestSemiregularAndCaterpillarPredicates:
@@ -180,6 +195,12 @@ class TestBranches:
         with pytest.raises(TreeError):
             branch(t, trunk[0], trunk[2])
 
+    def test_branch_endpoints_must_be_non_pendant(self):
+        t = make_caterpillar(3, 10)  # 4 is a pendant at the trunk end 0
+        for v, u in ((0, 4), (4, 0)):
+            with pytest.raises(TreeError, match="^both branch endpoints must be non-pendant$"):
+                branch(t, v, u)
+
     def test_proper_branches_of_fork(self):
         pbs = proper_branches(FORK_19, 0)
         assert len(pbs) == 2
@@ -190,6 +211,12 @@ class TestBranches:
         assert len(pbs) == 3
         assert all(b.length == 2 for b in pbs)
         assert sorted(branch_bud(SPIDER_10, b) for b in pbs) == [1, 2, 3]
+
+    def test_bud_of_a_branch_that_is_not_proper(self):
+        # the branch from vertex 1 through the branching point 0 holds the
+        # buds 3 and 4
+        with pytest.raises(TreeError, match="^branch does not contain exactly one bud$"):
+            branch_bud(FORK_19, branch(FORK_19, 1, 0))
 
     def test_proper_branches_need_branching_point(self):
         with pytest.raises(TreeError):
@@ -260,6 +287,36 @@ class TestDegreeSequence:
         pi = DegreeSequence.parse(text)
         assert pi.degrees == degrees
         assert all(type(x) is int for x in pi.degrees)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("3^1_0,1^12", "bad degree token '3^1_0'"),
+         ("\u0663,1^3", "bad degree token '\u0663'"),
+         ("+3,1^3", "bad degree token '+3'"),
+         ("3^+2,1^4", "bad degree token '3^+2'"),
+         ("-1", "bad degree token '-1'"),
+         ("x,1", "bad degree token 'x'"),
+         ("3,,1", "empty token in degree sequence"),
+         ("3^0,1^3", "bad multiplicity in '3^0'")],
+        ids=["underscore", "arabic-indic-digit", "plus", "plus-multiplicity", "minus", "letter",
+             "empty", "zero-multiplicity"],
+    )
+    def test_parse_refuses_bad_tokens(self, text, message):
+        # int() alone once read "3^1_0" as 3^10 and the Arabic-Indic digit
+        # three as 3
+        with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+            DegreeSequence.parse(text)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: DegreeSequence(()), "degree sequence must be non-empty"),
+         (lambda: DegreeSequence((2, 0)), "degrees must be positive"),
+         (lambda: DegreeSequence.semiregular(2, 6), "degree must be at least 3, got 2")],
+        ids=["empty", "zero-degree", "semiregular-2"],
+    )
+    def test_rejects_sequences_with_no_tree(self, build, message):
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            build()
 
 
 class TestCanonicalForm:
