@@ -34,18 +34,23 @@ from the start.
 The block's s is one scatter over the edges taken in both directions,
 `np.bincount`, which starts each vertex at +0.0 and adds its terms in the
 order the edges list them.  The lone loop scatters the same way, except
-on a path: there one `take` of a flat index of 2n entries gathers both
-neighbor columns, first then second, and s is the first half plus the
-second, where a leaf's second term is one +0.0 kept past x.  It costs
-less than the scatter's gather, range pass and zeroed array; once one
-vertex has three terms the scatter is cheaper.  The column sum gives
-every vertex the scatter's (0 + t1) + t2 bit for bit.
-Addition commutes, and 0 + t equals t unless t is -0.0; so the sums can
-differ only where both terms are -0.0.  The start is positive, and a power
-step maps a nonnegative x with no -0.0 to another (a nonnegative matrix
-applied to it, divided by a positive norm), so only a polish step can
-bring -0.0 into x.  From the first one on, the column sum adds +0, as
-(t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
+on a path: there it holds x in path order, walked from the lowest-id
+leaf, in a buffer with one +0.0 before x and one after it.  Position i
+then has its neighbor terms x[i - 1] and x[i + 1] in two fixed slices of
+the buffer, an end taking a pad's +0.0 for its missing term, and s is one
+add of the two slices, with no gather.  Only what depends on the order
+of the vertices reads x in vertex order, through one gather of n entries:
+the dot y.y of each power step and, where the screen does not settle a
+sweep, the full check, the polish and the result.  The other steps are
+elementwise, so the order does not change their bits.
+The slice sum gives every vertex the scatter's (0 + t1) + t2 bit for bit.
+IEEE addition commutes, signed zeros included, so it does not matter
+which term a slice holds; and 0 + t equals t unless t is -0.0, so the
+sums can differ only where both terms are -0.0.  The start is positive,
+and a power step maps a nonnegative x with no -0.0 to another (a
+nonnegative matrix applied to it, divided by a positive norm), so only a
+polish step can bring -0.0 into x.  From the first one on, the slice sum
+adds +0, as (t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
 
 The two loops give a tree the same bits sweep for sweep, so a tree the
 block hands off replays its block sweeps exactly in the lone loop.  In a
@@ -282,21 +287,6 @@ def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
     return None
 
 
-def _neighbor_columns(tgt: np.ndarray, src: np.ndarray, size: int) -> np.ndarray:
-    """For a path of `size` vertices, whose every vertex has one or two
-    neighbor terms in the scatter pairs `tgt`/`src`: the rows `first` and
-    `second` that give vertex v its terms x[first[v]] and x[second[v]] in
-    the order the pairs list them.  A leaf's second term is index `size`,
-    which the iterate's buffer keeps at +0.0 just past x."""
-    first, second = [size] * size, [size] * size
-    for v, u in zip(tgt.tolist(), src.tolist()):
-        if first[v] == size:
-            first[v] = u
-        else:
-            second[v] = u
-    return np.array((first, second))
-
-
 def _scatter_pairs(trees: list[Tree]) -> tuple[np.ndarray, np.ndarray]:
     """The scatter pairs `tgt`/`src` of k trees of one order n laid end to
     end, tree i on vertices i*n to i*n + n - 1.  Edge uv sends x[v] to u,
@@ -326,9 +316,11 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     the module docstring describes, with its polish point at sweep
     `fallback_at`: the last iterate, unchecked.  Its state is plain locals:
     the screen's vertices a and b, the polish count, the shift and the norm
-    in 0-d buffers, and the iterate x, a view of a buffer that keeps one
-    +0.0 past it.  A polish step replaces x outright, with no power step
-    from it.
+    in 0-d buffers, and the iterate x.  On a path x is a view of a buffer
+    that keeps one +0.0 before it and one after it, in path order: `order`
+    lists the vertices along the path and `pos` gives each vertex's
+    position, and a and b are positions.  A polish step replaces x
+    outright, with no power step from it.
 
     The screen passes only where the full check finds res > tol.  It runs
     before the polish point, where x comes from power steps alone: x >= 0
@@ -349,15 +341,23 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     above 2u K + 2^-72 + eta, so res > tol.  A tol so large that the slack
     overflows makes the screen never pass."""
     n = t.vertex_count
-    tgt, src = _scatter_pairs([t])
     degree = max(t.degrees())
-    # a path's two neighbor columns, first then second, as one flat index
-    columns = _neighbor_columns(tgt, src, n).reshape(-1) if degree <= 2 else None
     shift = np.array(float(degree))
     norm = np.empty(())
     slack = tol * (1 + 2**-50) + 2**-47 * (degree + 1)
-    xe = np.zeros(n + 1)
-    x = xe[:n]
+    path = degree <= 2
+    if path:
+        # x in path order from the lowest-id leaf, between two +0.0 pads:
+        # position i's neighbor terms are left[i] = x[i - 1] and right[i] = x[i + 1]
+        order = np.array(_rooted(t.adjacency, t.degrees().index(1))[0])
+        pos = np.empty_like(order)
+        pos[order] = np.arange(n)  # each vertex's position on the path
+        xe = np.zeros(n + 2)
+        x, left, right = xe[1:-1], xe[:-2], xe[2:]
+        s = np.empty(n)
+    else:
+        tgt, src = _scatter_pairs([t])
+        x = np.empty(n)
     x[...] = 1 / math.sqrt(n)  # the unit all-ones start, as in the block
     y = np.empty_like(x)
     a = b = 0  # where the last full signed residual peaked and dipped
@@ -366,10 +366,8 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     iterations = 0
     while True:
         # s = A x serves both the check of x and the next step from x
-        if columns is not None:
-            both = xe.take(columns)
-            s = both[:n]
-            s += both[n:]
+        if path:
+            np.add(left, right, out=s)
             if signed:
                 s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
         else:
@@ -382,21 +380,26 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
             if iterations >= fallback_at or not (
                 pair >= 2**-1000 and abs(s.item(a) * xb - s.item(b) * xa) > slack * pair
             ):
-                mu, res, a, b = _full_residual(x, s)
+                # the check, the polish and the result read x in vertex order
+                xv, sv = (x.take(pos), s.take(pos)) if path else (x, s)
+                mu, res, a, b = _full_residual(xv, sv)
+                if path:
+                    a, b = pos.item(a), pos.item(b)
                 if res > tol and iterations >= fallback_at and polish:
                     polish -= 1
-                    z = _rayleigh_step(t, x, mu)
+                    z = _rayleigh_step(t, xv, mu)
                     if z is not None:
-                        x[...] = z
+                        x[...] = z.take(order) if path else z
                         signed = True
                         iterations += 1
                         continue
                     polish = 0
                 if res <= tol or iterations >= max_iter:
-                    return SpectralResult(mu, x.copy(), res, iterations)
+                    return SpectralResult(mu, xv.copy(), res, iterations)
         np.multiply(x, shift, out=y)
         y += s  # s + c x, as addition commutes
-        norm[...] = math.sqrt(y.dot(y))
+        yv = y.take(pos) if path else y  # the dot y.y in vertex order
+        norm[...] = math.sqrt(yv.dot(yv))
         np.divide(y, norm, out=x)
         iterations += 1
 

@@ -191,8 +191,8 @@ class TestOneMatvecPerSweep:
 
     def test_paths_sum_two_columns(self, monkeypatch):
         # no vertex of a path has more than two neighbor terms, so A x is the
-        # sum of two gathered columns of x and never a scatter; 1000 sweeps,
-        # then polish steps
+        # sum of two slices of x held in path order and never a scatter;
+        # 1000 sweeps, then polish steps
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
         r = spectral_radius(relabelled(make_path(60), random.Random(60)), max_iter=2000)

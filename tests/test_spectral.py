@@ -22,7 +22,6 @@ from treeindex.spectral import (
     ConvergenceError,
     SpectralResult,
     _edge_arrays,
-    _neighbor_columns,
     _parent_indices,
     adjacency_matrix,
     caterpillar_symmetry_check,
@@ -38,6 +37,7 @@ from treeindex.spectral import (
 from treeindex.trees import (
     DegreeSequence,
     TreeError,
+    _rooted,
     is_caterpillar,
     make_caterpillar,
     make_path,
@@ -428,6 +428,10 @@ def random_tree(n, seed):
 
 SCREEN_TREES = {
     **{f"path_{n}": (lambda n=n: relabelled(make_path(n), random.Random(n))) for n in (3, 4, 60, 301)},
+    # the lone loop walks a path from its lowest-id leaf: here up the ids,
+    # its layout the identity, and down them, from 0 to 299, 298, ..., 1
+    "path_300": lambda: make_path(300),
+    "path_300_reversed": lambda: tree_from_edges(300, [(-u % 300, -v % 300) for u, v in make_path(300).edges()]),
     **{f"caterpillar_{d}_{n}": (lambda d=d, n=n: relabelled(make_caterpillar(d, n), random.Random(n)))
        for d, n in ((3, 42), (6, 202))},
     **{f"random_{n}": (lambda n=n: random_tree(n, n)) for n in (5, 40, 150)},
@@ -521,6 +525,28 @@ class TestLoneLoop:
             assert got[0] == message
             assert fields(got[1]) == fields(want)
 
+    def test_signed_zeros_after_a_polish(self, monkeypatch):
+        # only a polish step can put -0.0 in x; here the last of the eight
+        # writes three in a row along a path, the next sweep's power step
+        # reads the middle vertex's slice sum of two -0.0, and the budget
+        # exit at sweep 18 returns it: it must carry the scatter's +0.0
+        t = relabelled(make_path(60), random.Random(60))
+        middle = path_layout(t)[0][10:13]
+        step = spectral._rayleigh_step
+
+        def zeroed(t, x, mu):
+            z = step(t, x, mu)
+            z[middle] = -0.0
+            return z
+
+        monkeypatch.setattr(spectral, "_rayleigh_step", zeroed)
+        message, want = full_check_loop(t, 1e-12, 18)
+        got = one_by_one(t, max_iter=18)
+        assert got[0] == message
+        assert fields(got[1]) == fields(want)
+        assert want.iterations == 18
+        assert want.perron[middle[1]] == 0.0 and not np.signbit(want.perron[middle[1]])
+
     def test_screen_settles_the_sweeps(self, monkeypatch):
         # the full check, with its dot mu = x.s, runs on a few dozen of the
         # 150-vertex path's 21,602 sweeps; a screen that never passes would
@@ -554,47 +580,63 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def path_layout(t):
+    """The lone loop's layout of a path: its vertices walked from the
+    lowest-id leaf, and a buffer that keeps one +0.0 before x and one after
+    it, with x and its left and right neighbor slices as views."""
+    order = _rooted(t.adjacency, t.degrees().index(1))[0]
+    xe = np.zeros(t.vertex_count + 2)
+    return order, xe, xe[1:-1], xe[:-2], xe[2:]
+
+
 class TestNeighborColumns:
-    """On a path, or paths laid end to end, A x is the sum of two gathered
-    columns of x, the iterate's buffer keeping one +0.0 past x for a leaf's
-    second term.  It must be the scatter's sum (0 + t1) + t2 bit for bit."""
+    """On a path held in path order, A x is the sum of two slices of the
+    iterate's buffer, the left and right neighbor columns, a pad's +0.0
+    standing in for an end's missing term.  Read back in vertex order, it
+    must be the scatter's sum (0 + t1) + t2 bit for bit."""
 
     @pytest.mark.parametrize("sizes", [(3,), (4,), (7,), (301,), (3, 7, 150, 301)])
     def test_column_sum_is_the_scatter(self, sizes):
+        # each path alone in its buffer, as the lone loop holds it
         rng = random.Random(sum(sizes))
-        trees = [relabelled(make_path(n), rng) for n in sizes]
-        tgt, src = scatter_pairs(trees)
-        size = sum(sizes)
-        first, second = _neighbor_columns(tgt, src, size)
-        xe = np.zeros(size + 1)
-        x = xe[:size]
-        x[...] = [rng.choice((0.0, -0.0, 0.75, -1.5, rng.random(), -rng.random())) for _ in range(size)]
+        both_zero = []
+        for n in sizes:
+            t = relabelled(make_path(n), rng)
+            tgt, src = scatter_pairs([t])
+            order, xe, x, left, right = path_layout(t)
+            pos = np.argsort(order)
+            x[...] = [rng.choice((0.0, -0.0, 0.75, -1.5, rng.random(), -rng.random())) for _ in range(n)]
 
-        def scatter():
-            return np.bincount(tgt, weights=x[src], minlength=size)
+            def scatter():
+                return np.bincount(tgt, weights=x.take(pos)[src], minlength=n)
 
-        want = scatter()
-        plain = xe[first] + xe[second]
-        signed = plain + 0
-        assert same_bits(signed, want)
-        # the plain sum gives -0.0 where both terms are -0.0, and the scatter
-        # +0.0; nowhere else do they differ
-        both = np.signbit(xe[first]) & (xe[first] == 0) & np.signbit(xe[second]) & (xe[second] == 0)
-        assert list(np.flatnonzero(np.signbit(plain) != np.signbit(want))) == list(np.flatnonzero(both))
-        assert both.any() or size < 100  # the larger inputs hold such vertices
-        # with no -0.0 in x, as before any polish step, the plain sum is exact
-        x[x == 0] = 0.0
-        assert same_bits(xe[first] + xe[second], scatter())
+            want = scatter()
+            plain = (left + right).take(pos)
+            signed = (left + right + 0).take(pos)
+            assert same_bits(signed, want)
+            # the plain sum gives -0.0 where both terms are -0.0, and the
+            # scatter +0.0; nowhere else do they differ
+            both = (np.signbit(left) & (left == 0) & np.signbit(right) & (right == 0)).take(pos)
+            assert list(np.flatnonzero(np.signbit(plain) != np.signbit(want))) == list(np.flatnonzero(both))
+            both_zero.append(both.any())
+            # with no -0.0 in x, as before any polish step, the plain sum is exact
+            x[x == 0] = 0.0
+            assert same_bits((left + right).take(pos), scatter())
+        assert any(both_zero) or sum(sizes) < 100  # the larger inputs hold such vertices
 
     def test_columns_follow_the_pairs(self):
-        # each vertex's terms in the order the pairs list them; leaves take
-        # the +0.0 slot at index size
+        # the two slices give each position the terms the scatter pairs
+        # list for its vertex, the pads +0.0 at the two ends, which are the
+        # path's leaves, the lowest-id leaf first
         t = relabelled(make_path(9), random.Random(9))
         tgt, src = scatter_pairs([t])
-        first, second = _neighbor_columns(tgt, src, 9)
-        for v in range(9):
-            terms = list(src[tgt == v]) + [9]
-            assert (first[v], second[v]) == tuple(terms[:2])
+        order, xe, x, left, right = path_layout(t)
+        x[...] = np.array(order) + 1  # vertex ids shifted off the pads' 0
+        assert order[0] == min(v for v in range(9) if t.degree(v) == 1)
+        assert t.degree(order[-1]) == 1 and xe[0] == xe[-1] == 0.0
+        for i, v in enumerate(order):
+            terms = sorted(int(u) - 1 for u in (left[i], right[i]) if u)
+            assert terms == sorted(src[tgt == v].tolist())
 
 
 class TestAdjacencyMatrix:

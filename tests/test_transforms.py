@@ -107,16 +107,16 @@ class TestApplySwitch:
         assert apply_switch(apply_switch(c, m), inverse_move(m)) == c
 
     def test_rejects_equal_v1_v2(self):
-        with pytest.raises(SwitchError):
+        with pytest.raises(SwitchError, match="^v1 and v2 must be distinct$"):
             validate_switch(make_caterpillar(3, 10), SwitchMove(6, 1, 3, 1))
 
     def test_rejects_non_pendant_u1(self):
-        with pytest.raises(SwitchError):
+        with pytest.raises(SwitchError, match="^u1=1 must be a pendant vertex$"):
             validate_switch(make_caterpillar(3, 10), SwitchMove(1, 0, 3, 2))
 
     def test_rejects_pendant_u2(self):
         c = make_caterpillar(3, 10)
-        with pytest.raises(SwitchError):
+        with pytest.raises(SwitchError, match="^u2=9 must be non-pendant$"):
             validate_switch(c, SwitchMove(6, 1, 9, 3))
 
     @pytest.mark.parametrize("field", ["u1_pendant", "v1", "u2", "v2"])
