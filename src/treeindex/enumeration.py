@@ -121,7 +121,11 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
     canonical order.  Each tree is numbered from the first decoration met
     of its code by `_least_rooting`: the least "1"/"0" bracket string over
     the skeleton vertices with the most pendants, a pendant coding as "10".
-    Equal rows of the trees share one tuple."""
+    Equal rows of the trees share one tuple.  Each skeleton level nests one
+    more call under the cache, so with max_degree the levels below k of
+    k's parity are built first, smallest first: each then finds the levels
+    below it cached, and a long path's levels nest no deeper than a short
+    one's."""
     if k < 1:
         raise TreeError("free_trees needs k >= 1")
     if max_degree is not None and max_degree < 0:
@@ -130,15 +134,15 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
         return (Tree(((),)),)
     if k == 2:
         return (Tree(((1,), (0,))),) if max_degree != 0 else ()
+    if max_degree is not None:
+        for j in range(4 - k % 2, k - 1, 2):
+            free_trees(j, max_degree)
     top = k if max_degree is None else max_degree
     first: dict[str, tuple[Tree, tuple[int, ...]]] = {}
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     for m in range(1, k - 1):
         for internal in combinations_with_replacement(range(min(top, k - m), 1, -1), m):
             if sum(internal) == k - 2 + m:
-                # plain loops, no helper or generator expression: each
-                # skeleton level nests these calls once more, and fewer
-                # frames per level let longer path skeletons fit the limit
                 for code, item in _decorations(internal):
                     first.setdefault(code, item)
     return tuple(Tree(tuple([rows.setdefault(row, row) for row in _least_rooting(*first[code])]))
@@ -148,7 +152,7 @@ def free_trees(k: int, max_degree: int | None = None) -> tuple[Tree, ...]:
 # ---------------------------------------------------------------------------
 # degree-sequence enumeration
 
-def _pendant_counts(degrees, counts, twin=()) -> Iterator[tuple[int, ...]]:
+def _pendant_counts(degrees, counts, twin) -> Iterator[tuple[int, ...]]:
     """Distinct ways to hand the internal degrees (value -> count in counts)
     to the skeleton vertices of these degrees so that each keeps
     non-negative pendant slack, as the number of pendant vertices every
@@ -158,7 +162,7 @@ def _pendant_counts(degrees, counts, twin=()) -> Iterator[tuple[int, ...]]:
     handed out.  Values are descending, so the first one too small for a
     vertex ends its choices.
 
-    twin[v], if given, is the last skeleton leaf before the leaf v on the
+    twin[v] is the last skeleton leaf before the leaf v on the
     same neighbour, and len(degrees), where choice holds a 0, for any other
     vertex.  A leaf's choices start at its twin's, so it takes no larger
     value.  Swapping twins is a skeleton automorphism and keeps the code,
@@ -168,7 +172,6 @@ def _pendant_counts(degrees, counts, twin=()) -> Iterator[tuple[int, ...]]:
     left = [counts[value] for value in values]
     last = len(degrees) - 1
     choice = [-1] * len(degrees) + [0]
-    twin = twin or [len(degrees)] * len(degrees)
     slack = [0] * len(degrees)
     v = 0
     while v >= 0:

@@ -43,14 +43,8 @@ of the vertices reads x in vertex order, through one gather of n entries:
 the dot y.y of each power step and, where the screen does not settle a
 sweep, the full check, the polish and the result.  The other steps are
 elementwise, so the order does not change their bits.
-The slice sum gives every vertex the scatter's (0 + t1) + t2 bit for bit.
-IEEE addition commutes, signed zeros included, so it does not matter
-which term a slice holds; and 0 + t equals t unless t is -0.0, so the
-sums can differ only where both terms are -0.0.  The start is positive,
-and a power step maps a nonnegative x with no -0.0 to another (a
-nonnegative matrix applied to it, divided by a positive norm), so only a
-polish step can bring -0.0 into x.  From the first one on, the slice sum
-adds +0, as (t1 + t2) + 0 equals (0 + t1) + t2 for every pair.
+The slice sum t1 + t2 gives every vertex the scatter's (0 + t1) + t2 bit
+for bit, as x never holds -0.0 (see `_lone_iteration`).
 
 The two loops give a tree the same bits sweep for sweep, so a tree the
 block hands off replays its block sweeps exactly in the lone loop.  In a
@@ -237,14 +231,19 @@ def _valuation(t: Tree, f, dtype=None) -> np.ndarray:
     return f
 
 
+def _edge_sum(t: Tree, f: np.ndarray):
+    """2 * sum_{uv in E} f(u) f(v)  ==  <Af, f>."""
+    eu, ev = _edge_arrays(t)
+    return 2.0 * np.sum(f[eu] * f[ev])
+
+
 def rayleigh_quotient(t: Tree, f) -> float:
     """2 * sum_{uv in E} f(u) f(v) / sum_v f(v)^2  ==  <Af, f> / <f, f>."""
     f = _valuation(t, f)
     norm2 = float(f @ f)
     if norm2 == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    eu, ev = _edge_arrays(t)
-    return float(2.0 * np.sum(f[eu] * f[ev]) / norm2)
+    return float(_edge_sum(t, f) / norm2)
 
 
 def _tree_shift_solve(t: Tree, rooting: tuple[list[int], list[int]], sigma: float, b: np.ndarray):
@@ -322,6 +321,13 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     position, and a and b are positions.  A polish step replaces x
     outright, with no power step from it.
 
+    x never holds -0.0: the start is positive, a power step maps a
+    nonnegative x with no -0.0 to another (a nonnegative matrix applied to
+    it, divided by a positive norm), and a polish step writes its vector
+    plus +0.0.  IEEE addition commutes, signed zeros included, and
+    0 + t = t unless t is -0.0, so the path's slice sum t1 + t2 is the
+    scatter's (0 + t1) + t2 bit for bit.
+
     The screen passes only where the full check finds res > tol.  It runs
     before the polish point, where x comes from power steps alone: x >= 0
     with unit norm to within n ulps, so each |s_v| and |mu x_v| is at most
@@ -362,14 +368,11 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     y = np.empty_like(x)
     a = b = 0  # where the last full signed residual peaked and dipped
     polish = 8  # Rayleigh steps allowed from the polish point on
-    signed = False  # whether a polish step has written x, which may put -0.0 in it
     iterations = 0
     while True:
         # s = A x serves both the check of x and the next step from x
         if path:
             np.add(left, right, out=s)
-            if signed:
-                s += 0  # (t1 + t2) + 0 is the scatter's (0 + t1) + t2, signed zeros included
         else:
             s = np.bincount(tgt, weights=x.take(src), minlength=n)
         if iterations:
@@ -389,8 +392,7 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
                     polish -= 1
                     z = _rayleigh_step(t, xv, mu)
                     if z is not None:
-                        x[...] = z.take(order) if path else z
-                        signed = True
+                        np.add(z.take(order) if path else z, 0.0, out=x)  # -0.0 + 0.0 is +0.0
                         iterations += 1
                         continue
                     polish = 0
@@ -551,8 +553,7 @@ def perron_bound_check(t: Tree, f, result: SpectralResult, tol: float = 1e-10) -
         raise ValueError("valuation must be entrywise positive")
     if abs(float(f @ f) - 1.0) > 1e-12:
         raise ValueError("valuation must have unit norm")
-    eu, ev = _edge_arrays(t)
-    edge_sum = float(2.0 * np.sum(f[eu] * f[ev]))
+    edge_sum = float(_edge_sum(t, f))
     return PerronBound(
         holds=result.mu >= edge_sum - tol,
         equality=abs(result.mu - edge_sum) <= tol,

@@ -233,13 +233,24 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "--pi", "3^1_0,1^12")
         assert code == 2 and out == "" and "bad degree token '3^1_0'" in err
 
-    def test_class_too_deep_to_enumerate_exits_2(self, capsys):
+    def test_long_path_class_lists_its_one_caterpillar(self, capsys):
         # the one tree of this class is a 1002-vertex path, whose skeleton
-        # levels (paths of 1000, 998, ... vertices) nest past the
-        # interpreter's recursion limit
+        # levels (paths of 1000, 998, ... vertices) are built smallest first
+        # and so stay within the interpreter's recursion limit
         code, out, err = run(capsys, "search", "--pi", "2^1000,1^2", "--max-n", "1002")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["tree_count"] == report["minimizer_count"] == 1
+        assert report["all_caterpillars"] and len(report["minimizers"]) == 1
+
+    def test_input_too_deep_to_read_exits_2(self, tmp_path, capsys):
+        # a tree JSON whose edges nest 100,000 lists deep is past the
+        # interpreter's recursion limit: one line of error, no traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "mu", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: input nests too deep") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_compact_and_expanded_forms_agree(self, capsys):
         _, out1, _ = run(capsys, "search", "--pi", "3^4,1^6")

@@ -248,6 +248,13 @@ class TestDegreeBoundedFreeTrees:
         with pytest.raises(TreeError):
             free_trees(3, -1)
 
+    def test_long_path_within_the_recursion_limit(self):
+        # each skeleton level is decorated from the level two below it,
+        # 349 levels here; built smallest first, they never nest deep
+        free_trees.cache_clear()
+        (t,) = free_trees(700, 2)
+        assert sorted(t.degrees()) == [1, 1] + [2] * 698 and len(t.edges()) == 699
+
 
 class TestEnumerateTrees:
     def test_single_edge_class(self):
@@ -458,7 +465,7 @@ class TestPendantCounts:
         for skeleton in free_trees(len(internal), max(internal)):
             degrees = skeleton.degrees()
             expected = list(recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees)))
-            assert list(_pendant_counts(degrees, counts)) == expected
+            assert list(_pendant_counts(degrees, counts, [len(degrees)] * len(degrees))) == expected
         assert counts == descending_counts(internal)
 
     @pytest.mark.parametrize("degrees, values, expected", [
@@ -475,7 +482,7 @@ class TestPendantCounts:
         counts = descending_counts(values)
         reference = list(recursive_pendant_counts(degrees, dict(counts), [0] * len(degrees)))
         assert reference == expected
-        assert list(_pendant_counts(degrees, counts)) == expected
+        assert list(_pendant_counts(degrees, counts, [len(degrees)] * len(degrees))) == expected
 
 
 def leaf_twins(adj):
