@@ -525,11 +525,10 @@ class TestLoneLoop:
             assert got[0] == message
             assert fields(got[1]) == fields(want)
 
-    def test_signed_zeros_after_a_polish(self, monkeypatch):
-        # only a polish step can bring -0.0; here the last of the eight
-        # returns three in a row along a path, the next sweep's power step
-        # reads the middle vertex's slice sum of its two neighbors, and the
-        # budget exit at sweep 18 returns it: it must carry the scatter's +0.0
+    @staticmethod
+    def zeroing_polish(monkeypatch):
+        """A relabelled 60-vertex path whose polish step returns -0.0 at
+        three vertices in a row along it, and those vertices."""
         t = relabelled(make_path(60), random.Random(60))
         middle = path_layout(t)[0][10:13]
         step = spectral._rayleigh_step
@@ -540,6 +539,14 @@ class TestLoneLoop:
             return z
 
         monkeypatch.setattr(spectral, "_rayleigh_step", zeroed)
+        return t, middle
+
+    def test_signed_zeros_after_a_polish(self, monkeypatch):
+        # only a polish step can bring -0.0; here the last of the eight
+        # returns three in a row along a path, the next sweep's power step
+        # reads the middle vertex's slice sum of its two neighbors, and the
+        # budget exit at sweep 18 returns it: it must carry the scatter's +0.0
+        t, middle = self.zeroing_polish(monkeypatch)
         message, want = full_check_loop(t, 1e-12, 18)
         got = one_by_one(t, max_iter=18)
         assert got[0] == message
@@ -551,16 +558,7 @@ class TestLoneLoop:
         # the polish step is the one source of -0.0 and writes its vector
         # plus +0.0; under max_iter=16 the budget exit returns the eighth
         # polish's vector, whose three zeros must read +0.0
-        t = relabelled(make_path(60), random.Random(60))
-        middle = path_layout(t)[0][10:13]
-        step = spectral._rayleigh_step
-
-        def zeroed(t, x, mu):
-            z = step(t, x, mu)
-            z[middle] = -0.0
-            return z
-
-        monkeypatch.setattr(spectral, "_rayleigh_step", zeroed)
+        t, middle = self.zeroing_polish(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             spectral_radius(t, max_iter=16)
         r = err.value.result
