@@ -554,12 +554,13 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     matrix B B^T, the one screen of the package; only the trees solved are
     built.  Trees within the fixed screen band of the screened minimum are
     settled by the exact Rayleigh quotients of their Perron vectors;
-    survivors are reported as tied minimizers.
+    survivors are reported as tied minimizers.  The screen only chooses
+    which trees are solved, so a class of one tree skips it.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """
     trees = _listing(pi, max_n)
-    return extremal_report(pi, trees, _parent_indices(trees.parents()))
+    return extremal_report(pi, trees, np.zeros(1) if len(trees) == 1 else _parent_indices(trees.parents()))
 
 
 def find_maximizers(pi: DegreeSequence) -> tuple[Tree, ...]:

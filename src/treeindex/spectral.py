@@ -44,7 +44,13 @@ the dot y.y of each power step and, where the screen does not settle a
 sweep, the full check, the polish and the result.  The other steps are
 elementwise, so the order does not change their bits.
 The slice sum t1 + t2 gives every vertex the scatter's (0 + t1) + t2 bit
-for bit, as x never holds -0.0 (see `_lone_iteration`).
+for bit, as x never holds -0.0 (see `_lone_iteration`).  Until its first
+polish step a path's x is also mirror-symmetric bit for bit, so the lone
+loop sweeps only the half of the path from the lowest-id leaf, its right
+pad a copy of the entry mirrored there, and each gather reads a vertex at
+the nearer of its position and its mirror's.  The first polish step that
+returns a vector writes the whole path, and the loop sweeps the whole
+path from then on.
 
 The two loops give a tree the same bits sweep for sweep, so a tree the
 block hands off replays its block sweeps exactly in the lone loop.  In a
@@ -317,9 +323,9 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     the screen's vertices a and b, the polish count, the shift and the norm
     in 0-d buffers, and the iterate x.  On a path x is a view of a buffer
     that keeps one +0.0 before it and one after it, in path order: `order`
-    lists the vertices along the path and `pos` gives each vertex's
-    position, and a and b are positions.  A polish step replaces x
-    outright, with no power step from it.
+    lists the vertices along the path, `pos` gives each vertex's position
+    and `at` the position the loop reads it at, and a and b are positions.
+    A polish step replaces x outright, with no power step from it.
 
     x never holds -0.0: the start is positive, a power step maps a
     nonnegative x with no -0.0 to another (a nonnegative matrix applied to
@@ -327,6 +333,23 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     plus +0.0.  IEEE addition commutes, signed zeros included, and
     0 + t = t unless t is -0.0, so the path's slice sum t1 + t2 is the
     scatter's (0 + t1) + t2 bit for bit.
+
+    Until a polish step returns a vector, a path's x is mirror-symmetric
+    bit for bit: positions i and n - 1 - i hold the same float.  The start
+    is constant.  If x is symmetric, position i's slice sum
+    x[i - 1] + x[i + 1] and its mirror's x[n - i] + x[n - 2 - i] add the
+    same two floats in swapped order (a pad's +0.0 at both ends), and
+    addition commutes, so s is symmetric; the power step is elementwise
+    with one shift and one norm, so the next x is symmetric too.  So the
+    loop sweeps positions 0 to h - 1 alone, h = ceil(n / 2): before each
+    slice sum it copies into position h, the half's right pad, the float
+    of its mirror n - 1 - h (h - 1 for even n, h - 2 for odd n), which is
+    what position h holds.  Every read in vertex order, the norm's dot,
+    the screen and the full check, goes through at = min(pos, n - 1 - pos)
+    and so gathers the floats the whole path holds, in the same order, and
+    every bit stays as the whole path's sweeps give it.  A polish step's
+    vector need not be symmetric: the first one returned switches the loop
+    to the whole path, `at` to `pos`, for good.
 
     The screen passes only where the full check finds res > tol.  It runs
     before the polish point, where x comes from power steps alone: x >= 0
@@ -359,11 +382,17 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
         pos = np.empty_like(order)
         pos[order] = np.arange(n)  # each vertex's position on the path
         xe = np.zeros(n + 2)
-        x, left, right = xe[1:-1], xe[:-2], xe[2:]
-        s = np.empty(n)
+        # up to the first polish, the half: positions 0 to h - 1, vertex v
+        # read at at[v], and position h, the right pad, copied from its
+        # mirror n - 1 - h, buffer entries pad and mirror
+        h = (n + 1) // 2
+        half, at = True, np.minimum(pos, n - 1 - pos)
+        pad, mirror = h + 1, n - h
+        x, left, right = xe[1 : h + 1], xe[:h], xe[2 : h + 2]
+        s = np.empty(h)
     else:
         tgt, src = _scatter_pairs([t])
-        x = np.empty(n)
+        half, x = False, np.empty(n)
     x[...] = 1 / math.sqrt(n)  # the unit all-ones start, as in the block
     y = np.empty_like(x)
     a = b = 0  # where the last full signed residual peaked and dipped
@@ -372,6 +401,8 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
     while True:
         # s = A x serves both the check of x and the next step from x
         if path:
+            if half:
+                xe[pad] = xe[mirror]
             np.add(left, right, out=s)
         else:
             s = np.bincount(tgt, weights=x.take(src), minlength=n)
@@ -384,14 +415,18 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
                 pair >= 2**-1000 and abs(s.item(a) * xb - s.item(b) * xa) > slack * pair
             ):
                 # the check, the polish and the result read x in vertex order
-                xv, sv = (x.take(pos), s.take(pos)) if path else (x, s)
+                xv, sv = (x.take(at), s.take(at)) if path else (x, s)
                 mu, res, a, b = _full_residual(xv, sv)
                 if path:
-                    a, b = pos.item(a), pos.item(b)
+                    a, b = at.item(a), at.item(b)
                 if res > tol and iterations >= fallback_at and polish:
                     polish -= 1
                     z = _rayleigh_step(t, xv, mu)
                     if z is not None:
+                        if half:  # z breaks the symmetry: sweep the whole path from here
+                            half, at = False, pos
+                            x, left, right = xe[1:-1], xe[:-2], xe[2:]
+                            s, y = np.empty(n), np.empty(n)
                         np.add(z.take(order) if path else z, 0.0, out=x)  # -0.0 + 0.0 is +0.0
                         iterations += 1
                         continue
@@ -400,7 +435,7 @@ def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> Spe
                     return SpectralResult(mu, xv.copy(), res, iterations)
         np.multiply(x, shift, out=y)
         y += s  # s + c x, as addition commutes
-        yv = y.take(pos) if path else y  # the dot y.y in vertex order
+        yv = y.take(at) if path else y  # the dot y.y in vertex order
         norm[...] = math.sqrt(yv.dot(yv))
         np.divide(y, norm, out=x)
         iterations += 1

@@ -636,6 +636,23 @@ class TestFindMinimizers:
             half_size(n)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("pi", ["3,1^3", "2^60,1^2"])
+    def test_one_tree_class_skips_the_screen(self, monkeypatch, pi):
+        # the screen only chooses which trees are solved, and a class of one
+        # tree has no choice to make: the report must be the screened one
+        pi = DegreeSequence.parse(pi)
+        trees = _listing(pi, pi.n)
+        assert len(trees) == 1
+        want = extremal_report(pi, trees, _parent_indices(trees.parents())).to_json()
+
+        def refuse(parent):
+            if len(parent) == 1:
+                raise AssertionError("a one-tree class was screened")
+            return _parent_indices(parent)
+
+        monkeypatch.setattr(enumeration, "_parent_indices", refuse)
+        assert find_minimizers(pi, max_n=pi.n).to_json() == want
+
     def test_report_serialization(self):
         report = find_minimizers(DegreeSequence.semiregular(3, 12))
         text = report.to_json()

@@ -192,11 +192,13 @@ class TestOneMatvecPerSweep:
     def test_paths_sum_two_columns(self, monkeypatch):
         # no vertex of a path has more than two neighbor terms, so A x is the
         # sum of two slices of x held in path order and never a scatter;
-        # 1000 sweeps, then polish steps
+        # 1000 sweeps on the half of an even and of an odd path, then polish
+        # steps on the whole path
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
-        r = spectral_radius(relabelled(make_path(60), random.Random(60)), max_iter=2000)
-        assert r.iterations == 1002
+        for n in (60, 61):
+            r = spectral_radius(relabelled(make_path(n), random.Random(n)), max_iter=2000)
+            assert r.iterations == 1002
         assert counting.bincounts == 0
 
 

@@ -427,7 +427,9 @@ def random_tree(n, seed):
 
 
 SCREEN_TREES = {
-    **{f"path_{n}": (lambda n=n: relabelled(make_path(n), random.Random(n))) for n in (3, 4, 60, 301)},
+    # 5 and 61, like 3 and 301, have a middle vertex, whose half sweep takes
+    # its right neighbor from the mirror pad
+    **{f"path_{n}": (lambda n=n: relabelled(make_path(n), random.Random(n))) for n in (3, 4, 5, 60, 61, 301)},
     # the lone loop walks a path from its lowest-id leaf: here up the ids,
     # its layout the identity, and down them, from 0 to 299, 298, ..., 1
     "path_300": lambda: make_path(300),
@@ -598,13 +600,16 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def path_layout(t):
+def path_layout(t, half=False):
     """The lone loop's layout of a path: its vertices walked from the
     lowest-id leaf, and a buffer that keeps one +0.0 before x and one after
-    it, with x and its left and right neighbor slices as views."""
+    it, with x and its left and right neighbor slices as views, of the
+    whole path or, with half, of its first ceil(n / 2) positions."""
     order = _rooted(t.adjacency, t.degrees().index(1))[0]
-    xe = np.zeros(t.vertex_count + 2)
-    return order, xe, xe[1:-1], xe[:-2], xe[2:]
+    n = t.vertex_count
+    m = (n + 1) // 2 if half else n
+    xe = np.zeros(n + 2)
+    return order, xe, xe[1 : m + 1], xe[:m], xe[2 : m + 2]
 
 
 class TestNeighborColumns:
@@ -612,7 +617,10 @@ class TestNeighborColumns:
     iterate's buffer, the left and right neighbor columns, a pad's +0.0
     standing in for an end's missing term.  For an x with no -0.0, as the
     lone loop holds it, the sum read back in vertex order must be the
-    scatter's sum (0 + t1) + t2 bit for bit."""
+    scatter's sum (0 + t1) + t2 bit for bit.  So must the sum over the
+    first half of a mirror-symmetric x, its right pad copied from the
+    mirror, read back at the nearer of each vertex's position and its
+    mirror's."""
 
     @pytest.mark.parametrize("sizes", [(3,), (4,), (7,), (301,), (3, 7, 150, 301)])
     def test_column_sum_is_the_scatter(self, sizes):
@@ -626,6 +634,15 @@ class TestNeighborColumns:
             x[...] = [rng.choice((0.0, 0.75, -1.5, rng.random(), -rng.random())) for _ in range(n)]
             want = np.bincount(tgt, weights=x.take(pos)[src], minlength=n)
             assert same_bits((left + right).take(pos), want)
+            # x + x[::-1] is mirror-symmetric bit for bit, as addition
+            # commutes, and holds no -0.0
+            symmetric = x + x[::-1]
+            order, xe, x, left, right = path_layout(t, half=True)
+            h = len(x)
+            x[...] = symmetric[:h]
+            xe[h + 1] = x[n - 1 - h]  # the right pad, position h, from its mirror
+            want = np.bincount(tgt, weights=symmetric.take(pos)[src], minlength=n)
+            assert same_bits((left + right).take(np.minimum(pos, n - 1 - pos)), want)
 
     def test_columns_follow_the_pairs(self):
         # the two slices give each position the terms the scatter pairs
