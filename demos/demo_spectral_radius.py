@@ -34,7 +34,7 @@ t = make_caterpillar(3, 14)
 result = spectral_radius(t)
 trunk = trunk_path(t)
 print(f"mu(C(3,14)) = {result.mu:.12f}  residual {result.residual:.2e} "
-      f"after {result.iterations} iterations")
+      f"in {result.iterations} passes along the tree")
 print("trunk values:", " ".join(f"{result.perron[v]:.6f}" for v in trunk))
 print("mirror symmetric:", caterpillar_symmetry_check(t, result))
 print("unimodal from the argmax:",

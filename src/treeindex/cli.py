@@ -31,7 +31,7 @@ from .enumeration import (
     extremal_choice,
     find_minimizers,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, _parent_indices, spectral_radius
+from .spectral import ConvergenceError, _parent_indices, spectral_radius
 from .transforms import (
     ReductionError,
     caterpillar_bound_witness,
@@ -120,7 +120,7 @@ def cmd_caterpillar(args: argparse.Namespace) -> int:
 
 def cmd_mu(args: argparse.Namespace) -> int:
     t = _read_tree(args.tree)
-    result = spectral_radius(t, tol=args.tol, max_iter=args.max_iter)
+    result = spectral_radius(t)
     if args.format == "table":
         lines = [
             f"mu         = {result.mu:.6g}",
@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mu", help="index and Perron vector of a tree JSON file")
     p.add_argument("tree")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mu)

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import _parent_indices, spectral_radii
+from .spectral import _parent_indices, spectral_radius
 from .trees import (
     CanonicalForm,
     DegreeSequence,
@@ -483,7 +483,7 @@ def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
 def _resolve_ties(trees: dict[int, Tree], candidates: list[int], solved) -> tuple[list[int], float | None]:
     """The candidates that stay minimal when tied ones are settled by the
     exact Rayleigh quotients of their Perron vectors, from `solved`, their
-    `spectral_radii` results in candidate order, with the least quotient; a
+    `spectral_radius` results in candidate order, with the least quotient; a
     lone candidate stands without one."""
     if len(candidates) == 1:
         return candidates, None
@@ -496,13 +496,13 @@ def extremal_choice(trees: _Trees, mus: np.ndarray) -> list[int]:
     """Positions of the minimizers of the class listed by `_listing` as
     trees, screened by `_parent_indices(trees.parents())`: the same trees
     `extremal_report` reports, without the index values it carries.  Two or
-    more candidates are solved as one block; a lone one is not.  Each
-    candidate is indexed in trees once."""
+    more candidates are solved; a lone one is not.  Each candidate is
+    indexed in trees once."""
     candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
     built = {i: trees[i] for i in candidates}
-    return _resolve_ties(built, candidates, spectral_radii(list(built.values())))[0]
+    return _resolve_ties(built, candidates, [spectral_radius(t) for t in built.values()])[0]
 
 
 def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> SearchReport:
@@ -512,10 +512,10 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
 
     The screened values `mus` only pick, by `_screen` of all trees and of
     the rest, the candidates and the trees within the band of the runner-up.
-    The values the report carries are `spectral_radii` indices of those
-    trees, all solved as one block, each once; tied candidates are settled
-    by `_resolve_ties`, whose exact quotient is the minimum when two or
-    more survive.  The runner-up is the least solved tree not chosen, so
+    The values the report carries are `spectral_radius` indices of those
+    trees, each solved once; tied candidates are settled by
+    `_resolve_ties`, whose exact quotient is the minimum when two or more
+    survive.  The runner-up is the least solved tree not chosen, so
     the band only chooses which trees are solved, never the report.  Each
     minimizer's canonical form is its code in `trees.codes`, not coded
     again.
@@ -525,7 +525,7 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     runners = rest[_screen(mus[rest])[1]].tolist() if len(rest) else []
     pool = candidates + runners
     built = {i: trees[i] for i in pool}
-    solved = dict(zip(pool, spectral_radii(list(built.values()))))
+    solved = {i: spectral_radius(t) for i, t in built.items()}
     chosen, settled = _resolve_ties(built, candidates, [solved[i] for i in candidates])
     best = min(solved[i].mu for i in chosen)
     others = [r.mu for i, r in solved.items() if i not in chosen]

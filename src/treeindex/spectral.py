@@ -3,106 +3,41 @@ checks used by the rearrangement machinery: Rayleigh quotients, the
 positive-eigenvector bound, unimodality, and caterpillar symmetry.
 
 Whole classes of same-order trees have one screen, `_parent_indices`,
-which the class search and `verify-min` share.  It reads a listed class's
-parent columns, `trees.parents()` of `enumeration._listing`, with no tree
-built: a tree is bipartite, so its index is the root of the top
-eigenvalue of B B^T, B the biadjacency with the smaller side on its rows,
-at most n/2 square, and one `np.linalg.eigvalsh` call takes a chunk of
-these stacked Gram matrices.
-Screened values rank trees, while reported indices come from
-`spectral_radius` or, for several trees at once, `spectral_radii`.
+which the class search and `verify-min` share: the index of a bipartite
+tree is the root of the top eigenvalue of the Gram matrix B B^T of its
+biadjacency, at most n/2 square, and one `np.linalg.eigvalsh` call takes
+a chunk of them.  Screened values rank trees; reported indices come from
+`spectral_radius`.
 
-The index of a tree is computed matrix-free by shifted power iteration.
-Trees are bipartite, so -mu is also an eigenvalue; iterating on A + cI with
-c = max degree separates |mu + c| from |-mu + c| and makes the iteration
-converge to the Perron direction from the all-ones start.  Convergence is
-measured by the eigenvalue-equation residual
-
-    residual = max_v | mu*f(v) - sum_{u ~ v} f(u) |.
-
-Each sweep computes s = A x once and uses s both to check x and for the
-power step from x.  Everything runs in float64.  Two loops run the
-sweeps, each with one job.  The lone loop runs one tree from start to
-finish: the sweeps, the polish and the budget exit.  Its state is plain
-locals, with no per-sweep views or lists.  The block loop only sweeps,
-and checks once per chunk of sweeps: `spectral_radii` groups its trees of
-three or more vertices by order, and each group of two or more runs as one
-block up to the polish point.  Every tree that reaches tol there is done;
-every other tree, and every tree alone in its order, runs the lone loop
-from the start.
-
-The block's s is one scatter over the edges taken in both directions,
-`np.bincount`, which starts each vertex at +0.0 and adds its terms in the
-order the edges list them.  The lone loop scatters the same way, except
-on a path: there it holds x in path order, walked from the lowest-id
-leaf, in a buffer with one +0.0 before x and one after it.  Position i
-then has its neighbor terms x[i - 1] and x[i + 1] in two fixed slices of
-the buffer, an end taking a pad's +0.0 for its missing term, and s is one
-add of the two slices, with no gather.  Only what depends on the order
-of the vertices reads x in vertex order, through one gather of n entries:
-the dot y.y of each power step and, where the screen does not settle a
-sweep, the full check, the polish and the result.  The other steps are
-elementwise, so the order does not change their bits.
-The slice sum t1 + t2 gives every vertex the scatter's (0 + t1) + t2 bit
-for bit, as x never holds -0.0 (see `_lone_iteration`).  Until its first
-polish step a path's x is also mirror-symmetric bit for bit, so the lone
-loop sweeps only the half of the path from the lowest-id leaf, its right
-pad a copy of the entry mirrored there, and each gather reads a vertex at
-the nearer of its position and its mirror's.  The first polish step that
-returns a vector writes the whole path, and the loop sweeps the whole
-path from then on.
-
-The two loops give a tree the same bits sweep for sweep, so a tree the
-block hands off replays its block sweeps exactly in the lone loop.  In a
-block each vertex receives its own tree's terms in the order the tree
-alone gives them, the power step is elementwise, and the dots mu = x.s and
-y.y are taken by `np.matmul` of (r, 1, n) and (r, n, 1) views, which numpy
-computes row by row with the kernel of `ndarray.dot`, the call the lone
-loop makes.  The lone loop keeps its shift and its norm in 0-d float64
-buffers, whose products and quotients are those of the block's spread
-vectors, element by element; it reads the screen's entries as Python
-floats and takes the norm's root with `math.sqrt`, both the IEEE
-operations numpy applies to its float64 scalars.
-
-The lone loop's check is screened exactly.  Before the polish point only
-res <= tol ends the power steps, so a sweep there need only prove
-res > tol, and a two-vertex bound does that with no dot: for any shift m
-and vertices a, b with x_a, x_b >= 0,
-
-    max(|m x_a - s_a|, |m x_b - s_b|) >= |s_a x_b - s_b x_a| / (x_a + x_b),
-
-as s_a x_b - s_b x_a = x_b (s_a - m x_a) - x_a (s_b - m x_b).  The loop
-takes a and b where the last full signed residual mu*x - s peaked and
-dipped, and a sweep whose bound, rounded, passes a slack just above tol
-skips the full check; `_lone_iteration` shows that no rounding or
-underflow lets the screen pass where the full check would find
-res <= tol.  The full residual is taken whenever the screen does not
-settle it and on every sweep from the polish point on, so every stop,
-polish decision and reported residual is the one the full check gives.
-It refreshes a and b and reads res as the larger of the peak and minus
-the dip.  The block has no screen, since checking never changes a sweep:
-it sweeps a chunk of iterates unchecked, keeping each x and s, then takes
-the full residual of every tree at every iterate of the chunk at once,
-and each tree stops at its first iterate at tol.  A tree that stops keeps
-stepping on its own entries, which no other tree reads.
-
-If the top eigenvalue gap is too small for plain power sweeps, a
-Rayleigh-quotient polish kicks in halfway through the sweep budget: the
-current Rayleigh estimate is used as a shift for a few inverse-iteration
-steps, solved exactly in O(n) along the tree.  The reported residual is
-always the true residual of the returned vector.
+`spectral_radius` solves one tree by leaf elimination of qI - A, rooted at
+a centre: vertex v gets the pivot p_v = q - sum_c 1/p_c over its children
+c, and the index lies below q exactly when every pivot is positive
+(Sylvester's law of inertia; Jacobs and Trevisan, "Locating the
+eigenvalues of trees", Linear Algebra Appl. 434, 2011).  Bisection on q in
+float64, from sqrt(D) <= index < 2 sqrt(D - 1) for maximum degree D, ends
+at two adjacent doubles.  The float count may err within a few ulps of the
+index, so the same count in exact integer pairs decides the last bit: at
+the midpoint between two neighbouring doubles, a rational that is not an
+integer and so never an eigenvalue of a tree or of a subtree, it walks to
+the correctly rounded index c.  The Perron vector is three solves of
+(sigma I - A) y = x along the same elimination, sigma the least double
+above the index, each scaled to unit length by `math.fsum` with positive
+sum.  The solve runs on Python floats and ints, so its values depend on
+the tree alone, not on the BLAS kernel; the reported residual
+max_v |c x_v - (A x)_v| is that of the returned vector.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
 
 import numpy as np
 
-from .trees import Tree, TreeError, _rooted, trunk_path
+from .trees import Tree, TreeError, _centers, _rooted, trunk_path
 
 __all__ = [
     "ConvergenceError",
@@ -111,7 +46,6 @@ __all__ = [
     "adjacency_matrix",
     "rayleigh_quotient",
     "spectral_radius",
-    "spectral_radii",
     "perron_bound_check",
     "is_unimodal",
     "pendant_minima_check",
@@ -126,16 +60,13 @@ DEFAULT_MAX_ITER = 100_000
 # biadjacency stack to CLASS_CHUNK * n * n / 2 floats and its Gram stack to
 # half that, however large the class is
 CLASS_CHUNK = 128
-# iterates per check of a block solve, fewer where they or their A x would
-# pass _CHUNK_FLOATS floats, however many trees the block holds
-_CHUNK_SWEEPS = 32
-_CHUNK_FLOATS = 1 << 14
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration did not reach the residual target.
+    """The solved eigenpair missed the residual target or is not entrywise
+    positive.
 
-    The last iterate is attached as `.result` so callers can inspect it.
+    The result is attached as `.result` so callers can inspect it.
     """
 
     def __init__(self, message: str, result: "SpectralResult"):
@@ -145,7 +76,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Converged top eigenpair: index mu and positive unit Perron vector."""
+    """Top eigenpair: index mu and positive unit Perron vector."""
 
     mu: float
     perron: np.ndarray
@@ -237,6 +168,11 @@ def _valuation(t: Tree, f, dtype=None) -> np.ndarray:
     return f
 
 
+def _norm2(f: np.ndarray) -> float:
+    """f . f summed by `math.fsum`, one rounding whatever the BLAS kernel."""
+    return math.fsum((f * f).tolist())
+
+
 def _edge_sum(t: Tree, f: np.ndarray):
     """2 * sum_{uv in E} f(u) f(v)  ==  <Af, f>."""
     eu, ev = _edge_arrays(t)
@@ -246,304 +182,143 @@ def _edge_sum(t: Tree, f: np.ndarray):
 def rayleigh_quotient(t: Tree, f) -> float:
     """2 * sum_{uv in E} f(u) f(v) / sum_v f(v)^2  ==  <Af, f> / <f, f>."""
     f = _valuation(t, f)
-    norm2 = float(f @ f)
+    norm2 = _norm2(f)
     if norm2 == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
     return float(_edge_sum(t, f) / norm2)
 
 
-def _tree_shift_solve(t: Tree, rooting: tuple[list[int], list[int]], sigma: float, b: np.ndarray):
-    """Solve (A - sigma*I) y = b exactly by leaf elimination along
-    `rooting`, the (order, parent) walk `_rooted` gives of t; None if a
-    pivot vanishes (sigma essentially an eigenvalue of a subtree).  The
-    elimination runs on Python floats, the IEEE operations of float64."""
-    order, parent = rooting
-    adj = t.adjacency
-    d = [0.0] * t.vertex_count
-    bb = b.tolist()
-    for v in reversed(order):
-        up = parent[v]
-        pivot, rhs = -sigma, bb[v]
-        for u in adj[v]:
-            if u != up:
-                pivot -= 1.0 / d[u]
-                rhs -= bb[u] / d[u]
-        if abs(pivot) < 1e-14:
-            return None
-        d[v], bb[v] = pivot, rhs
-    for v in order:  # back substitution in place, parents first: bb[v] becomes y[v]
-        if parent[v] < 0:
-            bb[v] = bb[v] / d[v]
-        else:
-            bb[v] = (bb[v] - bb[parent[v]]) / d[v]
-    return np.array(bb)
+def _elimination(t: Tree) -> list[tuple[int, int]]:
+    """The leaf elimination of t rooted at its least centre: every vertex
+    with its parent, children before parents, the root last with the spare
+    slot n in place of a parent.  The exact count's integers grow with the
+    size of each subtree, so the centre halves its work on a long path."""
+    root = _centers(t.adjacency)[0]
+    order, parent = _rooted(t.adjacency, root)
+    parent[root] = t.vertex_count
+    return [(v, parent[v]) for v in reversed(order)]
 
 
-def _rayleigh_step(t: Tree, x: np.ndarray, mu: float):
-    """One inverse-iteration step shifted by the Rayleigh estimate mu: the
-    unit solution of (A - mu*I) y = x with positive sum, or None if the
-    shift and its nudges all hit a vanishing pivot."""
-    rooting = _rooted(t.adjacency, 0)
-    for bump in (0.0, 1e-10, -1e-10, 1e-8):
-        y = _tree_shift_solve(t, rooting, mu + bump * max(1.0, abs(mu)), x)
-        if y is not None:
-            y = y / np.sqrt(y @ y)
-            return -y if float(np.sum(y)) < 0.0 else y
-    return None
+def _below(steps: list[tuple[int, int]], q: float) -> bool:
+    """The float count: whether every pivot p_v = q - sum_c 1/p_c of qI - A,
+    in float64, is positive, which says the index lies below q."""
+    acc = [0.0] * (len(steps) + 1)  # each vertex's sum of 1/p_c over its children
+    for v, up in steps:
+        p = q - acc[v]
+        if not p > 0.0:
+            return False
+        acc[up] += 1.0 / p
+    return True
 
 
-def _scatter_pairs(trees: list[Tree]) -> tuple[np.ndarray, np.ndarray]:
-    """The scatter pairs `tgt`/`src` of k trees of one order n laid end to
-    end, tree i on vertices i*n to i*n + n - 1.  Edge uv sends x[v] to u,
-    then (second half) x[u] to v, so in a block a vertex receives its own
-    tree's terms in the order a lone tree gives them."""
-    n = trees[0].vertex_count
-    edges = [_edge_arrays(t) for t in trees]
-    eu = np.concatenate([u + i * n for i, (u, _) in enumerate(edges)])
-    ev = np.concatenate([v + i * n for i, (_, v) in enumerate(edges)])
-    return np.concatenate((eu, ev)), np.concatenate((ev, eu))
+def _below_exact(steps: list[tuple[int, int]], q: Fraction) -> bool:
+    """The exact count: whether the index lies below the rational q, from
+    the pivots of qI - A as integer pairs, numerator over a positive
+    denominator, with no gcd.  A vertex sums its children's 1/p_c pairwise,
+    in balanced halves, and frees each pair as soon as it is read, so only
+    the pairs of pending vertices live."""
+    a, b = q.numerator, q.denominator
+    terms: list = [[] for _ in range(len(steps) + 1)]  # each vertex's 1/p_c over its children
+    for v, up in steps:
+        s, terms[v] = terms[v], None
+        for i in range(0, 2 * len(s) - 2, 2):  # s grows by one sum for every two terms read
+            (s0, s1), (t0, t1) = s[i], s[i + 1]
+            s[i] = s[i + 1] = None
+            s.append((s0 * t1 + t0 * s1, s1 * t1))
+        num, den = (a * s[-1][1] - b * s[-1][0], b * s[-1][1]) if s else (a, b)
+        if num <= 0:
+            return False
+        terms[up].append((den, num))
+    return True
 
 
-def _full_residual(x: np.ndarray, s: np.ndarray) -> tuple[float, float, int, int]:
-    """The lone loop's full check of iterate x with s = A x: mu = x.s, the
-    residual max_v |mu x_v - s_v|, and the vertices a and b where the
-    signed residual mu x - s peaks and dips.  The residual is the larger
-    of the peak and minus the dip, under `abs` so that an all-zero
-    residual reads +0.0."""
-    mu = float(x.dot(s))
-    r = mu * x - s
-    a, b = int(r.argmax()), int(r.argmin())
-    return mu, abs(max(r.item(a), -r.item(b))), a, b
+def _midpoint(k: int) -> Fraction:
+    """The midpoint between the positive doubles of bit patterns k and k + 1."""
+    return (Fraction(_double(k)) + Fraction(_double(k + 1))) / 2
 
 
-def _lone_iteration(t: Tree, tol: float, max_iter: int, fallback_at: int) -> SpectralResult:
-    """The power-iteration loop on one tree of three or more vertices, as
-    the module docstring describes, with its polish point at sweep
-    `fallback_at`: the last iterate, unchecked.  Its state is plain locals:
-    the screen's vertices a and b, the polish count, the shift and the norm
-    in 0-d buffers, and the iterate x.  On a path x is a view of a buffer
-    that keeps one +0.0 before it and one after it, in path order: `order`
-    lists the vertices along the path, `pos` gives each vertex's position
-    and `at` the position the loop reads it at, and a and b are positions.
-    A polish step replaces x outright, with no power step from it.
+def _double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
 
-    x never holds -0.0: the start is positive, a power step maps a
-    nonnegative x with no -0.0 to another (a nonnegative matrix applied to
-    it, divided by a positive norm), and a polish step writes its vector
-    plus +0.0.  IEEE addition commutes, signed zeros included, and
-    0 + t = t unless t is -0.0, so the path's slice sum t1 + t2 is the
-    scatter's (0 + t1) + t2 bit for bit.
 
-    Until a polish step returns a vector, a path's x is mirror-symmetric
-    bit for bit: positions i and n - 1 - i hold the same float.  The start
-    is constant.  If x is symmetric, position i's slice sum
-    x[i - 1] + x[i + 1] and its mirror's x[n - i] + x[n - 2 - i] add the
-    same two floats in swapped order (a pad's +0.0 at both ends), and
-    addition commutes, so s is symmetric; the power step is elementwise
-    with one shift and one norm, so the next x is symmetric too.  So the
-    loop sweeps positions 0 to h - 1 alone, h = ceil(n / 2): before each
-    slice sum it copies into position h, the half's right pad, the float
-    of its mirror n - 1 - h (h - 1 for even n, h - 2 for odd n), which is
-    what position h holds.  Every read in vertex order, the norm's dot,
-    the screen and the full check, goes through at = min(pos, n - 1 - pos)
-    and so gathers the floats the whole path holds, in the same order, and
-    every bit stays as the whole path's sweeps give it.  A polish step's
-    vector need not be symmetric: the first one returned switches the loop
-    to the whole path, `at` to `pos`, for good.
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
 
-    The screen passes only where the full check finds res > tol.  It runs
-    before the polish point, where x comes from power steps alone: x >= 0
-    with unit norm to within n ulps, so each |s_v| and |mu x_v| is at most
-    K = Δ(1 + 2^-20) for any tree of fewer than 2^30 vertices.  Take
-    u = 2^-53 and eta = 2^-1075, the most a product that lands below the
-    normal range can be off (a sum or difference of floats is exact
-    there).  With X = x_a + x_b and D = s_a x_b - s_b x_a, the screen's
-    rounded |D| is at most (|D| + u K X + 2 eta)(1 + u), and its rounded
-    slack * X at least slack X (1 - u)^2 - eta.  So a pass gives
-    |D| / X > slack (1 - 3u) - u K - 3 eta / X.  A residual entry, rounded
-    as fl(fl(mu x_v) - s_v), is at least (|mu x_v - s_v| - u K - eta)(1 - u),
-    and by the bound one of a and b has |mu x_v - s_v| >= |D| / X.  Hence,
-    as X < 3, the full check gives res > slack (1 - 4u) - 2u K - 6 eta / X.
-    The guard X >= 2^-1000 keeps 6 eta / X below 2^-72.  The slack
-    tol (1 + 2^-50) + 2^-47 (Δ + 1), rounded, is at least
-    tol (1 + 5u) - eta + 2^-47 (Δ + 1)(1 - u), and 2^-47 (Δ + 1) is far
-    above 2u K + 2^-72 + eta, so res > tol.  A tol so large that the slack
-    overflows makes the screen never pass."""
+
+def _inverse_step(steps: list[tuple[int, int]], sigma: float, x: list[float]) -> list[float]:
+    """The solution y of (sigma I - A) y = x along the leaf elimination,
+    scaled by `math.fsum` to unit length and positive sum.  Each pivot and
+    right-hand side sums its children's terms by `math.fsum`, so a pivot
+    near 0 is off by about one rounding of sigma, however many children it
+    has.  sigma lies above the index, so every exact pivot is positive, and
+    so is y for a positive x; a float pivot that rounds to 0.0 or below
+    takes ulp(sigma) in its place, a change of A within that rounding."""
+    n = len(x)
+    recips: list[list[float]] = [[] for _ in range(n + 1)]  # 1/p_c of each vertex's children
+    shares = [[v] for v in x] + [[]]  # x_v and r_c/p_c of each vertex's children
+    pivot, rhs = [0.0] * n, [0.0] * n
+    for v, up in steps:
+        p = sigma - math.fsum(recips[v])
+        p = pivot[v] = p if p > 0.0 else math.ulp(sigma)
+        r = rhs[v] = math.fsum(shares[v])
+        recips[up].append(1.0 / p)
+        shares[up].append(r / p)
+    y = [0.0] * (n + 1)  # y[n] = 0 stands for the root's missing parent
+    for v, up in reversed(steps):
+        y[v] = (rhs[v] + y[up]) / pivot[v]
+    del y[n]
+    norm = math.copysign(math.sqrt(math.fsum(v * v for v in y)), math.fsum(y))
+    return [v / norm for v in y]
+
+
+def _solve(t: Tree) -> SpectralResult:
+    """The correctly rounded index of t and its Perron vector, unchecked,
+    as the module docstring describes; `iterations` counts the O(n)
+    passes along the elimination."""
     n = t.vertex_count
+    if n == 1:
+        return SpectralResult(0.0, np.ones(1), 0.0, 0)
+    if n == 2:
+        r = math.sqrt(0.5)
+        return SpectralResult(1.0, np.array([r, r]), 0.0, 0)
+    steps = _elimination(t)
     degree = max(t.degrees())
-    shift = np.array(float(degree))
-    norm = np.empty(())
-    slack = tol * (1 + 2**-50) + 2**-47 * (degree + 1)
-    path = degree <= 2
-    if path:
-        # x in path order from the lowest-id leaf, between two +0.0 pads:
-        # position i's neighbor terms are left[i] = x[i - 1] and right[i] = x[i + 1]
-        order = np.array(_rooted(t.adjacency, t.degrees().index(1))[0])
-        pos = np.empty_like(order)
-        pos[order] = np.arange(n)  # each vertex's position on the path
-        xe = np.zeros(n + 2)
-        # up to the first polish, the half: positions 0 to h - 1, vertex v
-        # read at at[v], and position h, the right pad, copied from its
-        # mirror n - 1 - h, buffer entries pad and mirror
-        h = (n + 1) // 2
-        half, at = True, np.minimum(pos, n - 1 - pos)
-        pad, mirror = h + 1, n - h
-        x, left, right = xe[1 : h + 1], xe[:h], xe[2 : h + 2]
-        s = np.empty(h)
+    lo, hi = math.sqrt(degree), 2.0 * math.sqrt(degree - 1)
+    passes = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        passes += 1
+        if _below(steps, mid):
+            hi = mid
+        else:
+            lo = mid
+
+    def below(q: Fraction) -> bool:
+        nonlocal passes
+        passes += 1
+        return _below_exact(steps, q)
+
+    # the exact count at the midpoint above the double of bit pattern k is
+    # false up to some k and true from it on, and that k's double is the
+    # correctly rounded index: gallop from lo to k's bracket [a, b], false
+    # at a and true at b, then halve it
+    a = b = _bits(lo)
+    step = 1
+    if below(_midpoint(b)):
+        while below(_midpoint(a := b - step)):
+            b, step = a, 2 * step
     else:
-        tgt, src = _scatter_pairs([t])
-        half, x = False, np.empty(n)
-    x[...] = 1 / math.sqrt(n)  # the unit all-ones start, as in the block
-    y = np.empty_like(x)
-    a = b = 0  # where the last full signed residual peaked and dipped
-    polish = 8  # Rayleigh steps allowed from the polish point on
-    iterations = 0
-    while True:
-        # s = A x serves both the check of x and the next step from x
-        if path:
-            if half:
-                xe[pad] = xe[mirror]
-            np.add(left, right, out=s)
-        else:
-            s = np.bincount(tgt, weights=x.take(src), minlength=n)
-        if iterations:
-            xa, xb = x.item(a), x.item(b)
-            pair = xa + xb
-            # before fallback_at only res <= tol ends the power steps; the
-            # two-vertex bound above slack proves res > tol
-            if iterations >= fallback_at or not (
-                pair >= 2**-1000 and abs(s.item(a) * xb - s.item(b) * xa) > slack * pair
-            ):
-                # the check, the polish and the result read x in vertex order
-                xv, sv = (x.take(at), s.take(at)) if path else (x, s)
-                mu, res, a, b = _full_residual(xv, sv)
-                if path:
-                    a, b = at.item(a), at.item(b)
-                if res > tol and iterations >= fallback_at and polish:
-                    polish -= 1
-                    z = _rayleigh_step(t, xv, mu)
-                    if z is not None:
-                        if half:  # z breaks the symmetry: sweep the whole path from here
-                            half, at = False, pos
-                            x, left, right = xe[1:-1], xe[:-2], xe[2:]
-                            s, y = np.empty(n), np.empty(n)
-                        np.add(z.take(order) if path else z, 0.0, out=x)  # -0.0 + 0.0 is +0.0
-                        iterations += 1
-                        continue
-                    polish = 0
-                if res <= tol or iterations >= max_iter:
-                    return SpectralResult(mu, xv.copy(), res, iterations)
-        np.multiply(x, shift, out=y)
-        y += s  # s + c x, as addition commutes
-        yv = y.take(at) if path else y  # the dot y.y in vertex order
-        norm[...] = math.sqrt(yv.dot(yv))
-        np.divide(y, norm, out=x)
-        iterations += 1
-
-
-def _block_sweeps(trees: list[Tree], tol: float, fallback_at: int) -> list[SpectralResult | None]:
-    """The power sweeps of two or more trees of one order n >= 3, in
-    float64, as the module docstring describes: the iterate of each tree
-    where its residual first reaches tol, by sweep `fallback_at`, unchecked,
-    and None for each tree still running there.  The block lays the k trees
-    end to end on flat vectors, tree i on entries i*n to i*n + n - 1, and
-    spreads each tree's shift and norm over its n entries.  Each sweep takes
-    the k norms y.y by one matmul of (k, 1, n) and (k, n, 1) views; each
-    chunk of sweeps takes all its dots x.s by one matmul and all its full
-    residuals by one pass."""
-    k, n = len(trees), trees[0].vertex_count
-    tgt, src = _scatter_pairs(trees)
-    shift = np.repeat(np.array([max(t.degrees()) for t in trees], dtype=np.float64), n)
-    rows = max(1, min(_CHUNK_SWEEPS, _CHUNK_FLOATS // (k * n)))
-    xs = np.empty((rows + 1, k * n))  # row j: iterate done + j; row m starts the next chunk
-    ss = np.empty((rows, k * n))
-    xs[0] = 1 / np.sqrt(n)  # the lone loop's start for every tree
-    y = np.empty(k * n)
-    yr, yc = y.reshape(k, 1, n), y.reshape(k, n, 1)
-    norms = np.empty((k, 1, 1))
-    results: list = [None] * k
-    live = np.ones(k, dtype=bool)
-    done = 0  # sweeps before the chunk
-    while True:
-        m = min(rows, fallback_at + 1 - done)  # the last chunk ends at fallback_at
-        for j in range(m):
-            # s = A x serves both the check of x and the next step from x
-            ss[j] = np.bincount(tgt, weights=xs[j][src], minlength=k * n)
-            # a stopped tree steps on beside the others and is never read again
-            np.multiply(shift, xs[j], out=y)
-            y += ss[j]  # s + c x, as addition commutes
-            np.matmul(yr, yc, out=norms)
-            np.divide(y, np.sqrt(norms, out=norms).repeat(n), out=xs[j + 1])
-        first = 0 if done else 1  # iterate 0 is never checked
-        # row r: tree r % k at iterate done + first + r // k
-        x, s = xs[first:m].reshape(-1, n), ss[first:m].reshape(-1, n)
-        mus = np.matmul(x.reshape(-1, 1, n), s.reshape(-1, n, 1)).reshape(-1)
-        r = np.abs(mus.repeat(n) * x.reshape(-1) - s.reshape(-1))
-        res = np.maximum.reduceat(r, np.arange(0, r.size, n))
-        reached = (res <= tol).reshape(-1, k)
-        for i in np.flatnonzero(live & reached.any(axis=0)).tolist():
-            row = int(np.argmax(reached[:, i])) * k + i
-            results[i] = SpectralResult(mus.item(row), x[row].copy(), res.item(row), done + first + row // k)
-            live[i] = False
-        if not live.any() or done + m - 1 >= fallback_at:
-            return results
-        xs[0] = xs[m]
-        done += m
-
-
-def _power_iteration(trees: list[Tree], tol: float, max_iter: int) -> list[SpectralResult]:
-    """The last iterate of each tree, unchecked; `spectral_radii` checks them.
-    Trees of one and two vertices take their closed forms.  The others are
-    grouped by order: each group of two or more runs the block sweeps up to
-    the lone loop's polish point, checked once per chunk of sweeps, and
-    every tree alone in its order or left running there runs the lone loop
-    from the start.  Both loops get that point from here.  A block of two
-    trees already costs less than two lone solves."""
-    results: list = [None] * len(trees)
-    orders: dict[int, list[int]] = {}
-    for pos, t in enumerate(trees):
-        if t.vertex_count == 1:
-            results[pos] = SpectralResult(0.0, np.ones(1), 0.0, 0)
-        elif t.vertex_count == 2:
-            r = math.sqrt(0.5)
-            results[pos] = SpectralResult(1.0, np.array([r, r]), 0.0, 0)
-        else:
-            orders.setdefault(t.vertex_count, []).append(pos)
-    fallback_at = max(1, max_iter // 2)  # the lone loop's polish point, never above max_iter
-    for group in orders.values():
-        if len(group) > 1:
-            for pos, r in zip(group, _block_sweeps([trees[pos] for pos in group], tol, fallback_at)):
-                results[pos] = r
-    return [_lone_iteration(t, tol, max_iter, fallback_at) if r is None else r for t, r in zip(trees, results)]
-
-
-def spectral_radii(
-    trees: Sequence[Tree],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[SpectralResult]:
-    """`spectral_radius` of every tree in `trees`, in order, solved as one
-    block: each result equals the one `spectral_radius` gives that tree,
-    byte for byte.  A tol that is not a positive finite number, or a
-    max_iter that is not an integer of at least 1, raises ValueError.  A
-    failure raises the ConvergenceError of the first tree in order whose
-    last iterate misses tol or is not entrywise positive."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    results = _power_iteration(list(trees), tol, max_iter)
-    for r in results:
-        if r.residual > tol:
-            raise ConvergenceError(
-                f"residual {r.residual:.3e} above tol {tol:.3e} after {r.iterations} iterations",
-                r,
-            )
-        if not np.all(r.perron > 0.0):
-            raise ConvergenceError("iterate is not entrywise positive", r)
-    return results
+        while not below(_midpoint(b := a + step)):
+            a, step = b, 2 * step
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (a, m) if below(_midpoint(m)) else (m, b)
+    c = _double(b)
+    sigma = c if below(Fraction(c)) else math.nextafter(c, math.inf)
+    x = [1.0] * n
+    for _ in range(3):
+        x = _inverse_step(steps, sigma, x)
+    residual = max(abs(c * v - math.fsum(x[u] for u in nbrs)) for v, nbrs in zip(x, t.adjacency))
+    return SpectralResult(c, np.array(x), residual, passes + 3)
 
 
 def spectral_radius(
@@ -552,18 +327,32 @@ def spectral_radius(
     max_iter: int = DEFAULT_MAX_ITER,
     extended: bool = False,
 ) -> SpectralResult:
-    """Index mu(t) with its positive unit eigenvector, in float64: the lone
-    loop of the power iteration, run as `spectral_radii([t], tol, max_iter)`,
-    whose budget checks and ConvergenceError it shares.
+    """Index mu(t), correctly rounded, with its positive unit Perron vector.
 
-    There is no extended-precision mode: `extended=True` raises
-    ValueError.  The parameter stays only because the benchmark's tracer,
-    `bench/tracing.py`, binds every traced call and reads
-    `arguments["extended"]`; without it `--trace 1` runs would fail.
+    `tol` is a postcondition: a residual above it, or a vector that is not
+    entrywise positive, raises ConvergenceError with the result attached.
+    A tol that is not a positive finite number, or a max_iter that is not
+    an integer of at least 1, raises ValueError.  `max_iter` bounds
+    nothing, as the solve takes about 60 passes whatever the tree, and
+    there is no extended-precision mode: `extended=True` raises
+    ValueError.  Both stay only because the benchmark's tracer,
+    `bench/tracing.py`, binds every traced call and reads `max_iter` and
+    `extended`; without them `--trace 1` runs would fail.
     """
     if extended:
         raise ValueError("spectral_radius has no extended-precision mode")
-    return spectral_radii([t], tol, max_iter)[0]
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    r = _solve(t)
+    if r.residual > tol:
+        raise ConvergenceError(f"residual {r.residual:.3e} above tol {tol:.3e}", r)
+    if not np.all(r.perron > 0.0):
+        raise ConvergenceError("Perron vector is not entrywise positive", r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -586,7 +375,7 @@ def perron_bound_check(t: Tree, f, result: SpectralResult, tol: float = 1e-10) -
     _valuation(t, result.perron)
     if not np.all(f > 0.0):
         raise ValueError("valuation must be entrywise positive")
-    if abs(float(f @ f) - 1.0) > 1e-12:
+    if abs(_norm2(f) - 1.0) > 1e-12:
         raise ValueError("valuation must have unit norm")
     edge_sum = float(_edge_sum(t, f))
     return PerronBound(
@@ -687,7 +476,7 @@ def symmetrize_caterpillar(t: Tree, f) -> np.ndarray:
     out = f.copy()
     for orbit in orbits or [list(t.vertices())]:
         out[orbit] = float(np.mean(f[orbit]))
-    norm2 = float(out @ out)
+    norm2 = _norm2(out)
     if norm2 == 0.0:
         raise ValueError("the symmetrized valuation is the zero vector and has no direction")
     out /= np.sqrt(norm2)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    _norm2,
     is_unimodal,
     rayleigh_quotient,
     spectral_radius,
@@ -222,7 +223,7 @@ def switch_certificate(t: Tree, f, m: SwitchMove) -> SwitchCertificate:
     new_valuation = _transport(t, f, m)
     rq_before = rayleigh_quotient(t, f)
     rq_after = rayleigh_quotient(new_tree, new_valuation)
-    norm2 = float(f @ f)
+    norm2 = _norm2(f)
     fu1, fu2 = float(f[m.u1_pendant]), float(f[m.u2])
     fv1, fv2 = float(f[m.v1]), float(f[m.v2])
     if fu1 <= fu2:

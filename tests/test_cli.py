@@ -166,7 +166,7 @@ class TestVerifyMinCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("verify-min solved for an index it does not print")
 
-        monkeypatch.setattr(enumeration, "spectral_radii", refuse)
+        monkeypatch.setattr(enumeration, "spectral_radius", refuse)
         code, out, _ = run(capsys, "verify-min", "--d", str(d), "--n", str(n))
         assert code == 0 and out.endswith("VERIFIED: unique minimizer is the caterpillar\n")
 
@@ -277,11 +277,13 @@ class TestGoldenOutput:
     """Exact stdout bytes; the reported floats must not move by an ulp."""
 
     def test_search_json_unique_minimizer(self, capsys):
+        # min_mu is the minimizer's index correctly rounded, checked in
+        # exact arithmetic by test_pinned
         code, out, _ = run(capsys, "search", "--pi", "4^3,3^3,2,1^11", "--format", "json")
         assert code == 0
         assert out == (
-            '{"all_caterpillars":true,"gap_to_runner_up":0.0040346544390774675,'
-            '"min_mu":2.397502007330666,"minimizer_count":1,"minimizers":[{"buds_max_degree":true,'
+            '{"all_caterpillars":true,"gap_to_runner_up":0.0040346544390779115,'
+            '"min_mu":2.3975020073306657,"minimizer_count":1,"minimizers":[{"buds_max_degree":true,'
             '"canonical_code":"((((()()())()()))(((()()())())())())","edges":[[0,1],[0,2],[0,7],'
             "[0,8],[1,9],[1,10],[1,11],[2,3],[3,4],[3,12],[4,5],[4,13],[5,6],[5,14],[6,15],"
             '[6,16],[6,17]],"is_caterpillar":true,"trunk_monotone":false}],"pi":"4^3,3^3,2,1^11",'
@@ -419,7 +421,10 @@ class TestStrictTreeJson:
 
 
 class TestNumericOptions:
-    """Out-of-range numbers are usage errors that name the option."""
+    """`mu` has no numeric options: the solve takes its passes along the
+    tree's elimination, with no tolerance or sweep budget to set, so
+    `--tol` and `--max-iter` are usage errors that name the option, with
+    any value."""
 
     @pytest.mark.parametrize(
         "flags, name",
@@ -431,7 +436,7 @@ class TestNumericOptions:
         path = tmp_path / "p4.json"
         path.write_text(tree_to_json(tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])))
         code, out, err = run(capsys, "mu", str(path), *flags)
-        assert code == 2 and out == "" and name in err
+        assert code == 2 and out == "" and "unrecognized arguments: --" + name.replace("_", "-") in err
 
 
 class TestClosedStdout:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from test_spectral import built_indices, oracle_indices
-from treeindex import enumeration, spectral
+from treeindex import enumeration
 from treeindex import trees as trees_module
 from treeindex.cli import main
 from treeindex.enumeration import (
@@ -859,26 +859,24 @@ class TestExactRayleigh:
 
 class TestOneSolvePerTieCandidate:
     """Ties are settled from the solve each candidate already gets: no
-    tree is solved twice, and a search solves its candidates as one
-    block."""
+    tree is solved twice, and a search solves only its pool."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        loop = spectral._power_iteration
+        solve = enumeration.spectral_radius
 
-        def recorded(trees, tol, max_iter):
-            made.append(list(trees))
-            return loop(trees, tol, max_iter)
+        def recorded(t, *args, **kwargs):
+            made.append(t)
+            return solve(t, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_power_iteration", recorded)
+        monkeypatch.setattr(enumeration, "spectral_radius", recorded)
         return made
 
     @staticmethod
     def assert_one_solve_each(calls):
-        assert len(calls) == 1  # one block per search
-        solved = [t for block in calls for t in block]
-        assert len(solved) == len(set(solved))
+        assert len(calls) >= 2
+        assert len(calls) == len(set(calls))
 
     def test_find_minimizers(self, calls):
         assert len(find_minimizers(TIED_MINIMIZER_CLASS).minimizers) == 11
@@ -892,25 +890,15 @@ class TestOneSolvePerTieCandidate:
         self.assert_one_solve_each(calls)
 
     @pytest.mark.parametrize("pi", ["4^4,3^2,2,1^12", "4^3,3^3,2,1^11", "5,4^2,3,2^5,1^10"])
-    def test_served_pools_never_hand_off(self, monkeypatch, pi):
-        # a search's tie pool holds trees of one order, which the block
-        # sweeps to tol long before the polish point: none runs the lone loop
-        blocks, lone = [], []
-        sweeps, loop = spectral._block_sweeps, spectral._lone_iteration
-
-        def recorded_block(trees, *args):
-            blocks.append(len(trees))
-            return sweeps(trees, *args)
-
-        def recorded_lone(t, *args):
-            lone.append(t)
-            return loop(t, *args)
-
-        monkeypatch.setattr(spectral, "_block_sweeps", recorded_block)
-        monkeypatch.setattr(spectral, "_lone_iteration", recorded_lone)
-        find_minimizers(DegreeSequence.parse(pi))
-        assert len(blocks) == 1 and blocks[0] >= 2
-        assert lone == []
+    def test_served_pools_never_hand_off(self, calls, pi):
+        # a search's pool holds its candidates and the trees within the
+        # band of the runner-up, each solved once in at most 60 passes of
+        # the elimination, and its minimum is the correctly rounded index
+        report = find_minimizers(DegreeSequence.parse(pi))
+        self.assert_one_solve_each(calls)
+        solved = [spectral_radius(t) for t in calls]
+        assert max(r.iterations for r in solved) <= 60
+        assert report.min_mu == min(r.mu for r in solved)
 
 
 class TestFindMaximizers:
@@ -971,7 +959,7 @@ class TestFindMaximizers:
         def refuse(*args, **kwargs):
             raise AssertionError("the maximizer was searched for")
 
-        for name in ("_parent_indices", "spectral_radii", "_listing"):
+        for name in ("_parent_indices", "spectral_radius", "_listing"):
             monkeypatch.setattr(enumeration, name, refuse)
         (built,) = find_maximizers(TIED_MINIMIZER_CLASS)
         assert DegreeSequence.of_tree(built) == TIED_MINIMIZER_CLASS

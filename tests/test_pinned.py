@@ -1,31 +1,16 @@
 """Outputs pinned to the bit, and the work done to produce them.
 
-`pinned_outputs.json` holds values captured from the implementation that
-computed A x twice per power sweep, re-derived subtree codes at every
-ancestor in `canonical_order`, and built a `Tree` for every decoration in
-enumeration.  The `free_trees_adjacency_sha256` and
-`enumerate_edge_lists_sha256` entries were captured from the generator
-that met each skeleton first among all its rootings and coded every
-decoration recursively.  The `spectral_sha256` and
-`spectral_budget_exits` entries were captured from the sweep that
-scattered A x with two `np.add.at` passes and took the full residual
-vector after every sweep.  The `counterexample_minimizers` entry was
-captured from the implementation that found proper branches by component
-search and arms by `Tree.path`.  The `reduce_json` and `witness_sha256`
-entries were captured from the implementation that rebuilt every switched
-tree from its edge list.  The `search_tied_class_stdout` and
-`tie_class_minimizers` entries were captured from the implementation that
-settled ties with a second, longdouble solve of every tie candidate.
-The `verify_min_stdout_sha256` entries were captured from the
-implementation that coded every tree of the class again with
-`canonical_form` for its row.
-The 600- and 1200-vertex path entries of `spectral_sha256` were captured
-from the sweep that scattered A x with `np.bincount` on every block, and
-its relabelled (4, 302) caterpillar entry from the loop that ran a tree
-alone as a block of one.
-Every `free_trees` entry was captured from a generator that listed rooted
-trees and kept the rootings at a centre; free trees now come from the
-degree-class decoration loop.  The leaner code must reproduce them exactly.
+`pinned_outputs.json` holds values captured from earlier implementations
+that the leaner code must reproduce exactly: the `free_trees`,
+enumeration, canonical-order and `verify_min_stdout_sha256` entries, and
+every minimizer set, edge list, code and reduction route.  The floats
+that come from an index solve, the `spectral_*` entries, `min_mu` and
+`gap_to_runner_up` in the search entries, and the Rayleigh data of the
+`reduce_json` and `witness_sha256` entries, were captured from the solve
+by inertia-count bisection and inverse iteration, which gives the
+correctly rounded index and depends on the tree alone, not on the BLAS
+kernel.  Where one of them moved at that capture, from the power
+iteration's last bits, the new value is checked here in exact arithmetic.
 """
 
 import contextlib
@@ -107,9 +92,7 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# trees whose full spectral_radius JSON is pinned by its sha256; each path
-# runs 50,000 sweeps before the Rayleigh polish finishes it, and the
-# relabelled caterpillar 21,816 sweeps of the scatter
+# trees whose full spectral_radius JSON is pinned by its sha256
 SHA_TREES = {
     **{
         f"path_{n}_relabelled_seed_{n}": lambda n=n: relabelled(make_path(n), random.Random(n))
@@ -133,23 +116,36 @@ REPLAY_TREES = {
     },
 }
 
-# small or unreachable targets on the 60-vertex path.  Budgets of 1-3
-# sweeps start the polish at once, and it settles on a non-Perron
-# eigenvector; 50 sweeps converge; tol=1e-300 runs out of sweeps.
+# budgets on the 60-vertex path, which the power iteration once spent on
+# sweeps: max_iter now bounds nothing, so each returns the default result,
+# and tol=1e-300 lies below the residual, so it raises with that result
 BUDGET_EXITS = {
     **{f"path_60_max_iter_{m}": dict(max_iter=m) for m in (1, 2, 3, 50)},
     "path_60_tol_1e-300_max_iter_3000": dict(tol=1e-300, max_iter=3000),
 }
 
 
+def assert_exact_index(t, r):
+    """r is the index of t correctly rounded, with a positive vector whose
+    residual is at most 1e-15."""
+    assert is_correctly_rounded_index(t, r.mu)
+    assert np.all(r.perron > 0.0)
+    assert r.residual <= 1e-15
+
+
 class TestPinnedSpectra:
     def test_fork19(self):
-        assert spectral_radius(FORK_19).to_json() == PINNED["spectral_fork19"]
+        r = spectral_radius(FORK_19)
+        assert r.to_json() == PINNED["spectral_fork19"]
+        assert r.mu == math.sqrt(6)
+        assert_exact_index(FORK_19, r)
 
     def test_path60_through_the_polish(self):
+        # 52 float counts of the bisection, 3 exact counts and 3 solves
         r = spectral_radius(make_path(60), max_iter=2000)
-        assert r.iterations == 1002  # 1000 sweeps, then two inverse-iteration solves
+        assert r.iterations == 58
         assert r.to_json() == PINNED["spectral_path60_max_iter_2000"]
+        assert_exact_index(make_path(60), r)
 
     @pytest.mark.parametrize("name", SHA_TREES)
     def test_sha256(self, name):
@@ -165,11 +161,18 @@ class TestPinnedSpectra:
             message, r = str(err), err.result
         assert [message, sha256(r.to_json())] == PINNED["spectral_budget_exits"][name]
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_free_trees_are_correctly_rounded(self, k):
+        # P4 among them, and every tree whose elimination meets a pivot
+        # that rounds to 0.0
+        for t in free_trees(k):
+            assert_exact_index(t, spectral_radius(t))
+
 
 class TestOneMatvecPerSweep:
     class CountingNumpy:
         """Stands in for numpy inside `spectral`, counting the scatter calls
-        that compute A x, `np.bincount`."""
+        that once computed A x, `np.bincount`."""
 
         def __init__(self):
             self.bincounts = 0
@@ -182,23 +185,24 @@ class TestOneMatvecPerSweep:
             return getattr(np, name)
 
     def test_sweeps_without_polish(self, monkeypatch):
+        # no sweep: the solve is O(n) passes of the elimination, and the
+        # one A x, the residual's, sums each vertex's neighbors by math.fsum
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
         r = spectral_radius(FORK_19)
-        # one A x per sweep plus the one that checks the last iterate, each a
-        # single scatter
-        assert counting.bincounts == r.iterations + 1
+        assert counting.bincounts == 0
+        assert r.iterations <= 60
 
     def test_paths_sum_two_columns(self, monkeypatch):
-        # no vertex of a path has more than two neighbor terms, so A x is the
-        # sum of two slices of x held in path order and never a scatter;
-        # 1000 sweeps on the half of an even and of an odd path, then polish
-        # steps on the whole path
+        # a path of either parity, and whatever max_iter, takes the same
+        # passes; its index is correctly rounded
         counting = self.CountingNumpy()
         monkeypatch.setattr(spectral, "np", counting)
         for n in (60, 61):
-            r = spectral_radius(relabelled(make_path(n), random.Random(n)), max_iter=2000)
-            assert r.iterations == 1002
+            t = relabelled(make_path(n), random.Random(n))
+            r = spectral_radius(t, max_iter=2000)
+            assert r.iterations <= 60
+            assert_exact_index(t, r)
         assert counting.bincounts == 0
 
 
@@ -287,6 +291,18 @@ class TestPinnedCounterexamples:
         got = find_minimizers(DegreeSequence.parse(pi)).to_json()
         assert got == PINNED["counterexample_minimizers"][pi]
         assert '"all_caterpillars":false' in got
+
+    # the unique minimizers whose min_mu was captured anew from the
+    # correctly rounded solve; 5^3,3,1^12 has index sqrt(7), and the last
+    # is the class of the search golden test
+    @pytest.mark.parametrize("pi", ["5^3,3,1^12", "4^3,3,2^3,1^9", "4^3,3^3,2,1^11"])
+    def test_unique_min_mu_is_the_correctly_rounded_index(self, pi):
+        report = find_minimizers(DegreeSequence.parse(pi))
+        (t,) = report.minimizers
+        assert is_correctly_rounded_index(t, report.min_mu)
+        assert_exact_index(t, spectral_radius(t))
+        if pi == "5^3,3,1^12":
+            assert report.min_mu == math.sqrt(7)
 
 
 # tie classes with n <= 18 beyond those of counterexample_minimizers; the
