@@ -16,10 +16,14 @@ c, and the index lies below q exactly when every pivot is positive
 eigenvalues of trees", Linear Algebra Appl. 434, 2011).  Bisection on q in
 float64, from sqrt(D) <= index < 2 sqrt(D - 1) for maximum degree D, ends
 at two adjacent doubles.  The float count may err within a few ulps of the
-index, so the same count in exact integer pairs decides the last bit: at
-the midpoint between two neighbouring doubles, a rational that is not an
-integer and so never an eigenvalue of a tree or of a subtree, it walks to
-the correctly rounded index c.  The Perron vector is three solves of
+index, so a certified count decides the last bit: at the midpoint between
+two neighbouring doubles, a rational that is not an integer and so never
+an eigenvalue of a tree or of a subtree, it walks to the correctly rounded
+index c.  It holds each pivot as an interval of integers in units of
+2^-64, rounded outward, which proves the sign of nearly every pivot, and
+the same count in exact integer pairs answers only where an interval
+straddles 0 (a running error bound for Sylvester counts, as in Demmel,
+Dhillon and Ren, ETNA 3, 1995).  The Perron vector is three solves of
 (sigma I - A) y = x along the same elimination, sigma the least double
 above the index, each scaled to unit length by `math.fsum` with positive
 sum.  The solve runs on Python floats and ints, so its values depend on
@@ -60,6 +64,10 @@ DEFAULT_MAX_ITER = 100_000
 # biadjacency stack to CLASS_CHUNK * n * n / 2 floats and its Gram stack to
 # half that, however large the class is
 CLASS_CHUNK = 128
+# the certified count's scale: every pivot is held in units of 2^-64, so
+# that q times _FIXED_ONE is an integer at every double and midpoint >= 1
+_FIXED_ONE = 1 << 64
+_FIXED_SQUARE = _FIXED_ONE * _FIXED_ONE
 
 
 class ConvergenceError(RuntimeError):
@@ -168,6 +176,17 @@ def _valuation(t: Tree, f, dtype=None) -> np.ndarray:
     return f
 
 
+def _perron_of(t: Tree, result: SpectralResult) -> np.ndarray:
+    """result's Perron vector, checked to be t's: a wrong length, or a
+    residual max_v |mu x_v - (A x)_v| on t above DEFAULT_TOL, raises
+    ValueError."""
+    f = _valuation(t, result.perron)
+    residual = _residual(t, result.mu, f.tolist())
+    if not residual <= DEFAULT_TOL:
+        raise ValueError(f"result is not this tree's: residual {residual:.3e} above {DEFAULT_TOL:.0e}")
+    return f
+
+
 def _norm2(f: np.ndarray) -> float:
     """f . f summed by `math.fsum`, one rounding whatever the BLAS kernel."""
     return math.fsum((f * f).tolist())
@@ -232,6 +251,33 @@ def _below_exact(steps: list[tuple[int, int]], q: Fraction) -> bool:
     return True
 
 
+def _below_fixed(steps: list[tuple[int, int]], q: Fraction) -> bool | None:
+    """The certified count: the exact count's answer at q, or None where it
+    cannot decide.  Each pivot is held as an integer interval [L, H] that
+    contains p_v * 2^64, a leaf's [Q, Q] for Q = q * 2^64 and a parent's
+    [Q - sum_c ceil(2^128 / L_c), Q - sum_c floor(2^128 / H_c)], rounded
+    outward.  L > 0 proves a pivot positive; H <= 0, with every earlier
+    pivot proven positive, proves the answer False, as the exact count
+    finds there.  Any other interval, or a q that 2^64 does not scale to an
+    integer, is undecided."""
+    num, den = q.numerator, q.denominator
+    if _FIXED_ONE % den:
+        return None
+    scaled = num * (_FIXED_ONE // den)
+    low = [0] * (len(steps) + 1)  # each vertex's sum of ceil(2^128 / L_c) over its children
+    high = [0] * (len(steps) + 1)  # and of floor(2^128 / H_c)
+    for v, up in steps:
+        lo = scaled - low[v]
+        if lo > 0:
+            low[up] += -(-_FIXED_SQUARE // lo)
+            high[up] += _FIXED_SQUARE // (scaled - high[v])
+        elif scaled - high[v] <= 0:
+            return False
+        else:
+            return None
+    return True
+
+
 def _midpoint(k: int) -> Fraction:
     """The midpoint between the positive doubles of bit patterns k and k + 1."""
     return (Fraction(_double(k)) + Fraction(_double(k + 1))) / 2
@@ -243,6 +289,11 @@ def _double(k: int) -> float:
 
 def _bits(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _residual(t: Tree, mu: float, x: list[float]) -> float:
+    """max_v |mu x_v - (A x)_v|, each (A x)_v summed by `math.fsum`."""
+    return max(abs(mu * v - math.fsum(x[u] for u in nbrs)) for v, nbrs in zip(x, t.adjacency))
 
 
 def _inverse_step(steps: list[tuple[int, int]], sigma: float, x: list[float]) -> list[float]:
@@ -293,14 +344,19 @@ def _solve(t: Tree) -> SpectralResult:
             lo = mid
 
     def below(q: Fraction) -> bool:
+        # one pass: the certified count, and the exact count in the same
+        # pass only where the certified one is undecided
         nonlocal passes
         passes += 1
-        return _below_exact(steps, q)
+        fixed = _below_fixed(steps, q)
+        return _below_exact(steps, q) if fixed is None else fixed
 
-    # the exact count at the midpoint above the double of bit pattern k is
-    # false up to some k and true from it on, and that k's double is the
+    # the count at the midpoint above the double of bit pattern k is false
+    # up to some k and true from it on, and that k's double is the
     # correctly rounded index: gallop from lo to k's bracket [a, b], false
-    # at a and true at b, then halve it
+    # at a and true at b, then halve it; then one count at c itself,
+    # which can be an eigenvalue (K_{1,9} at 3), where only the exact count
+    # answers
     a = b = _bits(lo)
     step = 1
     if below(_midpoint(b)):
@@ -317,8 +373,7 @@ def _solve(t: Tree) -> SpectralResult:
     x = [1.0] * n
     for _ in range(3):
         x = _inverse_step(steps, sigma, x)
-    residual = max(abs(c * v - math.fsum(x[u] for u in nbrs)) for v, nbrs in zip(x, t.adjacency))
-    return SpectralResult(c, np.array(x), residual, passes + 3)
+    return SpectralResult(c, np.array(x), _residual(t, c, x), passes + 3)
 
 
 def spectral_radius(
@@ -368,11 +423,12 @@ def perron_bound_check(t: Tree, f, result: SpectralResult, tol: float = 1e-10) -
     """Check the positive-test-vector bound against a converged result.
 
     `f` must be positive with unit norm, and equality within tol forces f to
-    be the Perron vector.  `result` is taken to be t's: only its length is
-    checked.  A valuation or result of the wrong length raises ValueError.
+    be the Perron vector.  A valuation of the wrong length, or a `result`
+    that is not t's (`_perron_of`: its residual on t exceeds DEFAULT_TOL),
+    raises ValueError.
     """
     f = _valuation(t, f, np.float64)
-    _valuation(t, result.perron)
+    _perron_of(t, result)
     if not np.all(f > 0.0):
         raise ValueError("valuation must be entrywise positive")
     if abs(_norm2(f) - 1.0) > 1e-12:
@@ -419,8 +475,9 @@ def is_unimodal(t: Tree, f, v_hat: int, tol: float = 0.0) -> bool:
 def pendant_minima_check(t: Tree, result: SpectralResult) -> bool:
     """True iff every pendant vertex is a strict local minimum of the
     Perron vector.  K_2 fails by symmetry: both entries are equal.
-    `result` is taken to be t's: only a wrong length raises ValueError."""
-    f = _valuation(t, result.perron)
+    A `result` that is not t's, by its residual on t (`_perron_of`), raises
+    ValueError."""
+    f = _perron_of(t, result)
     for v in t.vertices():
         if t.degree(v) == 1:
             u = t.neighbors(v)[0]
@@ -444,9 +501,10 @@ def caterpillar_symmetry_check(t: Tree, result: SpectralResult, tol: float = 1e-
     """True iff the Perron values are invariant under reversing the trunk.
 
     Pendant values are compared pod against mirrored pod as sorted lists.
-    `result` is taken to be t's: only a wrong length raises ValueError.
+    A `result` that is not t's, by its residual on t (`_perron_of`), raises
+    ValueError.
     """
-    f = _valuation(t, result.perron)
+    f = _perron_of(t, result)
     for a, b, pa, pb in _mirror_pairs(t):
         if abs(float(f[a] - f[b])) > tol or len(pa) != len(pb):
             return False
@@ -491,10 +549,10 @@ def caterpillar_trunk_residual(t: Tree, result: SpectralResult) -> float:
     where v_0 and v_{k+1} are pendant neighbors of the trunk ends.  The
     recurrence follows from eliminating pendant values (mu*f(p) = f(v_i))
     from the eigenvalue equation; it holds at every trunk vertex of a
-    caterpillar whose non-pendant vertices share the degree d.  `result` is
-    taken to be t's: only a wrong length raises ValueError.
+    caterpillar whose non-pendant vertices share the degree d.  A `result`
+    that is not t's, by its residual on t (`_perron_of`), raises ValueError.
     """
-    f = _valuation(t, result.perron)
+    f = _perron_of(t, result)
     trunk = trunk_path(t)
     if not trunk:
         return 0.0

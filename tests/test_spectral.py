@@ -246,6 +246,27 @@ def one_by_one(t, **budget):
         return str(err), err.result
 
 
+def count_calls(monkeypatch):
+    """Calls of the float, certified and exact counts from here on, and of
+    the certified ones that decided, by wrapping the module's functions."""
+    counts = {"float": 0, "fixed": 0, "decided": 0, "exact": 0}
+    below, fixed, exact = spectral._below, spectral._below_fixed, spectral._below_exact
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            counts[kind] += 1
+            answer = fn(*args)
+            counts["decided"] += kind == "fixed" and answer is not None
+            return answer
+
+        return wrapper
+
+    monkeypatch.setattr(spectral, "_below", counted("float", below))
+    monkeypatch.setattr(spectral, "_below_fixed", counted("fixed", fixed))
+    monkeypatch.setattr(spectral, "_below_exact", counted("exact", exact))
+    return counts
+
+
 def fields(r):
     return r.mu, r.perron.tobytes(), r.residual, r.iterations
 
@@ -503,8 +524,8 @@ def screened(name):
 
 class TestLoneLoop:
     """Every tree is solved alone: float inertia counts screen each step of
-    the bisection, and exact counts make the full check of the last bit.
-    The test names are those of the lone power loop these tests once
+    the bisection, and certified counts, exact ones where those cannot
+    decide, make the full check of the last bit.  The test names are those of the lone power loop these tests once
     covered, kept so that the suite's test ids stay stable."""
 
     @pytest.mark.parametrize("budget", [{}, {"max_iter": 2000}], ids=["converges", "polishes"])
@@ -565,25 +586,90 @@ class TestLoneLoop:
                 assert min(x) > 0.0 and not np.any(np.signbit(x))
 
     def test_screen_settles_the_sweeps(self, monkeypatch):
-        # the float count takes every bisection step and the exact count
-        # only a few, at the last bit: two or three to round, one more for
-        # the shift; then three solves
-        counts = {"float": 0, "exact": 0}
-        below, exact = spectral._below, spectral._below_exact
-
-        def counted(kind, fn):
-            def wrapper(*args):
-                counts[kind] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(spectral, "_below", counted("float", below))
-        monkeypatch.setattr(spectral, "_below_exact", counted("exact", exact))
+        # the float count takes every bisection step and the last-bit
+        # counts only a few: two or three to round, one more for the shift,
+        # each decided by the certified count with no exact fallback; then
+        # three solves
+        counts = count_calls(monkeypatch)
         r = spectral_radius(relabelled(make_path(150), random.Random(150)))
-        assert 3 <= counts["exact"] <= 4
+        assert 3 <= counts["decided"] + counts["exact"] <= 4
+        assert counts["exact"] == 0
         assert 50 <= counts["float"] <= 54
-        assert r.iterations == counts["float"] + counts["exact"] + 3
+        assert r.iterations == counts["float"] + counts["fixed"] + 3
+
+
+# K_{1,4} hung from one end of a path P_4: rooted at the least centre, 5,
+# its centre 0 has the four leaves for children, and a pivot of 2 - 4/2 = 0
+HUNG_STAR = tree_from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (7, 8)])
+
+
+def near_rationals(mu, ulps=6):
+    """The doubles within ulps of mu and the midpoints between neighbours."""
+    xs = [mu]
+    for _ in range(ulps):
+        xs = [math.nextafter(xs[0], -math.inf), *xs, math.nextafter(xs[-1], math.inf)]
+    return [Fraction(x) for x in xs] + [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(xs, xs[1:])]
+
+
+class TestCertifiedCount:
+    """The last-bit counts run in fixed-width integer intervals first: each
+    answers as the exact count does, or is undecided and leaves the answer
+    to the exact count."""
+
+    def test_agrees_with_the_exact_count(self):
+        # at doubles and midpoints around each index, and at small
+        # integers and sqrt(2), some of them eigenvalues of a subtree
+        trees = [random_tree(n, n) for n in (3, 5, 12, 40, 150, 400)]
+        trees += [make_star(k) for k in (3, 4, 9, 40)] + [make_path(n) for n in (3, 4, 60, 301)]
+        trees += [make_caterpillar(4, 101), HUNG_STAR, FORK_19, broom()]
+        cases, undecided = 0, []
+        for t in trees:
+            steps = spectral._elimination(t)
+            qs = {*near_rationals(spectral_radius(t).mu), Fraction(1), Fraction(2), Fraction(3), Fraction(math.sqrt(2))}
+            for q in qs:
+                fixed = spectral._below_fixed(steps, q)
+                assert fixed is None or fixed == spectral._below_exact(steps, q), (t.vertex_count, q)
+                cases += 1
+                if fixed is None:
+                    undecided.append((t.vertex_count, q))
+        # the one undecided case is K_{1,9} at its index 3
+        assert cases >= 500 and undecided == [(10, Fraction(3))]
+
+    def test_a_zero_pivot_is_decided(self):
+        # 2^128 / (2 * 2^64) is an integer, so HUNG_STAR's zero pivot at
+        # q = 2 is the interval [0, 0], which proves the answer False
+        steps = spectral._elimination(HUNG_STAR)
+        assert spectral._below_fixed(steps, Fraction(2)) is False
+        assert not exact_below(HUNG_STAR, Fraction(2))
+
+    def test_a_square_star_at_its_index_is_undecided(self, monkeypatch):
+        # K_{1,9} has index 3, and 2^128 / (3 * 2^64) is no integer: the
+        # centre's interval straddles 0, where rounding both reciprocals
+        # down would prove a positive pivot, and the exact count answers
+        # for the shift at c = 3.0
+        steps = spectral._elimination(make_star(9))
+        assert spectral._below_fixed(steps, Fraction(3)) is None
+        assert spectral._below_exact(steps, Fraction(3)) is False
+        counts = count_calls(monkeypatch)
+        r = spectral_radius(make_star(9))
+        assert r.mu == 3.0 and counts["exact"] == counts["fixed"] - counts["decided"] == 1
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2.0**-70), Fraction(1 + 2.0**-52) / 2**13])
+    def test_a_q_off_the_scale_is_undecided(self, q):
+        # q * 2^64 is not an integer
+        assert spectral._below_fixed(spectral._elimination(make_path(5)), q) is None
+
+    @pytest.mark.parametrize(
+        "make", [lambda: make_path(20000), lambda: make_caterpillar(3, 16002)], ids=["path_20000", "caterpillar_3_16002"]
+    )
+    def test_a_long_tree_takes_no_exact_count(self, monkeypatch, make):
+        # the exact count's integers grow along a long path, so it once
+        # took seconds here
+        t = make()
+        counts = count_calls(monkeypatch)
+        r = spectral_radius(t)
+        assert counts["exact"] == 0 and counts["decided"] == counts["fixed"] >= 3
+        assert r.iterations <= 60 and r.residual <= 1e-15 and np.all(r.perron > 0.0)
 
 
 def same_bits(a, b):
@@ -821,19 +907,29 @@ class TestCaterpillarSymmetry:
     def test_unequal_pendant_loads(self):
         r = spectral_radius(LOPSIDED)
         assert not caterpillar_symmetry_check(LOPSIDED, r)
-        # equal trunk ends, so the loads alone decide
-        assert not caterpillar_symmetry_check(LOPSIDED, replace(r, perron=np.ones(7)))
+        # trunk ends equal within a wide tol, so the loads alone decide
+        assert not caterpillar_symmetry_check(LOPSIDED, r, tol=1.0)
+        # a uniform vector is not LOPSIDED's Perron vector
+        with pytest.raises(ValueError, match="not this tree's"):
+            caterpillar_symmetry_check(LOPSIDED, replace(r, perron=np.ones(7)))
         with pytest.raises(TreeError, match="not mirror-symmetric"):
             symmetrize_caterpillar(LOPSIDED, r.perron)
 
     def test_perturbed_pendants_at_one_trunk_end(self):
-        # trunk values and loads still match; the end's pendant values do not
+        # trunk values and loads still match; the end's pendant values do
+        # not, by 1e-13, which keeps the residual below DEFAULT_TOL, or by
+        # 1e-6, which makes it another tree's vector
         t = make_caterpillar(3, 10)
         r = spectral_radius(t)
         f = symmetrize_caterpillar(t, r.perron)
-        assert caterpillar_symmetry_check(t, replace(r, perron=f))
-        f[[u for u in t.neighbors(0) if t.degree(u) == 1]] += 1e-6
-        assert not caterpillar_symmetry_check(t, replace(r, perron=f))
+        assert caterpillar_symmetry_check(t, replace(r, perron=f), tol=0.0)
+        end = [u for u in t.neighbors(0) if t.degree(u) == 1]
+        g = f.copy()
+        g[end] += 1e-13
+        assert not caterpillar_symmetry_check(t, replace(r, perron=g), tol=0.0)
+        f[end] += 1e-6
+        with pytest.raises(ValueError, match="not this tree's"):
+            caterpillar_symmetry_check(t, replace(r, perron=f))
 
     def test_symmetrize_short_trunks(self):
         # K1 and K2 have no trunk, so every vertex is one orbit; the star's
@@ -871,6 +967,27 @@ class TestCaterpillarSymmetry:
     def test_result_of_the_wrong_length_rejected(self, other):
         with pytest.raises(ValueError, match="valuation must have length 10"):
             caterpillar_symmetry_check(make_caterpillar(3, 10), spectral_radius(other))
+
+
+class TestResultOfAnotherTree:
+    """The valuation checks take t's own result only: another tree's, of
+    the same order, raises ValueError by its residual on t."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda t, r: perron_bound_check(t, np.full(10, math.sqrt(0.1)), r),
+            pendant_minima_check,
+            caterpillar_symmetry_check,
+            caterpillar_trunk_residual,
+        ],
+        ids=["perron_bound", "pendant_minima", "symmetry", "trunk_residual"],
+    )
+    def test_a_path_result_on_a_caterpillar(self, check):
+        t = make_caterpillar(3, 10)
+        with pytest.raises(ValueError, match="^result is not this tree's: residual .* above 1e-12$"):
+            check(t, spectral_radius(make_path(10)))
+        check(t, spectral_radius(t))
 
 
 class TestTrunkRecurrence:
