@@ -71,8 +71,6 @@ __all__ = [
 
 DEFAULT_MAX_N = 22
 _SCREEN_BAND = 1e-9
-# tie candidates whose exact Rayleigh quotients lie within this of the least one tie
-_TIE_BAND = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +398,10 @@ def _observe(t: Tree) -> MinimizerObservations:
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of an exhaustive extremal search over one degree-sequence
-    class.  `gap_to_runner_up` is the raw index gap between the extremal
-    value and the closest non-extremal tree (None when every tree in the
-    class is extremal)."""
+    class.  `min_mu` is the least index in the class, correctly rounded,
+    which every minimizer shares.  `gap_to_runner_up` is the raw index gap
+    between the extremal value and the closest non-extremal tree (None when
+    every tree in the class is extremal)."""
 
     pi: DegreeSequence
     tree_count: int
@@ -464,45 +463,23 @@ def _screen(mus: np.ndarray) -> tuple[list[float], list[int]]:
     return screened, [i for i, m in enumerate(screened) if m <= best_screen + _SCREEN_BAND]
 
 
-def _exact_rayleigh(t: Tree, x: np.ndarray) -> float:
-    """<Ax, x> / <x, x> of a float64 vector, summed exactly and rounded once:
-    each entry m / 2^e is scaled to an integer by the largest 2^e, and
-    int / int true division rounds correctly.  The quotient R is at most
-    the index and, by Temple's inequality, short of it by at most
-    |Ax - Rx|^2 / (R - lambda_2): about 1e-21 for a Perron vector at the
-    residual `spectral_radius` reaches on trees of n <= 22, far below half
-    an ulp, so R rounds as the index does unless the index lies that close
-    to a rounding boundary."""
-    ratios = [v.as_integer_ratio() for v in x.tolist()]
-    scale = max(den for _, den in ratios)
-    m = [num * (scale // den) for num, den in ratios]
-    ax_x = sum(m[u] * sum(m[v] for v in nbrs) for u, nbrs in enumerate(t.adjacency))
-    return ax_x / sum(v * v for v in m)
-
-
-def _resolve_ties(trees: dict[int, Tree], candidates: list[int], solved) -> tuple[list[int], float | None]:
-    """The candidates that stay minimal when tied ones are settled by the
-    exact Rayleigh quotients of their Perron vectors, from `solved`, their
-    `spectral_radius` results in candidate order, with the least quotient; a
-    lone candidate stands without one."""
-    if len(candidates) == 1:
-        return candidates, None
-    quotients = {i: _exact_rayleigh(trees[i], r.perron) for i, r in zip(candidates, solved)}
-    least = min(quotients.values())
-    return [i for i in candidates if quotients[i] <= least + _TIE_BAND], least
+def _least(solved) -> list[int]:
+    """Positions of the least index among `spectral_radius` results: the
+    correctly rounded index, so trees of equal index tie."""
+    least = min(r.mu for r in solved)
+    return [i for i, r in enumerate(solved) if r.mu == least]
 
 
 def extremal_choice(trees: _Trees, mus: np.ndarray) -> list[int]:
     """Positions of the minimizers of the class listed by `_listing` as
     trees, screened by `_parent_indices(trees.parents())`: the same trees
-    `extremal_report` reports, without the index values it carries.  Two or
-    more candidates are solved; a lone one is not.  Each candidate is
-    indexed in trees once."""
+    `extremal_report` reports, without the index values it carries: the
+    candidates of least `spectral_radius(t).mu`.  Two or more candidates are
+    solved; a lone one is not.  Each candidate is indexed in trees once."""
     candidates = _screen(mus)[1]
     if len(candidates) == 1:
         return candidates
-    built = {i: trees[i] for i in candidates}
-    return _resolve_ties(built, candidates, [spectral_radius(t) for t in built.values()])[0]
+    return [candidates[j] for j in _least([spectral_radius(trees[i]) for i in candidates])]
 
 
 def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> SearchReport:
@@ -513,12 +490,11 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     The screened values `mus` only pick, by `_screen` of all trees and of
     the rest, the candidates and the trees within the band of the runner-up.
     The values the report carries are `spectral_radius` indices of those
-    trees, each solved once; tied candidates are settled by
-    `_resolve_ties`, whose exact quotient is the minimum when two or more
-    survive.  The runner-up is the least solved tree not chosen, so
-    the band only chooses which trees are solved, never the report.  Each
-    minimizer's canonical form is its code in `trees.codes`, not coded
-    again.
+    trees, each solved once.  The minimizers are the candidates whose index,
+    correctly rounded, is least (`_least`), and that index is the minimum.
+    The runner-up is the least solved tree not chosen, so the band only
+    chooses which trees are solved, never the report.  Each minimizer's
+    canonical form is its code in `trees.codes`, not coded again.
     """
     candidates = _screen(mus)[1]
     rest = np.delete(np.arange(len(trees)), candidates)
@@ -526,8 +502,8 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     pool = candidates + runners
     built = {i: trees[i] for i in pool}
     solved = {i: spectral_radius(t) for i, t in built.items()}
-    chosen, settled = _resolve_ties(built, candidates, [solved[i] for i in candidates])
-    best = min(solved[i].mu for i in chosen)
+    chosen = [candidates[j] for j in _least([solved[i] for i in candidates])]
+    best = solved[chosen[0]].mu
     others = [r.mu for i, r in solved.items() if i not in chosen]
     gap = min(others) - best if others else None
     chosen_trees = tuple(built[i] for i in chosen)
@@ -535,7 +511,7 @@ def extremal_report(pi: DegreeSequence, trees: _Trees, mus: np.ndarray) -> Searc
     return SearchReport(
         pi=pi,
         tree_count=len(trees),
-        min_mu=float(best if len(chosen) == 1 else settled),
+        min_mu=best,
         minimizers=chosen_trees,
         minimizer_codes=tuple(CanonicalForm(trees.codes[i]) for i in chosen),
         all_caterpillars=all(o.is_caterpillar for o in obs),
@@ -553,9 +529,9 @@ def find_minimizers(pi: DegreeSequence, max_n: int = DEFAULT_MAX_N, jobs: int = 
     `_parent_indices`, one top eigenvalue of each tree's half-size Gram
     matrix B B^T, the one screen of the package; only the trees solved are
     built.  Trees within the fixed screen band of the screened minimum are
-    settled by the exact Rayleigh quotients of their Perron vectors;
-    survivors are reported as tied minimizers.  The screen only chooses
-    which trees are solved, so a class of one tree skips it.
+    solved, and those whose correctly rounded index is least are reported
+    as the minimizers, tied when there are two or more.  The screen only
+    chooses which trees are solved, so a class of one tree skips it.
     `jobs` is accepted so existing callers keep working, and ignored: the
     class is scanned by one batched solve in this process.
     """

@@ -1,11 +1,11 @@
 """Generator soundness and extremal search, cross-checked against known
 free-tree counts and a brute-force labeled enumeration."""
 
+import dataclasses
 import gc
 import hashlib
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,7 +21,6 @@ from treeindex.enumeration import (
     MinimizerObservations,
     _decorated,
     _decorations,
-    _exact_rayleigh,
     _least_rooting,
     _listing,
     _observe,
@@ -560,7 +559,7 @@ class TestFindMinimizers:
     def test_single_edge_class(self):
         report = find_minimizers(DegreeSequence.parse("1,1"))
         assert report.tree_count == 1
-        assert report.min_mu == pytest.approx(1.0, abs=1e-12)
+        assert report.min_mu == 1.0
         assert report.gap_to_runner_up is None
 
     def test_scale_guard(self):
@@ -568,7 +567,7 @@ class TestFindMinimizers:
         with pytest.raises(TreeError):
             find_minimizers(big)
         report = find_minimizers(big, max_n=25)
-        assert report.min_mu == pytest.approx(math.sqrt(22), abs=1e-10)
+        assert report.min_mu == math.sqrt(22)
 
     def test_buds_short_of_the_hub_degree(self):
         # trunk degrees 3, 4, 3: both half-trunks fall from the hub of
@@ -583,7 +582,7 @@ class TestFindMinimizers:
         serial = find_minimizers(pi)
         parallel = find_minimizers(pi, jobs=2)
         assert serial.minimizer_codes == parallel.minimizer_codes
-        assert serial.min_mu == pytest.approx(parallel.min_mu, abs=1e-14)
+        assert serial.min_mu == parallel.min_mu
 
     @pytest.mark.parametrize(
         "pi",
@@ -838,23 +837,52 @@ class TestScreenFromDecorations:
         assert len(built) <= len(candidates) + len(runners)
 
 
-class TestExactRayleigh:
-    @pytest.mark.parametrize(
-        "t", tied_minimizer_examples() + (make_star(4),), ids=["fork", "cat_a", "cat_b", "star"]
-    )
-    def test_one_rounding_of_the_rational_quotient(self, t):
-        # entries of widely spread magnitudes; Fraction is the reference
-        rng = np.random.default_rng(t.vertex_count)
-        for _ in range(50):
-            x = rng.random(t.vertex_count) * 2.0 ** rng.integers(-60, 5, t.vertex_count)
-            f = [Fraction(v) for v in x.tolist()]
-            ax_x = sum(f[u] * f[v] for u, nbrs in enumerate(t.adjacency) for v in nbrs)
-            assert _exact_rayleigh(t, x) == float(ax_x / sum(v * v for v in f))
+class TestTiesByTheRoundedIndex:
+    """The minimizers are the candidates of least `spectral_radius(t).mu`,
+    the correctly rounded index: with the fork's index moved one ulp, and
+    its Perron vector left as it is, the fork leaves the tie or is the
+    minimizer alone."""
 
-    def test_perron_vector_gives_the_index(self):
-        # at a converged Perron vector the quotient rounds to sqrt(6)'s double
-        for t in tied_minimizer_examples():
-            assert _exact_rayleigh(t, spectral_radius(t).perron) == math.sqrt(6)
+    FORK = canonical_form(tied_minimizer_examples()[0])
+
+    @pytest.fixture
+    def nudge(self, monkeypatch):
+        def nudged(direction):
+            solve = enumeration.spectral_radius
+
+            def moved(t, *args, **kwargs):
+                r = solve(t, *args, **kwargs)
+                if canonical_form(t) == self.FORK:
+                    return dataclasses.replace(r, mu=math.nextafter(r.mu, direction))
+                return r
+
+            monkeypatch.setattr(enumeration, "spectral_radius", moved)
+
+        return nudged
+
+    @staticmethod
+    def search(pi):
+        trees = _listing(pi, DEFAULT_MAX_N)
+        report = find_minimizers(pi)
+        chosen = extremal_choice(trees, _parent_indices(trees.parents()))
+        assert [trees.codes[i] for i in chosen] == [code.code for code in report.minimizer_codes]
+        return report
+
+    def test_one_ulp_up_leaves_the_tie(self, nudge):
+        nudge(math.inf)
+        report = self.search(TIED_MINIMIZER_CLASS)
+        assert len(report.minimizers) == 10
+        assert self.FORK not in report.minimizer_codes
+        assert report.min_mu == math.sqrt(6)
+        assert report.gap_to_runner_up == math.nextafter(math.sqrt(6), math.inf) - math.sqrt(6)
+
+    def test_one_ulp_down_is_the_minimizer_alone(self, nudge):
+        nudge(-math.inf)
+        report = self.search(TIED_MINIMIZER_CLASS)
+        assert report.minimizer_codes == (self.FORK,)
+        assert report.unique
+        assert report.min_mu == math.nextafter(math.sqrt(6), -math.inf)
+        assert report.gap_to_runner_up == math.sqrt(6) - report.min_mu
 
 
 class TestOneSolvePerTieCandidate:

@@ -315,6 +315,26 @@ PINNED_TIES = TIE_CLASSES + [
 # a class whose two minimizers tie at an index other than sqrt(6),
 # 2.3268462696046541890...
 OFF_SQRT6_TIE = "5,4^2,3,2^5,1^10"
+# sha256 of the `find_minimizers` JSON, each followed by a newline, of the
+# 240 classes of `census_classes(16)`, 6 of them tied; captured while ties
+# were still settled by the exact Rayleigh quotient of each candidate's
+# Perron vector within a band of 1e-12
+CENSUS_16_SHA256 = "2330b18ed46f54fccf889e69828ce31dfb32fdc5800d2e2492969da207896a95"
+
+
+def census_classes(top):
+    """Every class with 3 <= n <= top and degrees <= 5, ordered by n, then
+    by the multiplicities of 5, 4, 3 and 2 ascending.  The degrees less one
+    sum to n - 2, so the multiplicities of 5, 4 and 3 fix that of 2, and the
+    rest are leaves."""
+    for n in range(3, top + 1):
+        for fives in range(n):
+            for fours in range(n):
+                for threes in range(n):
+                    twos = n - 2 - 4 * fives - 3 * fours - 2 * threes
+                    if twos >= 0:
+                        internal = (5,) * fives + (4,) * fours + (3,) * threes + (2,) * twos
+                        yield DegreeSequence(internal + (1,) * (n - len(internal)))
 
 
 def _poly_mul(p, q):
@@ -414,6 +434,12 @@ class TestPinnedTies:
         assert len(report.minimizers) >= 2
         for t in report.minimizers:
             assert is_correctly_rounded_index(t, report.min_mu)
+
+    def test_census(self):
+        reports = [find_minimizers(pi) for pi in census_classes(16)]
+        assert len(reports) == 240
+        assert sum(not r.unique for r in reports) == 6
+        assert sha256("".join(r.to_json() + "\n" for r in reports)) == CENSUS_16_SHA256
 
     @pytest.mark.parametrize("direction", [-math.inf, math.inf])
     @pytest.mark.parametrize("pi", [TIED_MINIMIZER_CLASS.compact(), OFF_SQRT6_TIE])
