@@ -13,7 +13,10 @@ Composite rearrangements built from switches:
 * *branch reduction*: at a branching point, re-hang one proper branch onto
   the bud of another, lowering the number of proper branches by one.
   Iterating reductions turns any semiregular tree into the caterpillar of
-  its class (`reduce_to_caterpillar`).
+  its class (`reduce_to_caterpillar`).  The reduction walks each branching
+  point's proper branches once and keeps, per point, the pair its policy
+  takes there; a switch merges two walks and changes at most two points'
+  entries, so the candidates are never rescanned.
 * *spiral rearrangement*: starting from a caterpillar, grow three branches
   at the trunk center by repeatedly re-attaching the outermost remaining
   trunk chunk to the most valuable active tip.  The Rayleigh quotient is
@@ -27,7 +30,10 @@ Composite rearrangements built from switches:
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,7 @@ from .spectral import (
 )
 from .trees import (
     Tree,
+    _arm,
     _proper_branch,
     _proper_walks,
     branch,
@@ -48,6 +55,7 @@ from .trees import (
     is_caterpillar,
     isomorphism_map,
     make_caterpillar,
+    nonpendant_degree,
     nonpendant_vertices,
     proper_branches,
     semiregular_degree,
@@ -306,13 +314,109 @@ def _fork_key(s: ReductionStep) -> tuple[int, int, int, int]:
     return (s.fork_size, s.reduction_point, s.move.v1, s.move.u2)
 
 
+def _bud(walk: list[int]) -> int:
+    return walk[-1]
+
+
+def _least_pair(walks: list[list[int]]) -> tuple[int, int]:
+    """The pair i < j of proper walks, sorted by bud, that is least by
+    (len_i + len_j, bud_i, gateway_j): `_fork_key` at one branching point,
+    read off the walks alone in time linear in their number.  The least sum
+    is that of the two shortest walks; i is the first walk followed by a
+    walk of the length that completes the sum, and j is the one of those
+    with the least gateway."""
+    total = sum(heapq.nsmallest(2, map(len, walks)))
+    last = {len(walk): k for k, walk in enumerate(walks)}
+    i = next(k for k, walk in enumerate(walks) if last.get(total - len(walk), -1) > k)
+    want = total - len(walks[i])
+    j = min((k for k in range(i + 1, len(walks)) if len(walks[k]) == want),
+            key=lambda k: walks[k][0])
+    return i, j
+
+
+def _reduction_steps(trees: list[Tree], policy: str) -> Iterator[ReductionStep]:
+    """The steps of a reduction from trees[-1] under a policy, each the
+    candidate `find_branch_reductions` would give on the current tree:
+    the least by `_fork_key` under "minimal", the first under "any".
+
+    No candidate list is built.  Each branching point's `_proper_walks`
+    are walked once, at the start, and kept sorted by bud; each point with
+    two or more of them keeps the pair the policy takes there (`_least_pair`
+    under "minimal", its first two walks under "any") in a heap, whose stale
+    entries are dropped as they come to the top.  A step is built only for
+    the pair taken.  It is applied when the next step is asked for, and the
+    tree it gives is appended to trees.
+
+    A switch at v* hangs the reduced walk W_j onto the bud of the receiving
+    walk W_i, so W_i + W_j is now a proper walk of v*.  If v* keeps three
+    or more non-pendant neighbours, only its own entry changes.  Otherwise
+    v* is no longer a branching point: its one other arm either ends at a
+    bud, and the tree is a caterpillar, or at a branching point w, which
+    gains a proper walk: the arm reversed, v* and W_i + W_j.  The walks of
+    every other point are untouched, so one step costs one `_arm` at most.
+    """
+    t = trees[-1]
+    walks = {v: sorted(_proper_walks(t, v), key=_bud) for v in branching_points(t)}
+    heap: list[tuple[int, int, int, int]] = []
+    best: dict[int, tuple[int, int, int, int]] = {}
+
+    def rank(v: int) -> None:
+        ws = walks[v]
+        if len(ws) < 2:
+            return
+        if policy == "any":
+            entry = (0, v, 0, 1)
+        else:
+            i, j = _least_pair(ws)
+            # `_fork_key` up to v, which no other point shares
+            entry = (len(ws[i]) + len(ws[j]) + 1, v, i, j)
+        best[v] = entry
+        heapq.heappush(heap, entry)
+
+    for v in walks:
+        rank(v)
+    while heap:
+        entry = heapq.heappop(heap)
+        _, v, i, j = entry
+        if best.get(v) != entry:
+            continue
+        del best[v]
+        ws = walks[v]
+        receiving, reduced = ws[i], ws[j]
+        bud = receiving[-1]
+        step = ReductionStep(
+            kind="branch_reduction",
+            reduction_point=v,
+            move=SwitchMove(u1_pendant=_pendant_at(t, bud), v1=bud, u2=reduced[0], v2=v),
+            fork=_proper_branch(t, v, receiving).vertices | _proper_branch(t, v, reduced).vertices,
+            # the two branches share only v
+            fork_size=len(receiving) + len(reduced) + 1,
+        )
+        yield step
+        t = apply_switch(t, step.move)
+        trees.append(t)
+        merged = receiving + reduced
+        del ws[j], ws[i]  # i < j
+        if nonpendant_degree(t, v) >= 3:
+            insort(ws, merged, key=_bud)
+            rank(v)
+            continue
+        del walks[v]
+        (x,) = (u for u in t.neighbors(v) if t.degree(u) >= 2 and u != merged[0])
+        arm = _arm(t, v, x)
+        if arm[-1] in walks:
+            insort(walks[arm[-1]], arm[-2::-1] + [v] + merged, key=_bud)
+            rank(arm[-1])
+
+
 def minimal_branch_reduction(t: Tree) -> ReductionStep:
     """The reduction with the smallest fork; ties broken by the candidate
-    order of `find_branch_reductions`."""
-    candidates = find_branch_reductions(t)
-    if not candidates:
+    order of `find_branch_reductions`.  It is the first step of
+    `reduce_to_caterpillar` under "minimal"."""
+    step = next(_reduction_steps([t], "minimal"), None)
+    if step is None:
         raise ReductionError("no branch reduction exists: tree has no branching point")
-    return min(candidates, key=_fork_key)
+    return step
 
 
 def reduce_to_caterpillar(t: Tree, policy: str = "minimal") -> ReductionSequence:
@@ -323,20 +427,19 @@ def reduce_to_caterpillar(t: Tree, policy: str = "minimal") -> ReductionSequence
     proper branch, so the sequence length equals the initial surplus
     sum over branching points of (nonpendant_degree - 2).  Only a
     caterpillar has no branch reduction, so the loop stops exactly there.
+    The candidates are not rescanned after each switch: `_reduction_steps`
+    keeps each branching point's proper walks and best pair, and a switch
+    updates at most two of them.  Every step is still the one a rescan
+    with `find_branch_reductions` would take, and `apply_switch` still
+    validates it and builds the checked tree.
     """
     if policy not in ("minimal", "any"):
         raise ReductionError(f"unknown policy {policy!r}")
     if nonpendant_vertices(t) and semiregular_degree(t) is None:
         raise ReductionError("tree is not semiregular: non-pendant degrees differ")
-    steps: list[ReductionStep] = []
     trees = [t]
-    cur = t
-    while candidates := find_branch_reductions(cur):
-        step = min(candidates, key=_fork_key) if policy == "minimal" else candidates[0]
-        cur = apply_switch(cur, step.move)
-        steps.append(step)
-        trees.append(cur)
-    return ReductionSequence(steps=tuple(steps), trees=tuple(trees))
+    steps = tuple(_reduction_steps(trees, policy))
+    return ReductionSequence(steps=steps, trees=tuple(trees))
 
 
 def replay_inverse(seq: ReductionSequence) -> list[Tree]:

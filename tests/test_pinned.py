@@ -35,7 +35,7 @@ from treeindex.enumeration import (
     tied_minimizer_examples,
 )
 from treeindex.spectral import ConvergenceError, adjacency_matrix, spectral_radius
-from treeindex.transforms import ReductionError, caterpillar_bound_witness
+from treeindex.transforms import ReductionError, caterpillar_bound_witness, reduce_to_caterpillar
 from treeindex.trees import (
     DegreeSequence,
     Tree,
@@ -115,6 +115,35 @@ REPLAY_TREES = {
         for d, k, s in ((3, 14, 4), (3, 14, 5), (4, 10, 3), (4, 10, 4), (5, 8, 1), (5, 8, 4))
     },
 }
+
+# sha256 of the full `reduce_to_caterpillar` traces of `trace_trees()`,
+# under "minimal" then "any" for each tree in turn (`reduction_trace`);
+# captured while every step rescanned all candidates with
+# `find_branch_reductions`
+REDUCTION_TRACE_SHA256 = "8a7293315fce081f4ec16d25a9091ea3a188b1ba8feb923184b83a1505184592"
+
+
+def trace_trees():
+    """The 104 semiregular trees with d = 3..5 and n <= 22, then four
+    seeded random ones of 150 to 600 vertices."""
+    for d in (3, 4, 5):
+        for n in range(d + 1, 23, d - 1):
+            yield from enumerate_trees(DegreeSequence.semiregular(d, n))
+    for d, k, seed in ((3, 74, 1), (4, 100, 2), (5, 60, 3), (3, 299, 4)):
+        yield random_semiregular(d, k, seed)
+
+
+def reduction_trace(t, policy):
+    """One line per step: kind, reduction point, move, fork size and sorted
+    fork; then the edges of the caterpillar reached."""
+    seq = reduce_to_caterpillar(t, policy)
+    rows = [
+        f"{s.kind} {s.reduction_point} {s.move.u1_pendant} {s.move.v1} {s.move.u2} "
+        f"{s.move.v2} {s.fork_size} {sorted(s.fork)}\n"
+        for s in seq.steps
+    ]
+    return "".join(rows) + f"{list(seq.trees[-1].edges())}\n"
+
 
 # budgets on the 60-vertex path, which the power iteration once spent on
 # sweeps: max_iter now bounds nothing, so each returns the default result,
@@ -489,3 +518,9 @@ class TestPinnedReplay:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["reduce", str(path), "--policy", policy, "--format", "json"])
         assert [rc, out.getvalue(), err.getvalue()] == PINNED["reduce_json"][name][policy]
+
+    def test_reduction_traces(self):
+        trees = list(trace_trees())
+        assert len(trees) == 108
+        traces = "".join(reduction_trace(t, p) for t in trees for p in ("minimal", "any"))
+        assert sha256(traces) == REDUCTION_TRACE_SHA256

@@ -10,9 +10,11 @@ from treeindex import cli, enumeration, spectral, transforms, trees
 from treeindex.enumeration import enumerate_trees
 from treeindex.spectral import spectral_radius, symmetrize_caterpillar
 from treeindex.transforms import (
+    _fork_key,
     apply_switch,
     find_branch_reductions,
     inverse_move,
+    minimal_branch_reduction,
     switch_certificate,
 )
 from treeindex.trees import (
@@ -26,10 +28,13 @@ from treeindex.trees import (
     nonpendant_degree,
     nonpendant_vertices,
     proper_branches,
+    semiregular_degree,
     tree_from_edges,
     tree_to_json,
     trunk_path,
 )
+
+from test_pinned import random_semiregular
 
 # ---------------------------------------------------------------------------
 # reference definitions: whole-component search and path queries
@@ -186,17 +191,70 @@ def test_reduce_command_reduces_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ["minimal", "any"])
-def test_reduction_scans_branching_points_once_per_step(monkeypatch, policy):
+def test_reduction_scans_branching_points_once(monkeypatch, policy):
     calls = counting(monkeypatch, trees, "branching_points")
     monkeypatch.setattr(transforms, "branching_points", trees.branching_points)
     steps = 0
     for t in enumerate_trees(DegreeSequence.semiregular(3, 20)):
         before = len(calls)
         seq = transforms.reduce_to_caterpillar(t, policy)
-        assert len(calls) - before == len(seq.steps) + 1
+        assert len(calls) - before == 1
         assert is_caterpillar(seq.trees[-1])
         steps += len(seq.steps)
     assert steps > 20
+
+
+@pytest.mark.parametrize("policy", ["minimal", "any"])
+def test_reduction_walks_grow_linearly(monkeypatch, policy):
+    """Each branching point's proper walks are walked once, at the start,
+    and a step walks at most one more arm, where a rescan after every
+    switch would walk every arm of the tree again."""
+    arm_calls = counting(monkeypatch, trees, "_arm")
+    walk_calls = counting(monkeypatch, trees, "_proper_walks")
+    monkeypatch.setattr(transforms, "_arm", trees._arm)
+    monkeypatch.setattr(transforms, "_proper_walks", trees._proper_walks)
+    per_vertex = []
+    for k, seed in ((300, 602), (1000, 2002)):
+        t = random_semiregular(3, k, seed)
+        bps = branching_points(t)
+        walked = sum(nonpendant_degree(t, v) for v in bps)
+        arms_before, walks_before = len(arm_calls), len(walk_calls)
+        seq = transforms.reduce_to_caterpillar(t, policy)
+        arms_walked = len(arm_calls) - arms_before
+        assert len(walk_calls) - walks_before == len(bps)
+        assert walked < arms_walked <= walked + len(seq.steps)
+        per_vertex.append(arms_walked / t.vertex_count)
+    assert per_vertex[1] < 1.25 * per_vertex[0]
+
+
+def rescan_steps(t, policy):
+    """Each step with the tree it gives, by a rescan of every candidate
+    with `find_branch_reductions` after every switch."""
+    out = []
+    while candidates := find_branch_reductions(t):
+        step = min(candidates, key=_fork_key) if policy == "minimal" else candidates[0]
+        t = apply_switch(t, step.move)
+        out.append((step, t))
+    return out
+
+
+@pytest.mark.parametrize("policy", ["minimal", "any"])
+def test_reduction_matches_a_rescan(sweep_trees, policy):
+    semiregular = [t for t in sweep_trees if semiregular_degree(t) is not None]
+    randoms = [random_semiregular(3 + s % 3, 4 + s, s) for s in range(57)]
+    assert len(semiregular) == 64
+    for t in semiregular + randoms:
+        seq = transforms.reduce_to_caterpillar(t, policy)
+        assert seq.trees[0] == t
+        assert list(zip(seq.steps, seq.trees[1:])) == rescan_steps(t, policy)
+
+
+def test_minimal_reduction_is_the_least_candidate(sweep_trees):
+    """Mixed classes included: a single step does not need a semiregular
+    tree."""
+    for t in sweep_trees:
+        if candidates := find_branch_reductions(t):
+            assert minimal_branch_reduction(t) == min(candidates, key=_fork_key)
 
 
 def test_arms_walk_each_arm_once(monkeypatch, sweep_trees):
